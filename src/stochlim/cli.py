@@ -33,6 +33,7 @@ from .diagrams import (
 from .masterfield import check_free_equivalence, free_correlator
 from .oracle import (
     Assignment,
+    UnassignedSymbolError,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
@@ -100,6 +101,11 @@ def _word_from_job(pattern_entries) -> OperatorWord:
                 raise PatternError(f"expected 'a' or 'a+', got {entry!r}", i)
             letters.append(Letter(eps, TimeLabel(f"t{i}"), WaveLabel(f"k{i}")))
         else:
+            if not isinstance(entry, dict):
+                raise PatternError(f"expected 'a', 'a+' or an object, got {entry!r}", i)
+            missing = [key for key in ("eps", "time", "wave") if key not in entry]
+            if missing:
+                raise PatternError(f"letter object lacks {', '.join(missing)}", i)
             letters.append(
                 Letter(
                     int(entry["eps"]),
@@ -110,9 +116,21 @@ def _word_from_job(pattern_entries) -> OperatorWord:
     return OperatorWord.build(letters)
 
 
+def _read_json(path: str, what: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise JobError(f"cannot read {what} file {path}: {err.strerror}") from None
+    if not isinstance(data, dict):
+        raise JobError(f"{what} file {path} does not hold a JSON object")
+    return data
+
+
 def _load_numeric(path: str) -> Assignment:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path, "numeric")
+    if "lambda" not in data:
+        raise JobError(f"numeric file {path} has no 'lambda'")
     dots = {}
     for key, value in data.get("dot", {}).items():
         a, b = (part.strip() for part in key.split(","))
@@ -129,8 +147,12 @@ def _load_numeric(path: str) -> Assignment:
 
 def build_job(args: argparse.Namespace) -> JobSpec:
     if args.job:
-        with open(args.job, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.job, "job")
+        version = data.get("schemaVersion", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise JobError(
+                f"job schemaVersion {version!r} is not supported (expected {SCHEMA_VERSION})"
+            )
         mode = data.get("mode", args.mode)
         state = _state_from_args(data.get("state", args.state), data.get("beta", args.beta))
         word = _word_from_job(data["pattern"]) if "pattern" in data else None
@@ -196,7 +218,12 @@ def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict)
             }
             return 0
     if assign is not None:
-        v = numeric_eval(value, assign)
+        try:
+            v = numeric_eval(value, assign)
+        except UnassignedSymbolError as err:
+            if job.numeric is None:
+                raise  # a random assignment covers every symbol it is given
+            raise JobError(f"numeric file: {err}") from None
         lines.append(f"numeric: {v.real:.12e}{v.imag:+.12e}j")
         payload["numeric"] = {"value": [v.real, v.imag]}
     return 0

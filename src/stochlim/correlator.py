@@ -11,6 +11,7 @@ whole term, which is why only non-crossing diagrams survive.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,7 +57,6 @@ class StateSpec:
 
     kind: str
     beta: float | None = None
-    dispersion: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("fock", "gaussian", "temperature"):
@@ -69,8 +69,8 @@ FOCK = StateSpec("fock")
 GAUSSIAN = StateSpec("gaussian")
 
 
-def temperature(beta: float, dispersion: str = "generic") -> StateSpec:
-    return StateSpec("temperature", beta=beta, dispersion=dispersion)
+def temperature(beta: float) -> StateSpec:
+    return StateSpec("temperature", beta=beta)
 
 
 class LimitStructureError(ValueError):
@@ -81,26 +81,11 @@ def apply_state(s: ScalarSum, state: StateSpec) -> ScalarSum:
     """In the Fock state N(k) = 0: N-weighted terms drop, N+1 becomes 1."""
     if state.kind != "fock":
         return s
-    kept = []
-    for m in s.terms:
-        if any(off == 0 for _, off in m.m_factors):
-            continue
-        factors = [TimeDelta(t) for t in m.time_deltas]
-        factors += [EnergyDelta(e) for e in m.energy_deltas]
-        factors += [DeltaK(a, b) for a, b in m.delta_k]
-        factors += [
-            OscExp(TimeComb.of(label), energy) for label, energy in m.osc
-        ]
-        kept.append(
-            Monomial.build(
-                rational=m.rational,
-                two_pi=m.two_pi,
-                lam=m.lam,
-                factors=factors,
-                quotas=m.quotas,
-            )
-        )
-    return ScalarSum.from_iter(kept)
+    return ScalarSum.from_iter(
+        dataclasses.replace(m, m_factors=())
+        for m in s.terms
+        if all(off == 1 for _, off in m.m_factors)
+    )
 
 
 def _check_edge(edge: Edge, word: OperatorWord) -> None:
@@ -151,11 +136,11 @@ def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
 
 def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
     letters = word.letters
-    m = Monomial.one()
+    factors = []
     for edge in diagram.edges:
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
-        factors = [
+        factors += [
             OscExp(cre.time - ann.time, _edge_energy(edge, word, diagram), pairing=True),
             MFactor(cre.wave, (edge.delta + 1) // 2),
             DeltaK(cre.wave, ann.wave),
@@ -177,8 +162,7 @@ def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
                     (vertex.eps * edge.delta) * dot(vertex.wave, cre.wave),
                 )
             )
-        m = m * Monomial.build(lam=-2, factors=factors)
-    return m
+    return Monomial.build(lam=-2 * len(diagram.edges), factors=factors)
 
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -246,13 +230,15 @@ def take_limit(s: ScalarSum) -> ScalarSum:
             continue
         if any(e.is_zero for e in deltas):
             raise LimitStructureError("pairing exponent with vanishing energy")
-        factors = [TimeDelta(t) for t in m.quotas]
-        factors += [EnergyDelta(e) for e in deltas]
-        factors += [DeltaK(a, b) for a, b in m.delta_k]
-        factors += [MFactor(w, o) for w, o in m.m_factors]
         out.append(
-            Monomial.build(
-                rational=m.rational, two_pi=m.two_pi + n, lam=0, factors=factors
+            Monomial._canonical(
+                m.rational,
+                m.two_pi + n,
+                0,
+                time_deltas=m.quotas,
+                energy_deltas=[e.normalized() for e in deltas],
+                delta_k=m.delta_k,
+                m_factors=m.m_factors,
             )
         )
     return ScalarSum.from_iter(out)
@@ -268,18 +254,15 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     for diagram in enumerate_pairings(word.pattern):
         if not is_non_crossing(diagram):
             continue
-        m = Monomial.one()
+        factors = []
         for edge in diagram.edges:
             cre = letters[edge.creation - 1]
             ann = letters[edge.annihilation - 1]
-            m = m * Monomial.build(
-                two_pi=1,
-                factors=[
-                    TimeDelta(cre.time - ann.time),
-                    EnergyDelta(_edge_energy(edge, word, diagram)),
-                    MFactor(cre.wave, (edge.delta + 1) // 2),
-                    DeltaK(cre.wave, ann.wave),
-                ],
-            )
-        terms.append(m)
+            factors += [
+                TimeDelta(cre.time - ann.time),
+                EnergyDelta(_edge_energy(edge, word, diagram)),
+                MFactor(cre.wave, (edge.delta + 1) // 2),
+                DeltaK(cre.wave, ann.wave),
+            ]
+        terms.append(Monomial.build(two_pi=len(diagram.edges), factors=factors))
     return apply_momentum_deltas(apply_state(ScalarSum.from_iter(terms), state))

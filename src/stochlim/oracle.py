@@ -32,9 +32,19 @@ from .scalars import (
     Monomial,
     OscExp,
     ScalarSum,
+    _UnionFind,
     apply_momentum_deltas,
 )
-from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega, shift_p
+from .symbols import (
+    EnergyComb,
+    TimeComb,
+    TimeLabel,
+    WaveLabel,
+    dot,
+    dot_p,
+    omega,
+    shift_p,
+)
 from .words import Letter, OperatorWord
 
 __all__ = [
@@ -163,17 +173,6 @@ class _BareLetter:
     wave: WaveLabel
 
 
-@dataclass(frozen=True)
-class DressedWord:
-    """Mid-rewriting state of the doubled oracle: a scalar prefix of
-    oscillating exponents (functions of p), a pending exp(i kappa q) shift,
-    and bare two-species Fock letters."""
-
-    prefix: Monomial
-    shift: tuple[tuple[WaveLabel, int], ...]
-    letters: tuple[_BareLetter, ...]
-
-
 def _dress(word: OperatorWord) -> tuple[Monomial, tuple[tuple[WaveLabel, int], ...]]:
     """Peel the particle dressing off every letter: the product of each
     letter's oscillation conjugated through the accumulated exp(i kappa q)
@@ -246,9 +245,8 @@ def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
     lam_base = Monomial.build(lam=-len(word.letters))
     terms: list[Monomial] = []
     for branch in branches:
-        dressed = DressedWord(prefix, kappa, branch)
-        for contraction in _ccr_vacuum(dressed.letters):
-            terms.append(dressed.prefix * contraction * lam_base)
+        for contraction in _ccr_vacuum(branch):
+            terms.append(prefix * contraction * lam_base)
     result = apply_momentum_deltas(ScalarSum.from_iter(terms))
     _assert_shift_vanishes(result, kappa)
     return result
@@ -258,22 +256,12 @@ def _assert_shift_vanishes(result: ScalarSum, kappa) -> None:
     # fully contracted terms must have zero net exp(i kappa q) once the
     # pairing deltas identify wave labels
     for m in result.terms:
-        parent: dict[WaveLabel, WaveLabel] = {}
-
-        def find(x: WaveLabel) -> WaveLabel:
-            while parent.get(x, x) != x:
-                x = parent[x]
-            return x
-
+        uf = _UnionFind()
         for a, b in m.delta_k:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb, key=lambda w: w.sort_key)] = min(
-                    ra, rb, key=lambda w: w.sort_key
-                )
+            uf.union(a, b)
         net: dict[WaveLabel, int] = {}
         for wave, eps in kappa:
-            r = find(wave)
+            r = uf.find(wave)
             net[r] = net.get(r, 0) + eps
         assert all(v == 0 for v in net.values()), "pending momentum shift survived"
 
@@ -291,7 +279,12 @@ class Assignment:
     occupation: dict[str, float] = field(default_factory=dict)
 
     def normalized_dot(self) -> dict[tuple[str, str], float]:
-        return {tuple(sorted(k)): v for k, v in self.dot.items()}
+        """Dot values keyed by their two names in label order, whichever
+        order they were given in."""
+        return {
+            tuple(sorted(k, key=lambda n: WaveLabel(n).sort_key)): v
+            for k, v in self.dot.items()
+        }
 
 
 def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
@@ -330,35 +323,41 @@ def random_assignment(
     state: Optional[StateSpec] = None,
 ) -> Assignment:
     """Uniform random values for every symbol the given sums need."""
-    times: set[str] = set()
-    omegas: set[str] = set()
-    dots: set[tuple[str, str]] = set()
-    dot_ps: set[str] = set()
-    occupations: set[str] = set()
+    # label tuples: one label per time, omega, k.p and occupation symbol,
+    # the two labels of a dot basis (stored in label order)
+    times: set[tuple[TimeLabel]] = set()
+    omegas: set[tuple[WaveLabel]] = set()
+    dots: set[tuple[WaveLabel, WaveLabel]] = set()
+    dot_ps: set[tuple[WaveLabel]] = set()
+    occupations: set[tuple[WaveLabel]] = set()
     for s in sums:
         for m in s.terms:
             for label, energy in m.osc:
-                times.add(label.name)
+                times.add((label,))
                 for basis, _ in energy.terms:
-                    names = tuple(w.name for w in basis.waves)
                     if basis.kind == 0:
-                        omegas.add(names[0])
+                        omegas.add(basis.waves)
                     elif basis.kind == 1:
-                        dots.add(tuple(sorted(names)))
+                        dots.add(basis.waves)
                     else:
-                        dot_ps.add(names[0])
+                        dot_ps.add(basis.waves)
             for wave, _ in m.m_factors:
-                occupations.add(wave.name)
+                occupations.add((wave,))
+
+    def ordered(groups) -> list[tuple[str, ...]]:
+        keyed = sorted(groups, key=lambda g: tuple(l.sort_key for l in g))
+        return [tuple(l.name for l in g) for g in keyed]
+
     assign = Assignment(lam=rng.uniform(0.3, 1.2))
-    assign.times = {n: rng.uniform(-2.0, 2.0) for n in sorted(times)}
-    assign.omega = {n: rng.uniform(0.5, 2.5) for n in sorted(omegas)}
-    assign.dot = {k: rng.uniform(-1.5, 1.5) for k in sorted(dots)}
-    assign.dot_p = {n: rng.uniform(-1.5, 1.5) for n in sorted(dot_ps)}
+    assign.times = {n: rng.uniform(-2.0, 2.0) for (n,) in ordered(times)}
+    assign.omega = {n: rng.uniform(0.5, 2.5) for (n,) in ordered(omegas)}
+    assign.dot = {k: rng.uniform(-1.5, 1.5) for k in ordered(dots)}
+    assign.dot_p = {n: rng.uniform(-1.5, 1.5) for (n,) in ordered(dot_ps)}
     if state is not None and state.kind == "temperature":
         assign.occupation = {
             n: 1.0 / math.expm1(state.beta * assign.omega.get(n, 1.0))
-            for n in sorted(occupations)
+            for (n,) in ordered(occupations)
         }
     else:
-        assign.occupation = {n: rng.uniform(0.1, 2.0) for n in sorted(occupations)}
+        assign.occupation = {n: rng.uniform(0.1, 2.0) for (n,) in ordered(occupations)}
     return assign

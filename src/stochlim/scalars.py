@@ -17,6 +17,11 @@ so canonicalization is the load-bearing part of this module:
   find with the smallest label as representative (applyMomentumDeltas);
   the delta factors themselves keep their original labels.
 
+Canonical order is owned by one constructor, Monomial._canonical: build,
+products, delta unification and the limit all hand it fields, and it
+sorts them by the label key of `symbols`.  Monomial.build only checks
+factors and converts them to fields.
+
 The imaginary unit never appears in coefficients; it lives only in the
 semantics of the oscillating exponent and is materialized in the numeric
 evaluator.
@@ -28,6 +33,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel
@@ -97,11 +103,22 @@ def _pair_key(p: tuple[WaveLabel, WaveLabel]) -> tuple:
     return (p[0].sort_key, p[1].sort_key)
 
 
+_key = attrgetter("sort_key")
+
+
+def _nonzero_delta(c: "TimeComb | EnergyComb", kind: str):
+    """The sign-normalized argument of a delta factor; deltas are even."""
+    if c.is_zero:
+        raise ValueError(f"{kind} delta of the zero combination")
+    return c.normalized()
+
+
 @dataclass(frozen=True)
 class Monomial:
     """One canonical product term.
 
-    Do not call the constructor directly; Monomial.build normalizes.
+    Do not call the constructor directly: Monomial.build validates factors,
+    and every field is sorted by Monomial._canonical.
     """
 
     rational: Fraction
@@ -115,6 +132,45 @@ class Monomial:
     m_factors: tuple[tuple[WaveLabel, int], ...]
 
     @classmethod
+    def _canonical(
+        cls,
+        rational: Fraction,
+        two_pi: int,
+        lam: int,
+        quotas: Iterable[TimeComb] = (),
+        osc: Iterable[tuple[TimeLabel, EnergyComb]] = (),
+        time_deltas: Iterable[TimeComb] = (),
+        energy_deltas: Iterable[EnergyComb] = (),
+        delta_k: Iterable[tuple[WaveLabel, WaveLabel]] = (),
+        m_factors: Iterable[tuple[WaveLabel, int]] = (),
+    ) -> "Monomial":
+        """The one place that orders monomial fields: oscillation rows summed
+        per time label and zero rows dropped, every field sorted by the label
+        and combination keys of `symbols`.  Entries must already be valid
+        and sign-normalized."""
+        rows: dict[TimeLabel, EnergyComb] = {}
+        for label, e in osc:
+            rows[label] = rows[label] + e if label in rows else e
+        return cls(
+            rational=rational,
+            two_pi=two_pi,
+            lam=lam,
+            quotas=tuple(sorted(quotas, key=_key)),
+            osc=tuple(
+                sorted(
+                    ((l, e) for l, e in rows.items() if not e.is_zero),
+                    key=lambda le: le[0].sort_key,
+                )
+            ),
+            time_deltas=tuple(sorted(time_deltas, key=_key)),
+            energy_deltas=tuple(sorted(energy_deltas, key=_key)),
+            delta_k=tuple(sorted(delta_k, key=_pair_key)),
+            m_factors=tuple(
+                sorted(m_factors, key=lambda mo: (mo[0].sort_key, mo[1]))
+            ),
+        )
+
+    @classmethod
     def build(
         cls,
         rational=1,
@@ -123,12 +179,12 @@ class Monomial:
         factors: Iterable[Factor] = (),
         quotas: Iterable[TimeComb] = (),
     ) -> "Monomial":
-        rows: dict[TimeLabel, EnergyComb] = {}
         quota_list: list[TimeComb] = []
         for q in quotas:
             if q.is_zero:
                 raise ValueError("a pairing quota needs a nonzero time argument")
             quota_list.append(q.normalized())
+        rows: list[tuple[TimeLabel, EnergyComb]] = []
         tds: list[TimeComb] = []
         eds: list[EnergyComb] = []
         dks: list[tuple[WaveLabel, WaveLabel]] = []
@@ -143,46 +199,31 @@ class Monomial:
                     continue
                 if f.pairing:
                     quota_list.append(f.time.normalized())
-                for label, c in f.time.coeffs:
-                    prev = rows.get(label, EnergyComb.zero())
-                    rows[label] = prev + f.energy.scale(c)
+                rows += [(label, f.energy.scale(c)) for label, c in f.time.terms]
             elif isinstance(f, TimeDelta):
-                if f.time.is_zero:
-                    raise ValueError("time delta of the zero combination")
-                tds.append(f.time.normalized())
+                tds.append(_nonzero_delta(f.time, "time"))
             elif isinstance(f, EnergyDelta):
-                if f.energy.is_zero:
-                    raise ValueError("energy delta of the zero combination")
-                eds.append(f.energy.normalized())
+                eds.append(_nonzero_delta(f.energy, "energy"))
             elif isinstance(f, DeltaK):
                 if f.left == f.right:
                     raise ValueError("momentum delta needs two distinct labels")
-                pair = tuple(sorted((f.left, f.right), key=lambda w: w.sort_key))
-                dks.append(pair)  # type: ignore[arg-type]
+                dks.append(tuple(sorted((f.left, f.right), key=_key)))
             elif isinstance(f, MFactor):
                 if f.offset not in (0, 1):
                     raise ValueError("occupation offset must be 0 or 1")
                 mfs.append((f.wave, f.offset))
             else:
                 raise TypeError(f"not a scalar factor: {f!r}")
-        osc = tuple(
-            sorted(
-                ((l, e) for l, e in rows.items() if not e.is_zero),
-                key=lambda le: le[0].sort_key,
-            )
-        )
-        return cls(
-            rational=Fraction(rational),
-            two_pi=two_pi,
-            lam=lam,
-            quotas=tuple(sorted(quota_list, key=lambda t: t.sort_key)),
-            osc=osc,
-            time_deltas=tuple(sorted(tds, key=lambda t: t.sort_key)),
-            energy_deltas=tuple(sorted(eds, key=lambda e: e.sort_key)),
-            delta_k=tuple(sorted(dks, key=_pair_key)),
-            m_factors=tuple(
-                sorted(mfs, key=lambda mo: (mo[0].sort_key, mo[1]))
-            ),
+        return cls._canonical(
+            Fraction(rational),
+            two_pi,
+            lam,
+            quotas=quota_list,
+            osc=rows,
+            time_deltas=tds,
+            energy_deltas=eds,
+            delta_k=dks,
+            m_factors=mfs,
         )
 
     @classmethod
@@ -194,54 +235,21 @@ class Monomial:
         return self.rational == 0
 
     def scaled(self, r) -> "Monomial":
-        return Monomial(
-            rational=self.rational * Fraction(r),
-            two_pi=self.two_pi,
-            lam=self.lam,
-            quotas=self.quotas,
-            osc=self.osc,
-            time_deltas=self.time_deltas,
-            energy_deltas=self.energy_deltas,
-            delta_k=self.delta_k,
-            m_factors=self.m_factors,
-        )
+        return dataclasses.replace(self, rational=self.rational * Fraction(r))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        rows: dict[TimeLabel, EnergyComb] = dict(self.osc)
-        for label, e in other.osc:
-            prev = rows.get(label, EnergyComb.zero())
-            rows[label] = prev + e
-        osc = tuple(
-            sorted(
-                ((l, e) for l, e in rows.items() if not e.is_zero),
-                key=lambda le: le[0].sort_key,
-            )
-        )
-        return Monomial(
-            rational=self.rational * other.rational,
-            two_pi=self.two_pi + other.two_pi,
-            lam=self.lam + other.lam,
-            quotas=tuple(
-                sorted(self.quotas + other.quotas, key=lambda t: t.sort_key)
-            ),
-            osc=osc,
-            time_deltas=tuple(
-                sorted(self.time_deltas + other.time_deltas, key=lambda t: t.sort_key)
-            ),
-            energy_deltas=tuple(
-                sorted(
-                    self.energy_deltas + other.energy_deltas, key=lambda e: e.sort_key
-                )
-            ),
-            delta_k=tuple(sorted(self.delta_k + other.delta_k, key=_pair_key)),
-            m_factors=tuple(
-                sorted(
-                    self.m_factors + other.m_factors,
-                    key=lambda mo: (mo[0].sort_key, mo[1]),
-                )
-            ),
+        return Monomial._canonical(
+            self.rational * other.rational,
+            self.two_pi + other.two_pi,
+            self.lam + other.lam,
+            quotas=self.quotas + other.quotas,
+            osc=self.osc + other.osc,
+            time_deltas=self.time_deltas + other.time_deltas,
+            energy_deltas=self.energy_deltas + other.energy_deltas,
+            delta_k=self.delta_k + other.delta_k,
+            m_factors=self.m_factors + other.m_factors,
         )
 
     @property
@@ -351,7 +359,7 @@ class ScalarSum:
 
     def to_json(self) -> dict:
         def tc(t: TimeComb):
-            return [[l.name, c] for l, c in t.coeffs]
+            return [[l.name, c] for l, c in t.terms]
 
         def ec(e: EnergyComb):
             from .symbols import _KIND_NAMES  # local: serialization detail
@@ -454,23 +462,18 @@ def _unify_monomial(m: Monomial) -> Monomial:
     for a, b in m.delta_k:
         uf.union(a, b)
     rep = uf.find
-    factors: list[Factor] = []
-    for label, e in m.osc:
-        factors.append(OscExp(TimeComb.of(label), e.subst_waves(rep)))
-    for t in m.time_deltas:
-        factors.append(TimeDelta(t))
-    for e in m.energy_deltas:
-        factors.append(EnergyDelta(e.subst_waves(rep)))
-    for a, b in m.delta_k:
-        factors.append(DeltaK(a, b))
-    for w, o in m.m_factors:
-        factors.append(MFactor(rep(w), o))
-    return Monomial.build(
-        rational=m.rational,
-        two_pi=m.two_pi,
-        lam=m.lam,
-        factors=factors,
+    return Monomial._canonical(
+        m.rational,
+        m.two_pi,
+        m.lam,
         quotas=m.quotas,
+        osc=[(label, e.subst_waves(rep)) for label, e in m.osc],
+        time_deltas=m.time_deltas,
+        energy_deltas=[
+            _nonzero_delta(e.subst_waves(rep), "energy") for e in m.energy_deltas
+        ],
+        delta_k=m.delta_k,
+        m_factors=[(rep(w), o) for w, o in m.m_factors],
     )
 
 

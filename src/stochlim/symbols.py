@@ -6,12 +6,17 @@ basis symbols w(k) (dispersion), k.k' (dot products between wave
 vectors, k.k allowed) and k.p (dot product with the particle momentum),
 with exact rational coefficients.  Time combinations carry integer
 coefficients.
+
+Label order is owned by one key: `sort_key`, computed once when a label
+is made, orders names naturally (k9 before k10) and tells every two
+distinct names apart.  Every place that orders labels, here or in the
+modules that build on this one, sorts by that key.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -30,39 +35,37 @@ _DIGIT_SPLIT = re.compile(r"(\d+)")
 
 
 def _natural_key(name: str) -> tuple:
-    # orders k2 before k10 and never compares int with str
-    return tuple(
-        (0, int(part)) if part.isdigit() else (1, part)
+    # orders k2 before k10 and never compares int with str; the name
+    # itself breaks ties such as k01 / k1
+    parts = tuple(
+        (0, int(part)) if part.isdecimal() else (1, part)
         for part in _DIGIT_SPLIT.split(name)
         if part
     )
+    return (parts, name)
 
 
 @dataclass(frozen=True)
-class TimeLabel:
+class _Label:
+    """A named symbol; `sort_key`, its place in label order, is made once."""
+
     name: str
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def sort_key(self) -> tuple:
-        return _natural_key(self.name)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sort_key", _natural_key(self.name))
 
+    def __repr__(self) -> str:
+        return self.name
+
+
+class TimeLabel(_Label):
     def __sub__(self, other: "TimeLabel") -> "TimeComb":
         return TimeComb.diff(self, other)
 
-    def __repr__(self) -> str:
-        return self.name
 
-
-@dataclass(frozen=True)
-class WaveLabel:
-    name: str
-
-    @property
-    def sort_key(self) -> tuple:
-        return _natural_key(self.name)
-
-    def __repr__(self) -> str:
-        return self.name
+class WaveLabel(_Label):
+    pass
 
 
 def _signed_join(parts: list[tuple[str, bool]]) -> str:
@@ -77,79 +80,88 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
 
 
 @dataclass(frozen=True)
-class TimeComb:
-    """Integer combination of time labels; the empty combination is zero."""
+class _Comb:
+    """Exact linear combination of basis symbols with a `sort_key`: terms
+    merged, zero coefficients dropped, sorted by basis; empty is zero."""
 
-    coeffs: tuple[tuple[TimeLabel, int], ...]
+    terms: tuple
 
-    @staticmethod
-    def make(items: Iterable[tuple[TimeLabel, int]]) -> "TimeComb":
-        acc: dict[TimeLabel, int] = {}
-        for label, c in items:
-            acc[label] = acc.get(label, 0) + c
-        kept = [(l, c) for l, c in acc.items() if c]
-        kept.sort(key=lambda lc: lc[0].sort_key)
-        return TimeComb(tuple(kept))
+    @classmethod
+    def make(cls, items: Iterable[tuple]):
+        acc: dict = {}
+        for basis, c in items:
+            acc[basis] = acc.get(basis, 0) + c
+        kept = [(b, c) for b, c in acc.items() if c]
+        kept.sort(key=lambda bc: bc[0].sort_key)
+        return cls(tuple(kept))
 
-    @staticmethod
-    def of(label: TimeLabel, coeff: int = 1) -> "TimeComb":
-        return TimeComb.make([(label, coeff)])
-
-    @staticmethod
-    def diff(a: TimeLabel, b: TimeLabel) -> "TimeComb":
-        return TimeComb.make([(a, 1), (b, -1)])
-
-    @staticmethod
-    def zero() -> "TimeComb":
-        return TimeComb(())
+    @classmethod
+    def zero(cls):
+        return cls(())
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def coeff(self, label: TimeLabel) -> int:
-        for l, c in self.coeffs:
-            if l == label:
+    def coeff(self, basis):
+        for b, c in self.terms:
+            if b == basis:
                 return c
         return 0
 
     @property
-    def support(self) -> tuple[TimeLabel, ...]:
-        return tuple(l for l, _ in self.coeffs)
+    def support(self) -> tuple:
+        return tuple(b for b, _ in self.terms)
 
-    def __add__(self, other: "TimeComb") -> "TimeComb":
-        return TimeComb.make(list(self.coeffs) + list(other.coeffs))
+    def __add__(self, other):
+        return self.make(self.terms + other.terms)
 
-    def __neg__(self) -> "TimeComb":
-        return TimeComb(tuple((l, -c) for l, c in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple((b, -c) for b, c in self.terms))
 
-    def __sub__(self, other: "TimeComb") -> "TimeComb":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: int) -> "TimeComb":
+    def scale(self, c):
         if c == 0:
-            return TimeComb.zero()
-        return TimeComb(tuple((l, c * cc) for l, cc in self.coeffs))
+            return self.zero()
+        return type(self)(tuple((b, c * cc) for b, cc in self.terms))
 
-    def normalized(self) -> "TimeComb":
-        """Flip the overall sign so the earliest label has a positive coefficient."""
-        if self.coeffs and self.coeffs[0][1] < 0:
+    def normalized(self):
+        """Flip the overall sign so the earliest basis symbol has a positive
+        coefficient."""
+        if self.terms and self.terms[0][1] < 0:
             return -self
         return self
 
     @property
     def sort_key(self) -> tuple:
-        return tuple((l.sort_key, c) for l, c in self.coeffs)
+        # an int c sorts like (c, 1), so integer and rational terms order alike
+        return tuple(
+            (b.sort_key, c.numerator, c.denominator) for b, c in self.terms
+        )
 
     def render(self) -> str:
         parts = []
-        for l, c in self.coeffs:
-            mag = l.name if abs(c) == 1 else f"{abs(c)} {l.name}"
+        for b, c in self.terms:
+            mag = str(b) if abs(c) == 1 else f"{abs(c)} {b}"
             parts.append((mag, c < 0))
         return _signed_join(parts)
 
     def __repr__(self) -> str:
         return self.render()
+
+
+class TimeComb(_Comb):
+    """Integer combination of time labels."""
+
+    @classmethod
+    def of(cls, label: TimeLabel, coeff: int = 1) -> "TimeComb":
+        return cls.make([(label, coeff)])
+
+    @classmethod
+    def diff(cls, a: TimeLabel, b: TimeLabel) -> "TimeComb":
+        return cls.make([(a, 1), (b, -1)])
 
 
 _W, _DOT, _KP = 0, 1, 2
@@ -167,10 +179,9 @@ class _EBasis:
         return (self.kind, tuple(w.sort_key for w in self.waves))
 
     def subst(self, rep: Callable[[WaveLabel], WaveLabel]) -> "_EBasis":
-        waves = tuple(rep(w) for w in self.waves)
         if self.kind == _DOT:
-            waves = tuple(sorted(waves, key=lambda w: w.sort_key))
-        return _EBasis(self.kind, waves)
+            return _dot_basis(*(rep(w) for w in self.waves))
+        return _EBasis(self.kind, tuple(rep(w) for w in self.waves))
 
     def render(self) -> str:
         if self.kind == _W:
@@ -178,6 +189,8 @@ class _EBasis:
         if self.kind == _DOT:
             return f"{self.waves[0].name}.{self.waves[1].name}"
         return f"{self.waves[0].name}.p"
+
+    __str__ = render
 
     def evaluate(
         self,
@@ -201,79 +214,28 @@ class _EBasis:
         return dot_p_v[name]
 
 
-@dataclass(frozen=True)
-class EnergyComb:
+def _dot_basis(a: WaveLabel, b: WaveLabel) -> _EBasis:
+    """The dot-product basis symbol, its two labels in label order."""
+    return _EBasis(_DOT, tuple(sorted((a, b), key=lambda w: w.sort_key)))
+
+
+class EnergyComb(_Comb):
     """Exact rational combination of energy basis symbols.
 
     The dot-product symbol is stored with its two labels sorted, so
     dot(a, b) and dot(b, a) are the same term.
     """
 
-    terms: tuple[tuple[_EBasis, Fraction], ...]
-
-    @staticmethod
-    def make(items: Iterable[tuple[_EBasis, Fraction]]) -> "EnergyComb":
-        acc: dict[_EBasis, Fraction] = {}
-        for basis, c in items:
-            acc[basis] = acc.get(basis, Fraction(0)) + c
-        kept = [(b, c) for b, c in acc.items() if c]
-        kept.sort(key=lambda bc: bc[0].sort_key)
-        return EnergyComb(tuple(kept))
-
-    @staticmethod
-    def zero() -> "EnergyComb":
-        return EnergyComb(())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "EnergyComb") -> "EnergyComb":
-        return EnergyComb.make(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "EnergyComb":
-        return EnergyComb(tuple((b, -c) for b, c in self.terms))
-
-    def __sub__(self, other: "EnergyComb") -> "EnergyComb":
-        return self + (-other)
-
-    def scale(self, c) -> "EnergyComb":
-        c = Fraction(c)
-        if c == 0:
-            return EnergyComb.zero()
-        return EnergyComb(tuple((b, c * cc) for b, cc in self.terms))
-
     def __rmul__(self, c) -> "EnergyComb":
-        return self.scale(c)
-
-    def normalized(self) -> "EnergyComb":
-        if self.terms and self.terms[0][1] < 0:
-            return -self
-        return self
+        return self.scale(Fraction(c))
 
     def subst_waves(self, rep: Callable[[WaveLabel], WaveLabel]) -> "EnergyComb":
-        return EnergyComb.make([(b.subst(rep), c) for b, c in self.terms])
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(
-            (b.sort_key, c.numerator, c.denominator) for b, c in self.terms
-        )
+        return self.make([(b.subst(rep), c) for b, c in self.terms])
 
     def evaluate(self, omega_v, dot_v, dot_p_v) -> float:
         return sum(
             float(c) * b.evaluate(omega_v, dot_v, dot_p_v) for b, c in self.terms
         )
-
-    def render(self) -> str:
-        parts = []
-        for b, c in self.terms:
-            mag = b.render() if abs(c) == 1 else f"{abs(c)} {b.render()}"
-            parts.append((mag, c < 0))
-        return _signed_join(parts)
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 def omega(k: WaveLabel) -> EnergyComb:
@@ -283,8 +245,7 @@ def omega(k: WaveLabel) -> EnergyComb:
 
 def dot(a: WaveLabel, b: WaveLabel) -> EnergyComb:
     """The dot product a.b of two wave vectors (a.a is the square)."""
-    waves = tuple(sorted((a, b), key=lambda w: w.sort_key))
-    return EnergyComb(((_EBasis(_DOT, waves), Fraction(1)),))
+    return EnergyComb(((_dot_basis(a, b), Fraction(1)),))
 
 
 def dot_p(k: WaveLabel) -> EnergyComb:
@@ -299,7 +260,7 @@ def shift_p(energy: EnergyComb, j: WaveLabel, sign: int) -> EnergyComb:
     extra = []
     for basis, c in energy.terms:
         if basis.kind == _KP:
-            extra.append((dot(basis.waves[0], j).terms[0][0], c * sign))
+            extra.append((_dot_basis(basis.waves[0], j), c * sign))
     if not extra:
         return energy
     return EnergyComb.make(list(energy.terms) + extra)

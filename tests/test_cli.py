@@ -150,3 +150,100 @@ def test_parser_has_documented_flags():
         "--seed",
     ):
         assert flag in text
+
+
+def _job(pattern, version=1) -> dict:
+    return {"schemaVersion": version, "mode": "finite", "state": "fock", "pattern": pattern}
+
+
+def _k9_job(tmp_path) -> str:
+    # a a a+ a+ with wave labels k9..k12: k9 sorts before k10
+    pattern = [
+        {"eps": eps, "time": f"t{i}", "wave": f"k{i + 8}"}
+        for i, eps in enumerate((-1, -1, 1, 1), start=1)
+    ]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_job(pattern)))
+    return str(path)
+
+
+def test_seeded_job_with_two_digit_labels(tmp_path, capsys):
+    code, out = run_cli(capsys, "--job", _k9_job(tmp_path), "--seed", "1")
+    assert code == 0
+    assert "k9.k10" in out
+    diff = float(out.split("|difference| = ")[1].split()[0])
+    assert diff < 1e-9
+
+
+def test_numeric_dot_keys_in_either_order(tmp_path, capsys):
+    waves = [f"k{i}" for i in range(9, 13)]
+    outputs = []
+    for flip in (False, True):
+        dots = {}
+        for i, a in enumerate(waves):
+            for b in waves[i:]:
+                dots[f"{b},{a}" if flip else f"{a},{b}"] = 0.1 * len(dots) - 0.4
+        path = tmp_path / f"assign-{flip}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "lambda": 0.8,
+                    "times": {f"t{i}": 0.3 * i - 0.7 for i in range(1, 5)},
+                    "omega": {k: 1.0 + 0.1 * i for i, k in enumerate(waves)},
+                    "dot": dots,
+                    "dotP": {k: 0.2 - 0.1 * i for i, k in enumerate(waves)},
+                    "occupation": {k: 0.5 for k in waves},
+                }
+            )
+        )
+        code, out = run_cli(capsys, "--job", _k9_job(tmp_path), "--numeric", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert "numeric:" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def _letter_without(key: str) -> dict:
+    letter = {"eps": -1, "time": "t1", "wave": "k1"}
+    del letter[key]
+    return letter
+
+
+# argv with {dir} standing for the test's directory, and the JSON
+# contents of the files to write there
+INPUT_ERRORS = [
+    pytest.param(["--pattern", "a a+", "--numeric", "{dir}/missing.json"], {}, id="missing-numeric-file"),
+    pytest.param(["--job", "{dir}/missing.json"], {}, id="missing-job-file"),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"times": {"t1": 0.1}}},
+        id="numeric-without-lambda",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5}},
+        id="numeric-unassigned-symbol",
+    ),
+    *(
+        pytest.param(
+            ["--job", "{dir}/job.json"],
+            {"job.json": _job([_letter_without(key), "a+"])},
+            id=f"job-letter-without-{key}",
+        )
+        for key in ("eps", "time", "wave")
+    ),
+    pytest.param(["--job", "{dir}/job.json"], {"job.json": _job(["a", "a+"], version=2)}, id="job-schema-version"),
+]
+
+
+@pytest.mark.parametrize("argv, files", INPUT_ERRORS)
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files):
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [a.format(dir=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

@@ -29,7 +29,7 @@ from stochlim.scalars import (
     multiply,
     q_factor,
 )
-from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
+from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import balanced_patterns, word_from_pattern
 
 HALF = Fraction(1, 2)
@@ -214,3 +214,29 @@ def test_temperature_assignment_occupation():
     assert abs(assign.occupation[k] - expected) < 1e-15
     value = numeric_eval(s, assign)
     assert value == value  # evaluates without raising
+
+
+def _k9_k10_phase() -> ScalarSum:
+    k9, k10 = WaveLabel("k9"), WaveLabel("k10")
+    return ScalarSum.of(
+        Monomial.build(factors=[OscExp(TimeComb.of(TimeLabel("t1")), dot(k9, k10))])
+    )
+
+
+def test_random_assignment_orders_dot_labels_naturally():
+    # k9 sorts before k10 in the symbols; the assignment must key the dot
+    # product the same way
+    s = _k9_k10_phase()
+    assert s.render() == "exp{(i/lam^2)[t1: k9.k10]}"
+    assign = random_assignment([s], random.Random(1))
+    assert list(assign.dot) == [("k9", "k10")]
+    assert abs(abs(numeric_eval(s, assign)) - 1.0) < 1e-12
+
+
+def test_dot_key_order_of_a_given_assignment_is_free():
+    s = _k9_k10_phase()
+    values = [
+        numeric_eval(s, Assignment(lam=0.7, times={"t1": 0.4}, dot={key: 0.3}))
+        for key in (("k9", "k10"), ("k10", "k9"))
+    ]
+    assert values[0] == values[1]

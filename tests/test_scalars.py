@@ -206,3 +206,11 @@ def test_render_deterministic():
         "1/2 * (2pi) * lam^-2 * pair(t1 - t2) * "
         "exp{(i/lam^2)[t1: w(k1); t2: -w(k1)]} * dk(k1,k2)"
     )
+
+
+def test_labels_with_equal_natural_parts_do_not_merge():
+    a = Monomial.build(factors=[MFactor(WaveLabel("k01"), 0)])
+    b = Monomial.build(factors=[MFactor(WaveLabel("k1"), 0)])
+    s = ScalarSum.of(a, b)
+    assert len(s.terms) == 2
+    assert s.render() == "N(k01)\n+ N(k1)"

@@ -98,3 +98,16 @@ def test_energy_render():
     e = omega(k1) - Fraction(1, 2) * dot(k1, k1) + dot_p(k2)
     assert e.render() == "w(k1) - 1/2 k1.k1 + k2.p"
     assert EnergyComb.zero().render() == "0"
+
+
+def test_label_key_is_a_total_order():
+    # names with equal natural parts still sort apart, by name
+    a, b = WaveLabel("k01"), WaveLabel("k1")
+    assert a.sort_key != b.sort_key
+    assert a.sort_key < b.sort_key < WaveLabel("k2").sort_key
+    assert a != b and repr(a) == "k01"
+    assert TimeLabel("t1") == TimeLabel("t1")
+    assert hash(TimeLabel("t1")) == hash(TimeLabel("t1"))
+    assert TimeLabel("t1") != WaveLabel("t1")
+    # a digit that is not a decimal digit is text, not a number
+    assert WaveLabel("k1").sort_key < WaveLabel("\u00b2").sort_key
