@@ -26,7 +26,6 @@ from .diagrams import (
 from .masterfield import (
     BogoliubovCoeffs,
     EquivalenceReport,
-    MasterLetter,
     bosonic_double_check,
     check_free_equivalence,
     free_correlator,
@@ -71,6 +70,7 @@ from .symbols import (
 )
 from .words import (
     Letter,
+    MasterLetter,
     OperatorWord,
     PatternError,
     balanced_patterns,

@@ -53,6 +53,7 @@ from .words import (
 __all__ = ["main", "entry", "JobSpec"]
 
 SCHEMA_VERSION = 1
+JOB_KEYS = ("schemaVersion", "mode", "state", "beta", "pattern", "maxN")
 MAX_PATTERN = 12
 MODES = (
     "finite",
@@ -148,7 +149,12 @@ def _load_numeric(path: str) -> Assignment:
 def build_job(args: argparse.Namespace) -> JobSpec:
     if args.job:
         data = _read_json(args.job, "job")
-        version = data.get("schemaVersion", SCHEMA_VERSION)
+        unknown = sorted(set(data) - set(JOB_KEYS))
+        if unknown:
+            raise JobError(f"job file {args.job} has unknown keys {', '.join(unknown)}")
+        if "schemaVersion" not in data:
+            raise JobError(f"job file {args.job} has no 'schemaVersion'")
+        version = data["schemaVersion"]
         if version != SCHEMA_VERSION:
             raise JobError(
                 f"job schemaVersion {version!r} is not supported (expected {SCHEMA_VERSION})"
@@ -188,7 +194,7 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     )
 
 
-def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict) -> int:
+def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict) -> None:
     lines.append("result:")
     lines.append(value.render())
     payload["result"] = {"sum": value.to_json(), "rendered": value.render()}
@@ -216,7 +222,7 @@ def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict)
                 "dual": [v2.real, v2.imag],
                 "difference": abs(v1 - v2),
             }
-            return 0
+            return
     if assign is not None:
         try:
             v = numeric_eval(value, assign)
@@ -226,7 +232,6 @@ def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict)
             raise JobError(f"numeric file: {err}") from None
         lines.append(f"numeric: {v.real:.12e}{v.imag:+.12e}j")
         payload["numeric"] = {"value": [v.real, v.imag]}
-    return 0
 
 
 def run(job: JobSpec) -> tuple[list[str], dict, int]:
@@ -241,15 +246,13 @@ def run(job: JobSpec) -> tuple[list[str], dict, int]:
     code = 0
 
     if job.mode == "finite":
-        code = _sum_result(
-            job, finite_lambda_correlator(job.word, job.state), lines, payload
-        )
+        _sum_result(job, finite_lambda_correlator(job.word, job.state), lines, payload)
     elif job.mode == "limit":
         _sum_result(job, limit_correlator(job.word, job.state), lines, payload)
     elif job.mode == "free":
         _sum_result(job, free_correlator(job.word, job.state), lines, payload)
     elif job.mode == "oracle-fock":
-        code = _sum_result(job, qdef_normal_order(job.word), lines, payload)
+        _sum_result(job, qdef_normal_order(job.word), lines, payload)
     elif job.mode == "oracle-double":
         _sum_result(job, doubled_normal_order(job.word, job.state), lines, payload)
     elif job.mode == "diagrams":

@@ -4,16 +4,16 @@ The limit of an annihilation-type entangled operator splits into two
 free channels, b(t,k) = b1(t,k) + b2+(t,k), independent in the free
 sense (an annihilator meeting a creator of the other species gives the
 zero operator).  Expectations are evaluated by repeated contraction of
-adjacent annihilator-creator pairs; no diagrams are enumerated here,
-which keeps this path independent of the diagram engine it is checked
-against.
+adjacent annihilator-creator pairs: the species expansion and the
+rewrite driver come from `stochlim.words`, the contraction scalar
+(`_free_step`) lives here.  No diagrams are enumerated here, which keeps
+this path independent of the diagram engine it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .correlator import StateSpec, apply_state, limit_correlator
 from .scalars import (
@@ -25,11 +25,10 @@ from .scalars import (
     TimeDelta,
     apply_momentum_deltas,
 )
-from .symbols import TimeLabel, WaveLabel, dot, dot_p, omega, shift_p
-from .words import OperatorWord
+from .symbols import dot, dot_p, omega, shift_p
+from .words import MasterLetter, OperatorWord, expand_master_word, normal_order
 
 __all__ = [
-    "MasterLetter",
     "BogoliubovCoeffs",
     "free_correlator",
     "check_free_equivalence",
@@ -48,32 +47,7 @@ _PASS_SHIFT = {
 }
 
 
-@dataclass(frozen=True)
-class MasterLetter:
-    species: int  # 1 or 2
-    dag: bool
-    time: TimeLabel
-    wave: WaveLabel
-
-
-def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
-    """All species assignments of b = b1 + b2+ and b+ = b1+ + b2."""
-    choices = []
-    for letter in word.letters:
-        if letter.eps == -1:
-            options = [(1, False), (2, True)]
-        else:
-            options = [(1, True), (2, False)]
-        choices.append(
-            [MasterLetter(sp, dag, letter.time, letter.wave) for sp, dag in options]
-        )
-    out: list[tuple[MasterLetter, ...]] = [()]
-    for opts in choices:
-        out = [prefix + (o,) for prefix in out for o in opts]
-    return out
-
-
-def _contract(letters: list[MasterLetter], i: int, scalar: Monomial) -> Monomial:
+def _contract(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial) -> Monomial:
     """Pairing value of the adjacent (annihilator, creator) pair at i, i+1,
     its p-dependence shifted across the letters still standing to the left."""
     ann, cre = letters[i], letters[i + 1]
@@ -94,23 +68,12 @@ def _contract(letters: list[MasterLetter], i: int, scalar: Monomial) -> Monomial
     )
 
 
-def _reduce_leftmost(letters: Iterable[MasterLetter]) -> Optional[Monomial]:
-    """Contract the leftmost adjacent annihilator-creator pair until the word
-    is empty; None when the word cannot be fully contracted."""
-    ls = list(letters)
-    scalar = Monomial.one()
-    while ls:
-        site = next(
-            (i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag),
-            None,
-        )
-        if site is None:
-            return None
-        if ls[site].species != ls[site + 1].species:
-            return None  # cross-species product is the zero operator
-        scalar = _contract(ls, site, scalar)
-        del ls[site : site + 2]
-    return scalar
+def _free_step(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial):
+    """The one branch of a free contraction at i; none across species,
+    where the product is the zero operator."""
+    if letters[i].species != letters[i + 1].species:
+        return ()
+    return ((_contract(letters, i, scalar), letters[:i] + letters[i + 2 :]),)
 
 
 def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
@@ -132,9 +95,7 @@ def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
             if ls[site].species != ls[site + 1].species:
                 outcomes.add(ScalarSum.zero())
                 continue
-            work = list(ls)
-            new_scalar = _contract(work, site, scalar)
-            go(tuple(work[:site] + work[site + 2 :]), new_scalar)
+            go(ls[:site] + ls[site + 2 :], _contract(ls, site, scalar))
 
     go(tuple(letters), Monomial.one())
     return outcomes
@@ -145,11 +106,11 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     creation/annihilation word."""
     if not word.balanced:
         return ScalarSum.zero()
-    parts = []
-    for branch in expand_master_word(word):
-        value = _reduce_leftmost(branch)
-        if value is not None:
-            parts.append(value)
+    parts = [
+        value
+        for branch in expand_master_word(word)
+        for value in normal_order(branch, _free_step, Monomial.one())
+    ]
     return apply_momentum_deltas(apply_state(ScalarSum.from_iter(parts), state))
 
 

@@ -14,6 +14,9 @@ Three routes that never touch the diagram sum:
 * numeric_eval evaluates finite-coupling expressions at concrete numbers
   so structurally different computations can be compared to double
   precision.
+
+The two rewriting routes run on the driver and the species expansion of
+`stochlim.words`; their scalars (`_qdef_step`, `_ccr_step`) live here only.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .symbols import (
     omega,
     shift_p,
 )
-from .words import Letter, OperatorWord
+from .words import Letter, MasterLetter, OperatorWord, expand_master_word, normal_order
 
 __all__ = [
     "qdef_normal_order",
@@ -86,6 +89,33 @@ def _entangled_energy(letter: Letter) -> EnergyComb:
     )
 
 
+def _qdef_step(letters: tuple[Letter, ...], i: int, scalar: Monomial):
+    """Swap and contraction branches of the deformed exchange relation at
+    the adjacent (annihilator, creator) pair i, i+1."""
+    ann, cre = letters[i], letters[i + 1]
+    measure = (len(letters), _inversions(letters))
+
+    swapped = letters[:i] + (cre, ann) + letters[i + 2 :]
+    assert (len(swapped), _inversions(swapped)) < measure
+    swap_scalar = scalar * Monomial.build(
+        factors=[OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave))]
+    )
+
+    energy = _entangled_energy(ann)
+    for passed in letters[:i]:
+        energy = shift_p(energy, passed.wave, -passed.eps)
+    contracted = letters[:i] + letters[i + 2 :]
+    assert (len(contracted), _inversions(contracted)) < measure
+    pair_scalar = scalar * Monomial.build(
+        lam=-2,
+        factors=[
+            OscExp(ann.time - cre.time, -energy, pairing=True),
+            DeltaK(ann.wave, cre.wave),
+        ],
+    )
+    return (swap_scalar, swapped), (pair_scalar, contracted)
+
+
 def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
     """Fock expectation by exhausting the deformed exchange relations.
 
@@ -98,49 +128,9 @@ def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
     """
     if pick not in ("leftmost", "rightmost"):
         raise ValueError("pick must be 'leftmost' or 'rightmost'")
-    done: list[Monomial] = []
-    stack: list[tuple[Monomial, tuple[Letter, ...]]] = [
-        (Monomial.one(), word.letters)
-    ]
-    while stack:
-        scalar, letters = stack.pop()
-        sites = [
-            i
-            for i in range(len(letters) - 1)
-            if letters[i].eps == -1 and letters[i + 1].eps == 1
-        ]
-        if not sites:
-            if not letters:
-                done.append(scalar)
-            continue
-        i = sites[0] if pick == "leftmost" else sites[-1]
-        ann, cre = letters[i], letters[i + 1]
-        measure = (len(letters), _inversions(letters))
-
-        swapped = letters[:i] + (cre, ann) + letters[i + 2 :]
-        assert (len(swapped), _inversions(swapped)) < measure
-        swap_scalar = scalar * Monomial.build(
-            factors=[OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave))]
-        )
-        stack.append((swap_scalar, swapped))
-
-        energy = (
-            omega(ann.wave)
-            + Fraction(1, 2) * dot(ann.wave, ann.wave)
-            + dot_p(ann.wave)
-        )
-        for passed in letters[:i]:
-            energy = shift_p(energy, passed.wave, -passed.eps)
-        contracted = letters[:i] + letters[i + 2 :]
-        assert (len(contracted), _inversions(contracted)) < measure
-        pair_scalar = scalar * Monomial.build(
-            lam=-2,
-            factors=[
-                OscExp(ann.time - cre.time, -energy, pairing=True),
-                DeltaK(ann.wave, cre.wave),
-            ],
-        )
-        stack.append((pair_scalar, contracted))
+    done = normal_order(
+        word.letters, _qdef_step, Monomial.one(), pick=0 if pick == "leftmost" else -1
+    )
     return apply_momentum_deltas(ScalarSum.from_iter(done))
 
 
@@ -165,14 +155,6 @@ def reorder_annihilators(
     return swapped, factor
 
 
-@dataclass(frozen=True)
-class _BareLetter:
-    species: int  # 1 or 2, the two auxiliary Fock fields
-    dag: bool
-    time: TimeComb
-    wave: WaveLabel
-
-
 def _dress(word: OperatorWord) -> tuple[Monomial, tuple[tuple[WaveLabel, int], ...]]:
     """Peel the particle dressing off every letter: the product of each
     letter's oscillation conjugated through the accumulated exp(i kappa q)
@@ -190,40 +172,22 @@ def _dress(word: OperatorWord) -> tuple[Monomial, tuple[tuple[WaveLabel, int], .
     return prefix, tuple(kappa)
 
 
-def _ccr_vacuum(bare: tuple[_BareLetter, ...]) -> list[Monomial]:
-    """Double-Fock vacuum expectation of a bare word by plain commutation:
-    a_s(k) a_s'(k')+ = a_s'(k')+ a_s(k) + [s=s'] d(k-k').  Contractions of
-    species 1 carry N+1, of species 2 carry N."""
-    done: list[Monomial] = []
-    stack: list[tuple[Monomial, tuple[_BareLetter, ...]]] = [(Monomial.one(), bare)]
-    while stack:
-        scalar, letters = stack.pop()
-        site = next(
-            (
-                i
-                for i in range(len(letters) - 1)
-                if not letters[i].dag and letters[i + 1].dag
-            ),
-            None,
+def _ccr_step(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial):
+    """Plain commutation of the bare pair at i, i+1 over the double Fock
+    vacuum: a_s(k) a_s'(k')+ = a_s'(k')+ a_s(k) + [s=s'] d(k-k').
+    Contractions of species 1 carry N+1, of species 2 carry N."""
+    ann, cre = letters[i], letters[i + 1]
+    branches = [(scalar, letters[:i] + (cre, ann) + letters[i + 2 :])]
+    if ann.species == cre.species:
+        pair = scalar * Monomial.build(
+            factors=[
+                DeltaK(ann.wave, cre.wave),
+                MFactor(ann.wave, 1 if ann.species == 1 else 0),
+            ],
+            quotas=[ann.time - cre.time],
         )
-        if site is None:
-            if not letters:
-                done.append(scalar)
-            continue
-        ann, cre = letters[site], letters[site + 1]
-        stack.append(
-            (scalar, letters[:site] + (cre, ann) + letters[site + 2 :])
-        )
-        if ann.species == cre.species:
-            pair = scalar * Monomial.build(
-                factors=[
-                    DeltaK(ann.wave, cre.wave),
-                    MFactor(ann.wave, 1 if ann.species == 1 else 0),
-                ],
-                quotas=[ann.time - cre.time],
-            )
-            stack.append((pair, letters[:site] + letters[site + 2 :]))
-    return done
+        branches.append((pair, letters[:i] + letters[i + 2 :]))
+    return branches
 
 
 def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -231,22 +195,12 @@ def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if state.kind == "fock":
         raise ValueError("the doubled oracle works on gaussian/temperature states")
     prefix, kappa = _dress(word)
-    branches: list[tuple[_BareLetter, ...]] = [()]
-    for letter in word.letters:
-        if letter.eps == -1:
-            options = [(1, False), (2, True)]
-        else:
-            options = [(1, True), (2, False)]
-        branches = [
-            prev + (_BareLetter(sp, dag, TimeComb.of(letter.time), letter.wave),)
-            for prev in branches
-            for sp, dag in options
-        ]
     lam_base = Monomial.build(lam=-len(word.letters))
-    terms: list[Monomial] = []
-    for branch in branches:
-        for contraction in _ccr_vacuum(branch):
-            terms.append(prefix * contraction * lam_base)
+    terms = [
+        prefix * contraction * lam_base
+        for branch in expand_master_word(word)
+        for contraction in normal_order(branch, _ccr_step, Monomial.one())
+    ]
     result = apply_momentum_deltas(ScalarSum.from_iter(terms))
     _assert_shift_vanishes(result, kappa)
     return result

@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import integrate
-
 __all__ = [
     "TEST_FUNCTIONS",
     "QuadratureResult",
@@ -62,6 +60,9 @@ class QuadratureResult:
 
 
 def _quad(fn, a, b, **kw) -> tuple[float, float]:
+    # imported here so that `import stochlim` does not load scipy
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, err = integrate.quad(fn, a, b, limit=200, **kw)

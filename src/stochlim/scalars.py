@@ -388,18 +388,21 @@ class ScalarSum:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarSum":
-        from .symbols import _EBasis, _KINDS_BY_NAME
+        from .symbols import _DOT, _EBasis, _KINDS_BY_NAME, _dot_basis
 
         def tc(items) -> TimeComb:
             return TimeComb.make([(TimeLabel(n), int(c)) for n, c in items])
 
+        def basis(kind: str, names) -> _EBasis:
+            waves = tuple(WaveLabel(n) for n in names)
+            kind = _KINDS_BY_NAME[kind]
+            # a dot basis keeps its two labels in label order, whatever the JSON says
+            return _dot_basis(*waves) if kind == _DOT else _EBasis(kind, waves)
+
         def ec(items) -> EnergyComb:
             return EnergyComb.make(
                 [
-                    (
-                        _EBasis(_KINDS_BY_NAME[kind], tuple(WaveLabel(n) for n in waves)),
-                        Fraction(int(num), int(den)),
-                    )
+                    (basis(kind, waves), Fraction(int(num), int(den)))
                     for kind, waves, num, den in items
                 ]
             )

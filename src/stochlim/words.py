@@ -1,20 +1,25 @@
-"""Operator words: ordered sequences of creation/annihilation letters."""
+"""Operator words, and the plumbing the rewriting paths share: two-species
+letters, the species expansion and one normal-ordering driver.  Each path
+passes in its own scalars, so the paths stay independent in their physics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .symbols import TimeLabel, WaveLabel
 
 __all__ = [
     "Letter",
+    "MasterLetter",
     "OperatorWord",
     "PatternError",
     "word_from_pattern",
     "parse_pattern",
     "balanced_patterns",
+    "expand_master_word",
+    "normal_order",
 ]
 
 
@@ -27,6 +32,20 @@ class PatternError(ValueError):
 @dataclass(frozen=True)
 class Letter:
     eps: int  # -1 annihilation, +1 creation
+    time: TimeLabel
+    wave: WaveLabel
+
+    @property
+    def dag(self) -> bool:
+        return self.eps == 1
+
+
+@dataclass(frozen=True)
+class MasterLetter:
+    """A letter of one of two species: b_s (dag False) or b_s+ (dag True)."""
+
+    species: int  # 1 or 2
+    dag: bool
     time: TimeLabel
     wave: WaveLabel
 
@@ -91,3 +110,35 @@ def balanced_patterns(length: int) -> list[tuple[int, ...]]:
             pattern[i] = 1
         out.append(tuple(pattern))
     return out
+
+
+def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
+    """All species assignments of b = b1 + b2+ and b+ = b1+ + b2."""
+    out: list[tuple[MasterLetter, ...]] = [()]
+    for l in word.letters:
+        options = (
+            MasterLetter(1, l.dag, l.time, l.wave),
+            MasterLetter(2, not l.dag, l.time, l.wave),
+        )
+        out = [prefix + (o,) for prefix in out for o in options]
+    return out
+
+
+def normal_order(letters: Iterable, step: Callable, scalar, pick: int = 0) -> list:
+    """Scalars of every way to rewrite the letters down to the empty word.
+
+    A depth-first search: at the picked adjacent (annihilator, creator)
+    site i (0 the leftmost, -1 the rightmost) step(letters, i, scalar)
+    returns the (scalar, letters) branches.  A branch vanishes when it
+    has letters but no such site left, or when step returns nothing.
+    """
+    done = []
+    stack = [(scalar, tuple(letters))]
+    while stack:
+        scalar, ls = stack.pop()
+        sites = [i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag]
+        if sites:
+            stack.extend(step(ls, sites[pick], scalar))
+        elif not ls:
+            done.append(scalar)
+    return done

@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stochlim
 
 from stochlim.cli import main, make_parser
 from stochlim.correlator import FOCK, finite_lambda_correlator
@@ -233,6 +238,16 @@ INPUT_ERRORS = [
         for key in ("eps", "time", "wave")
     ),
     pytest.param(["--job", "{dir}/job.json"], {"job.json": _job(["a", "a+"], version=2)}, id="job-schema-version"),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {**_job(["a", "a+"]), "patern": ["a", "a+"]}},
+        id="job-unknown-key",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {k: v for k, v in _job(["a", "a+"]).items() if k != "schemaVersion"}},
+        id="job-without-schema-version",
+    ),
 ]
 
 
@@ -247,3 +262,10 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter, started next to the package it is testing
+    code = "import sys, stochlim.cli; assert 'scipy' not in sys.modules"
+    src = Path(stochlim.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)

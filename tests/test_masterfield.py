@@ -4,12 +4,10 @@ from stochlim.correlator import FOCK, GAUSSIAN, limit_correlator
 from stochlim.diagrams import count_non_crossing
 from stochlim.masterfield import (
     BogoliubovCoeffs,
-    MasterLetter,
+    _free_step,
     _reduce_all_orders,
-    _reduce_leftmost,
     bosonic_double_check,
     check_free_equivalence,
-    expand_master_word,
     free_correlator,
 )
 from stochlim.scalars import (
@@ -22,7 +20,13 @@ from stochlim.scalars import (
     apply_momentum_deltas,
 )
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
-from stochlim.words import balanced_patterns, word_from_pattern
+from stochlim.words import (
+    MasterLetter,
+    balanced_patterns,
+    expand_master_word,
+    normal_order,
+    word_from_pattern,
+)
 
 HALF = Fraction(1, 2)
 
@@ -99,7 +103,7 @@ def test_cross_species_adjacency_vanishes():
         MasterLetter(1, False, t[0], k[0]),
         MasterLetter(2, True, t[1], k[1]),
     )
-    assert _reduce_leftmost(letters) is None
+    assert normal_order(letters, _free_step, Monomial.one()) == []
 
 
 def test_unreducible_word_vanishes():
@@ -108,7 +112,7 @@ def test_unreducible_word_vanishes():
         MasterLetter(2, True, t[0], k[0]),
         MasterLetter(2, False, t[1], k[1]),
     )
-    assert _reduce_leftmost(letters) is None
+    assert normal_order(letters, _free_step, Monomial.one()) == []
 
 
 def test_reduction_confluence():

@@ -10,9 +10,11 @@ from stochlim.correlator import (
     take_limit,
     temperature,
 )
+from stochlim.masterfield import _free_step
 from stochlim.oracle import (
     Assignment,
     UnassignedSymbolError,
+    _ccr_step,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
@@ -30,7 +32,12 @@ from stochlim.scalars import (
     q_factor,
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
-from stochlim.words import balanced_patterns, word_from_pattern
+from stochlim.words import (
+    balanced_patterns,
+    expand_master_word,
+    normal_order,
+    word_from_pattern,
+)
 
 HALF = Fraction(1, 2)
 
@@ -73,13 +80,37 @@ def test_qdef_matches_engine_fock():
             assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK)
 
 
-def test_qdef_strategies_agree():
-    for n in (2, 4):
+def _per_branch(step):
+    """Each species branch of a word rewritten by the driver at site pick."""
+
+    def reduce(word, pick):
+        return [
+            apply_momentum_deltas(
+                ScalarSum.from_iter(normal_order(branch, step, Monomial.one(), pick))
+            )
+            for branch in expand_master_word(word)
+        ]
+
+    return reduce
+
+
+# word, driver site (0 leftmost, -1 rightmost) -> the path's value
+REWRITE_PATHS = [
+    pytest.param(
+        lambda word, pick: qdef_normal_order(word, ("leftmost", "rightmost")[pick]),
+        id="qdef",
+    ),
+    pytest.param(_per_branch(_ccr_step), id="ccr"),
+    pytest.param(_per_branch(_free_step), id="free"),
+]
+
+
+@pytest.mark.parametrize("reduce", REWRITE_PATHS)
+def test_rewrite_sites_agree(reduce):
+    for n in (2, 4, 6):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
-            assert qdef_normal_order(word, pick="leftmost") == qdef_normal_order(
-                word, pick="rightmost"
-            )
+            assert reduce(word, 0) == reduce(word, -1), pattern
 
 
 def test_reorder_annihilators_factor():

@@ -214,3 +214,15 @@ def test_labels_with_equal_natural_parts_do_not_merge():
     s = ScalarSum.of(a, b)
     assert len(s.terms) == 2
     assert s.render() == "N(k01)\n+ N(k1)"
+
+
+def test_json_dot_labels_in_either_order():
+    s = osc_sum(OscExp(T1 - T2, dot(K1, K2)))
+    data = s.to_json()
+    for _, energy in data["terms"][0]["osc"]:
+        for _, waves, _, _ in energy:
+            assert waves == ["k1", "k2"]
+            waves.reverse()
+    parsed = ScalarSum.from_json(data)
+    assert parsed == s
+    assert parsed.render() == s.render()
