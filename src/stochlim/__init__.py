@@ -22,6 +22,7 @@ from .diagrams import (
     count_non_crossing,
     enumerate_pairings,
     is_non_crossing,
+    non_crossing_pairings,
 )
 from .masterfield import (
     BogoliubovCoeffs,

@@ -21,7 +21,7 @@ from .diagrams import (
     Relation,
     classify,
     enumerate_pairings,
-    is_non_crossing,
+    non_crossing_pairings,
 )
 from .scalars import (
     DeltaK,
@@ -245,15 +245,13 @@ def take_limit(s: ScalarSum) -> ScalarSum:
 
 
 def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
-    """Direct limit construction: non-crossing diagrams only, each edge a
-    2pi * dT * dE * occupation * momentum-delta block."""
+    """Direct limit construction: non-crossing diagrams only, generated
+    directly, each edge a 2pi * dT * dE * occupation * momentum-delta block."""
     if not word.balanced:
         return ScalarSum.zero()
     letters = word.letters
     terms = []
-    for diagram in enumerate_pairings(word.pattern):
-        if not is_non_crossing(diagram):
-            continue
+    for diagram in non_crossing_pairings(word.pattern):
         factors = []
         for edge in diagram.edges:
             cre = letters[edge.creation - 1]

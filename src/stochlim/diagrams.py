@@ -4,14 +4,20 @@ A diagram matches every creation position with an annihilation position;
 edges are drawn as arcs above the word, and the crossing/nesting
 relations between arcs drive both the exact correlator and its limit.
 Positions are 1-based.
+
+The exact correlator needs all (N/2)! pairings (`enumerate_pairings`);
+the limit keeps only the non-crossing ones, which `non_crossing_pairings`
+generates directly by the Catalan recursion, so the limit never meets a
+crossing diagram.  The counts are computed without enumeration.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Edge",
@@ -19,6 +25,7 @@ __all__ = [
     "Relation",
     "classify",
     "enumerate_pairings",
+    "non_crossing_pairings",
     "is_non_crossing",
     "count_non_crossing",
     "count_fock_surviving",
@@ -90,6 +97,10 @@ class Diagram:
         return "".join(f"({e.creation},{e.annihilation})" for e in self.edges)
 
 
+def _balanced(pattern: Sequence[int]) -> bool:
+    return pattern.count(1) == pattern.count(-1)
+
+
 def enumerate_pairings(pattern: Sequence[int]) -> tuple[Diagram, ...]:
     """All matchings of creations with annihilations, in lexicographic order
     of the assignment vector taken in ascending creation order.  Unbalanced
@@ -98,12 +109,53 @@ def enumerate_pairings(pattern: Sequence[int]) -> tuple[Diagram, ...]:
     annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
     if len(creations) != len(annihilations):
         return ()
+    edge = {(c, a): Edge(c, a) for c in creations for a in annihilations}
+    # every position is written for every diagram: its edge when it is
+    # the edge's left end, else None; the edges then come out by left end
+    left = [None] * (len(pattern) + 1)
     out = []
     for assignment in permutations(annihilations):
-        out.append(
-            Diagram.build(Edge(c, a) for c, a in zip(creations, assignment))
-        )
+        for c, a in zip(creations, assignment):
+            e = edge[c, a]
+            left[c], left[a] = (e, None) if c < a else (None, e)
+        out.append(Diagram(tuple(e for e in left if e is not None)))
     return tuple(out)
+
+
+def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:
+    """The j in (lo, hi) that position lo can pair with in a non-crossing
+    pairing of pattern[lo:hi]: opposite sign and a balanced inside.
+    Indices are 0-based."""
+    depth = 0
+    for j in range(lo + 1, hi):
+        if depth == 0 and pattern[j] == -pattern[lo]:
+            yield j
+        depth += pattern[j]
+
+
+def non_crossing_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
+    """The non-crossing diagrams of a pattern, generated directly: the
+    first letter pairs with a partner whose inside is balanced, then the
+    inside and the outside are paired on their own (Catalan recursion).
+    The same set as the non-crossing members of `enumerate_pairings`."""
+    pattern = tuple(pattern)
+    if not _balanced(pattern):
+        return
+
+    @cache
+    def edges(lo: int, hi: int) -> list[tuple[Edge, ...]]:
+        if lo == hi:
+            return [()]
+        out = []
+        for j in _partners(pattern, lo, hi):
+            first = Edge(j + 1, lo + 1) if pattern[j] == 1 else Edge(lo + 1, j + 1)
+            for inside in edges(lo + 1, j):
+                for outside in edges(j + 1, hi):
+                    out.append((first,) + inside + outside)
+        return out
+
+    for e in edges(0, len(pattern)):
+        yield Diagram(e)
 
 
 def is_non_crossing(d: Diagram) -> bool:
@@ -115,13 +167,32 @@ def is_non_crossing(d: Diagram) -> bool:
 
 
 def count_non_crossing(pattern: Sequence[int]) -> int:
-    return sum(1 for d in enumerate_pairings(pattern) if is_non_crossing(d))
+    """The number of non-crossing pairings, by the Catalan recursion."""
+    pattern = tuple(pattern)
+    if not _balanced(pattern):
+        return 0
+
+    @cache
+    def count(lo: int, hi: int) -> int:
+        if lo == hi:
+            return 1
+        return sum(
+            count(lo + 1, j) * count(j + 1, hi) for j in _partners(pattern, lo, hi)
+        )
+
+    return count(0, len(pattern))
 
 
 def count_fock_surviving(pattern: Sequence[int]) -> int:
-    """Diagrams in which every creation follows its annihilation."""
-    return sum(
-        1
-        for d in enumerate_pairings(pattern)
-        if all(e.delta == 1 for e in d.edges)
-    )
+    """Diagrams in which every creation follows its annihilation: scanning
+    left to right, each creation picks one of the annihilations still open."""
+    if not _balanced(pattern):
+        return 0
+    total, open_ann = 1, 0
+    for eps in pattern:
+        if eps == 1:
+            total *= open_ann
+            open_ann -= 1
+        else:
+            open_ann += 1
+    return total

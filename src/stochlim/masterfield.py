@@ -6,8 +6,10 @@ sense (an annihilator meeting a creator of the other species gives the
 zero operator).  Expectations are evaluated by repeated contraction of
 adjacent annihilator-creator pairs: the species expansion and the
 rewrite driver come from `stochlim.words`, the contraction scalar
-(`_free_step`) lives here.  No diagrams are enumerated here, which keeps
-this path independent of the diagram engine it is checked against.
+(`_free_step`) lives here.  The expansion is vacuum-pruned, so only the
+species branches that can survive are reduced, not all 2^N.  No
+diagrams are enumerated here, which keeps this path independent of the
+diagram engine it is checked against.
 """
 
 from __future__ import annotations

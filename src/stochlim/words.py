@@ -1,6 +1,9 @@
 """Operator words, and the plumbing the rewriting paths share: two-species
 letters, the species expansion and one normal-ordering driver.  Each path
-passes in its own scalars, so the paths stay independent in their physics."""
+passes in its own scalars, so the paths stay independent in their physics.
+The species expansion is vacuum-pruned: it yields only the branches that
+can have a nonzero vacuum value, a small share of the 2^N (at most 132 of
+4096 for any balanced word of 12 letters)."""
 
 from __future__ import annotations
 
@@ -113,15 +116,35 @@ def balanced_patterns(length: int) -> list[tuple[int, ...]]:
 
 
 def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
-    """All species assignments of b = b1 + b2+ and b+ = b1+ + b2."""
-    out: list[tuple[MasterLetter, ...]] = [()]
+    """The species assignments of b = b1 + b2+ and b+ = b1+ + b2 that can
+    have a nonzero vacuum value, in the order of the full 2^N expansion.
+
+    Vacuum-pruned: a rewrite pairs a creator only with an annihilator of
+    its species standing to its left (annihilators only move right, and
+    <0| b_s+ = 0), so a branch is dropped as soon as some species has
+    more creators than annihilators, or more annihilators are open than
+    letters remain.  The rule reads species and daggers only, never a
+    scalar; every dropped branch rewrites to nothing.
+    """
+    # prefix, open annihilators of species 1 and of species 2
+    out: list[tuple[tuple[MasterLetter, ...], int, int]] = [((), 0, 0)]
+    remaining = len(word.letters)
     for l in word.letters:
+        remaining -= 1
         options = (
             MasterLetter(1, l.dag, l.time, l.wave),
             MasterLetter(2, not l.dag, l.time, l.wave),
         )
-        out = [prefix + (o,) for prefix in out for o in options]
-    return out
+        grown = []
+        for prefix, open1, open2 in out:
+            for o in options:
+                step = -1 if o.dag else 1
+                o1 = open1 + step if o.species == 1 else open1
+                o2 = open2 + step if o.species == 2 else open2
+                if o1 >= 0 and o2 >= 0 and o1 + o2 <= remaining:
+                    grown.append((prefix + (o,), o1, o2))
+        out = grown
+    return [prefix for prefix, _, _ in out]
 
 
 def normal_order(letters: Iterable, step: Callable, scalar, pick: int = 0) -> list:

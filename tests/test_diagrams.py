@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,12 +12,22 @@ from stochlim.diagrams import (
     count_non_crossing,
     enumerate_pairings,
     is_non_crossing,
+    non_crossing_pairings,
 )
 from stochlim.words import balanced_patterns
 
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def filtered_non_crossing(pattern):
+    """Brute force: every pairing, then drop the crossing ones."""
+    return [d for d in enumerate_pairings(pattern) if is_non_crossing(d)]
+
+
+def balanced_up_to(n):
+    return [p for m in range(2, n + 1, 2) for p in balanced_patterns(m)]
 
 
 def test_two_point():
@@ -71,6 +82,26 @@ def test_fock_surviving():
     assert count_fock_surviving((-1, -1, 1, 1)) == 2
     assert count_fock_surviving((1, -1)) == 0
     assert count_fock_surviving((-1, 1, -1, 1)) == 1
+    assert count_fock_surviving((-1, -1, 1)) == 0
+    assert count_non_crossing((-1, -1, 1)) == 0
+
+
+def test_counts_match_brute_force():
+    for pattern in balanced_up_to(10):
+        diagrams = enumerate_pairings(pattern)
+        assert count_non_crossing(pattern) == sum(map(is_non_crossing, diagrams))
+        assert count_fock_surviving(pattern) == sum(
+            1 for d in diagrams if all(e.delta == 1 for e in d.edges)
+        ), pattern
+
+
+def test_non_crossing_generator_matches_filter():
+    sample = random.Random(12).sample(balanced_patterns(12), 40)
+    for pattern in balanced_up_to(10) + sample:
+        direct = list(non_crossing_pairings(pattern))
+        assert len(set(direct)) == len(direct)
+        assert set(direct) == set(filtered_non_crossing(pattern)), pattern
+    assert list(non_crossing_pairings((-1, 1, 1))) == []
 
 
 def test_classify_antisymmetric():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from stochlim.correlator import FOCK, GAUSSIAN, limit_correlator
 from stochlim.diagrams import count_non_crossing
@@ -10,6 +11,7 @@ from stochlim.masterfield import (
     check_free_equivalence,
     free_correlator,
 )
+from stochlim.oracle import _ccr_step
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -29,6 +31,28 @@ from stochlim.words import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def species_product(word):
+    """The full 2^N species expansion of b = b1 + b2+, dead branches kept."""
+    return [
+        tuple(
+            MasterLetter(s, l.dag if s == 1 else not l.dag, l.time, l.wave)
+            for s, l in zip(species, word.letters)
+        )
+        for species in product((1, 2), repeat=len(word))
+    ]
+
+
+def passes_ballot(branch):
+    """Per species, no prefix has more creators than annihilators, and
+    both species end balanced."""
+    open_ann = {1: 0, 2: 0}
+    for l in branch:
+        open_ann[l.species] += -1 if l.dag else 1
+        if open_ann[l.species] < 0:
+            return False
+    return open_ann == {1: 0, 2: 0}
 
 
 def labels(n):
@@ -88,13 +112,24 @@ def test_nested_four_point_inner_shift():
     assert inner.normalized() in result.terms[0].energy_deltas
 
 
-def test_expansion_has_all_channels():
-    word = word_from_pattern([-1, 1])
-    branches = expand_master_word(word)
-    assert len(branches) == 4
-    species = {(b[0].species, b[0].dag, b[1].species, b[1].dag) for b in branches}
-    assert (1, False, 1, True) in species
-    assert (2, True, 2, False) in species
+def test_expansion_keeps_the_ballot_branches():
+    # every word up to N=8, balanced or not; the dropped branches are
+    # rewritten by both rewriting paths up to N=6 (N=8 would add about
+    # 40 s on a 2-core VM)
+    for n in range(1, 9):
+        for pattern in product((-1, 1), repeat=n):
+            word = word_from_pattern(pattern)
+            full = species_product(word)
+            assert expand_master_word(word) == [
+                b for b in full if passes_ballot(b)
+            ], pattern
+            if n > 6:
+                continue
+            for branch in full:
+                if passes_ballot(branch):
+                    continue
+                for step in (_free_step, _ccr_step):
+                    assert normal_order(branch, step, Monomial.one()) == [], branch
 
 
 def test_cross_species_adjacency_vanishes():
@@ -119,12 +154,12 @@ def test_reduction_confluence():
     for n in (2, 4, 6):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
-            for branch in expand_master_word(word):
+            for branch in species_product(word):
                 assert len(_reduce_all_orders(branch)) == 1
 
 
 def test_channel_count_equals_non_crossing():
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 8, 10):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
             assert len(free_correlator(word, GAUSSIAN).terms) == count_non_crossing(
@@ -139,6 +174,12 @@ def test_free_equivalence_up_to_six():
             for state in (FOCK, GAUSSIAN):
                 report = check_free_equivalence(word, state)
                 assert report.equal, (pattern, state.kind, report)
+
+
+def test_free_equivalence_ten_letters():
+    for pattern in balanced_patterns(10):
+        report = check_free_equivalence(word_from_pattern(pattern), GAUSSIAN)
+        assert report.equal, (pattern, report)
 
 
 def test_equivalence_report_diff():

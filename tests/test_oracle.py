@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,8 +34,8 @@ from stochlim.scalars import (
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import (
+    MasterLetter,
     balanced_patterns,
-    expand_master_word,
     normal_order,
     word_from_pattern,
 )
@@ -80,6 +81,17 @@ def test_qdef_matches_engine_fock():
             assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK)
 
 
+def _species_product(word):
+    """The full 2^N species expansion of b = b1 + b2+, dead branches kept."""
+    return [
+        tuple(
+            MasterLetter(s, l.dag if s == 1 else not l.dag, l.time, l.wave)
+            for s, l in zip(species, word.letters)
+        )
+        for species in product((1, 2), repeat=len(word))
+    ]
+
+
 def _per_branch(step):
     """Each species branch of a word rewritten by the driver at site pick."""
 
@@ -88,7 +100,7 @@ def _per_branch(step):
             apply_momentum_deltas(
                 ScalarSum.from_iter(normal_order(branch, step, Monomial.one(), pick))
             )
-            for branch in expand_master_word(word)
+            for branch in _species_product(word)
         ]
 
     return reduce
