@@ -55,7 +55,6 @@ from .scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
     multiply,
     q_factor,
 )

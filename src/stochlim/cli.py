@@ -83,17 +83,30 @@ class JobError(ValueError):
     pass
 
 
-def _state_from_args(name: str, beta: Optional[float]) -> StateSpec:
+def _as(kind, value, what: str):
+    """value converted by kind (int or float); a JobError naming what if
+    it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise JobError(f"{what} must be a number, got {value!r}") from None
+
+
+def _state_from_args(name: str, beta) -> StateSpec:
     if name == "fock":
         return FOCK
     if name == "gaussian":
         return GAUSSIAN
+    if name != "temperature":
+        raise JobError(f"unknown state {name!r}")
     if beta is None:
         raise JobError("temperature state needs --beta")
-    return temperature(beta)
+    return temperature(_as(float, beta, "beta"))
 
 
 def _word_from_job(pattern_entries) -> OperatorWord:
+    if not isinstance(pattern_entries, list):
+        raise JobError("job 'pattern' must be a list of letters")
     letters = []
     for i, entry in enumerate(pattern_entries, start=1):
         if isinstance(entry, str):
@@ -107,9 +120,11 @@ def _word_from_job(pattern_entries) -> OperatorWord:
             missing = [key for key in ("eps", "time", "wave") if key not in entry]
             if missing:
                 raise PatternError(f"letter object lacks {', '.join(missing)}", i)
+            if not (isinstance(entry["time"], str) and isinstance(entry["wave"], str)):
+                raise PatternError("letter time and wave must be strings", i)
             letters.append(
                 Letter(
-                    int(entry["eps"]),
+                    _as(int, entry["eps"], "letter eps"),
                     TimeLabel(entry["time"]),
                     WaveLabel(entry["wave"]),
                 )
@@ -132,21 +147,34 @@ def _load_numeric(path: str) -> Assignment:
     data = _read_json(path, "numeric")
     if "lambda" not in data:
         raise JobError(f"numeric file {path} has no 'lambda'")
+
+    def numbers(key: str) -> dict[str, float]:
+        section = data.get(key, {})
+        if not isinstance(section, dict):
+            raise JobError(f"numeric file {path}: '{key}' must be an object")
+        return {
+            k: _as(float, v, f"numeric file {path}: {key} {k!r}") for k, v in section.items()
+        }
+
     dots = {}
-    for key, value in data.get("dot", {}).items():
-        a, b = (part.strip() for part in key.split(","))
-        dots[(a, b)] = float(value)
+    for key, value in numbers("dot").items():
+        pair = tuple(part.strip() for part in key.split(","))
+        if len(pair) != 2:
+            raise JobError(f"numeric file {path}: dot key {key!r} is not two labels 'a,b'")
+        dots[pair] = value
     return Assignment(
-        lam=float(data["lambda"]),
-        times={k: float(v) for k, v in data.get("times", {}).items()},
-        omega={k: float(v) for k, v in data.get("omega", {}).items()},
+        lam=_as(float, data["lambda"], f"numeric file {path}: lambda"),
+        times=numbers("times"),
+        omega=numbers("omega"),
         dot=dots,
-        dot_p={k: float(v) for k, v in data.get("dotP", {}).items()},
-        occupation={k: float(v) for k, v in data.get("occupation", {}).items()},
+        dot_p=numbers("dotP"),
+        occupation=numbers("occupation"),
     )
 
 
 def build_job(args: argparse.Namespace) -> JobSpec:
+    """Every job key takes the job file's value when it has one, else the flag's."""
+    data = {}
     if args.job:
         data = _read_json(args.job, "job")
         unknown = sorted(set(data) - set(JOB_KEYS))
@@ -159,17 +187,15 @@ def build_job(args: argparse.Namespace) -> JobSpec:
             raise JobError(
                 f"job schemaVersion {version!r} is not supported (expected {SCHEMA_VERSION})"
             )
-        mode = data.get("mode", args.mode)
-        state = _state_from_args(data.get("state", args.state), data.get("beta", args.beta))
-        word = _word_from_job(data["pattern"]) if "pattern" in data else None
-        max_n = int(data.get("maxN", args.max_n))
+    mode = data.get("mode", args.mode)
+    state = _state_from_args(data.get("state", args.state), data.get("beta", args.beta))
+    if "pattern" in data:
+        word = _word_from_job(data["pattern"])
+    elif args.pattern is not None:
+        word = word_from_pattern(parse_pattern(args.pattern))
     else:
-        mode = args.mode
-        state = _state_from_args(args.state, args.beta)
         word = None
-        if args.pattern is not None:
-            word = word_from_pattern(parse_pattern(args.pattern))
-        max_n = args.max_n
+    max_n = _as(int, data.get("maxN", args.max_n), "maxN")
     if word is not None and len(word) > MAX_PATTERN:
         raise JobError(f"pattern longer than the maximum of {MAX_PATTERN}")
     if mode not in MODES:

@@ -31,7 +31,6 @@ from .scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
 )
 from .symbols import EnergyComb, TimeComb, dot, dot_p, omega
 from .words import OperatorWord
@@ -170,7 +169,7 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if not word.balanced:
         return ScalarSum.zero()
     terms = [_diagram_monomial(word, d) for d in enumerate_pairings(word.pattern)]
-    return apply_momentum_deltas(apply_state(ScalarSum.from_iter(terms), state))
+    return apply_state(ScalarSum.from_iter(terms), state)
 
 
 def _absorb(quotas, rows):
@@ -263,4 +262,4 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
                 DeltaK(cre.wave, ann.wave),
             ]
         terms.append(Monomial.build(two_pi=len(diagram.edges), factors=factors))
-    return apply_momentum_deltas(apply_state(ScalarSum.from_iter(terms), state))
+    return apply_state(ScalarSum.from_iter(terms), state)

@@ -25,7 +25,6 @@ from .scalars import (
     Monomial,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
 )
 from .symbols import dot, dot_p, omega, shift_p
 from .words import MasterLetter, OperatorWord, expand_master_word, normal_order
@@ -85,7 +84,7 @@ def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
     def go(ls: tuple[MasterLetter, ...], scalar: Monomial) -> None:
         if not ls:
-            outcomes.add(apply_momentum_deltas(ScalarSum.of(scalar)))
+            outcomes.add(ScalarSum.of(scalar))
             return
         sites = [
             i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag
@@ -113,7 +112,7 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         for branch in expand_master_word(word)
         for value in normal_order(branch, _free_step, Monomial.one())
     ]
-    return apply_momentum_deltas(apply_state(ScalarSum.from_iter(parts), state))
+    return apply_state(ScalarSum.from_iter(parts), state)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,7 @@ from .scalars import (
     Monomial,
     OscExp,
     ScalarSum,
-    _UnionFind,
-    apply_momentum_deltas,
+    wave_representatives,
 )
 from .symbols import (
     EnergyComb,
@@ -131,7 +130,7 @@ def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
     done = normal_order(
         word.letters, _qdef_step, Monomial.one(), pick=0 if pick == "leftmost" else -1
     )
-    return apply_momentum_deltas(ScalarSum.from_iter(done))
+    return ScalarSum.from_iter(done)
 
 
 def reorder_annihilators(
@@ -201,7 +200,7 @@ def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
         for branch in expand_master_word(word)
         for contraction in normal_order(branch, _ccr_step, Monomial.one())
     ]
-    result = apply_momentum_deltas(ScalarSum.from_iter(terms))
+    result = ScalarSum.from_iter(terms)
     _assert_shift_vanishes(result, kappa)
     return result
 
@@ -210,12 +209,10 @@ def _assert_shift_vanishes(result: ScalarSum, kappa) -> None:
     # fully contracted terms must have zero net exp(i kappa q) once the
     # pairing deltas identify wave labels
     for m in result.terms:
-        uf = _UnionFind()
-        for a, b in m.delta_k:
-            uf.union(a, b)
+        rep = wave_representatives(m.delta_k)
         net: dict[WaveLabel, int] = {}
         for wave, eps in kappa:
-            r = uf.find(wave)
+            r = rep.get(wave, wave)
             net[r] = net.get(r, 0) + eps
         assert all(v == 0 for v in net.values()), "pending momentum shift survived"
 
@@ -243,8 +240,8 @@ class Assignment:
 
 def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
     """Evaluate a finite-coupling sum at the given numbers.  Momentum deltas
-    are label-equality indicators (the expression must already be unified);
-    limit factors are rejected."""
+    are label-equality indicators, already applied because every monomial
+    is built unified; limit factors are rejected."""
     if assign.lam <= 0:
         raise ValueError("lam must be positive")
     dot_v = assign.normalized_dot()

@@ -13,14 +13,17 @@ so canonicalization is the load-bearing part of this module:
 * Each pairing owns one 1/lam^2 quota, recorded as the sign-normalized
   time combination of its exponent.  The quota multiset is part of the
   canonical form; the stochastic limit consumes exactly these quotas.
-* Momentum deltas identify wave labels per monomial through a union
-  find with the smallest label as representative (applyMomentumDeltas);
-  the delta factors themselves keep their original labels.
+* Momentum deltas identify wave labels per monomial: every monomial is
+  built unified, each wave label in its oscillation rows, energy deltas
+  and occupation factors replaced by the smallest label of its delta
+  chain (`wave_representatives`); the delta factors themselves keep
+  their original labels.
 
-Canonical order is owned by one constructor, Monomial._canonical: build,
-products, delta unification and the limit all hand it fields, and it
-sorts them by the label key of `symbols`.  Monomial.build only checks
-factors and converts them to fields.
+Canonical order and unification are owned by one constructor,
+Monomial._canonical: build, products, the limit and JSON parsing all
+hand it fields, and it substitutes representatives and sorts the fields
+by the label key of `symbols`.  Monomial.build only checks factors and
+converts them to fields.
 
 The imaginary unit never appears in coefficients; it lives only in the
 semantics of the oscillating exponent and is materialized in the numeric
@@ -47,7 +50,7 @@ __all__ = [
     "Monomial",
     "ScalarSum",
     "multiply",
-    "apply_momentum_deltas",
+    "wave_representatives",
     "q_factor",
 ]
 
@@ -144,13 +147,22 @@ class Monomial:
         delta_k: Iterable[tuple[WaveLabel, WaveLabel]] = (),
         m_factors: Iterable[tuple[WaveLabel, int]] = (),
     ) -> "Monomial":
-        """The one place that orders monomial fields: oscillation rows summed
-        per time label and zero rows dropped, every field sorted by the label
+        """The one place that orders and unifies monomial fields: oscillation
+        rows summed per time label, wave labels replaced by their delta-chain
+        representatives, zero rows dropped, every field sorted by the label
         and combination keys of `symbols`.  Entries must already be valid
         and sign-normalized."""
         rows: dict[TimeLabel, EnergyComb] = {}
         for label, e in osc:
             rows[label] = rows[label] + e if label in rows else e
+        delta_k = tuple(sorted(delta_k, key=_pair_key))
+        rep = wave_representatives(delta_k)
+        if rep:
+            rows = {label: e.subst_waves(rep) for label, e in rows.items()}
+            energy_deltas = [
+                _nonzero_delta(e.subst_waves(rep), "energy") for e in energy_deltas
+            ]
+            m_factors = [(rep.get(w, w), o) for w, o in m_factors]
         return cls(
             rational=rational,
             two_pi=two_pi,
@@ -164,7 +176,7 @@ class Monomial:
             ),
             time_deltas=tuple(sorted(time_deltas, key=_key)),
             energy_deltas=tuple(sorted(energy_deltas, key=_key)),
-            delta_k=tuple(sorted(delta_k, key=_pair_key)),
+            delta_k=delta_k,
             m_factors=tuple(
                 sorted(m_factors, key=lambda mo: (mo[0].sort_key, mo[1]))
             ),
@@ -437,52 +449,21 @@ def multiply(a: ScalarSum, b: ScalarSum) -> ScalarSum:
     return a * b
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[WaveLabel, WaveLabel] = {}
+def wave_representatives(
+    delta_k: Iterable[tuple[WaveLabel, WaveLabel]],
+) -> dict[WaveLabel, WaveLabel]:
+    """Every wave label that a chain of momentum deltas joins to a smaller
+    label, mapped to the smallest label of its chain in label order;
+    labels that represent themselves are absent."""
+    parent: dict[WaveLabel, WaveLabel] = {}
 
-    def find(self, x: WaveLabel) -> WaveLabel:
-        p = self.parent.get(x, x)
-        if p == x:
-            return x
-        root = self.find(p)
-        self.parent[x] = root
-        return root
+    def find(w: WaveLabel) -> WaveLabel:
+        while w in parent:
+            w = parent[w]
+        return w
 
-    def union(self, a: WaveLabel, b: WaveLabel) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb.sort_key < ra.sort_key:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
-def _unify_monomial(m: Monomial) -> Monomial:
-    if not m.delta_k:
-        return m
-    uf = _UnionFind()
-    for a, b in m.delta_k:
-        uf.union(a, b)
-    rep = uf.find
-    return Monomial._canonical(
-        m.rational,
-        m.two_pi,
-        m.lam,
-        quotas=m.quotas,
-        osc=[(label, e.subst_waves(rep)) for label, e in m.osc],
-        time_deltas=m.time_deltas,
-        energy_deltas=[
-            _nonzero_delta(e.subst_waves(rep), "energy") for e in m.energy_deltas
-        ],
-        delta_k=m.delta_k,
-        m_factors=[(rep(w), o) for w, o in m.m_factors],
-    )
-
-
-def apply_momentum_deltas(s: "ScalarSum | Monomial"):
-    """Substitute, per monomial, every delta-identified wave label by the
-    smallest label of its delta chain (the delta factors stay)."""
-    if isinstance(s, Monomial):
-        return _unify_monomial(s)
-    return ScalarSum.from_iter(_unify_monomial(m) for m in s.terms)
+    for a, b in delta_k:
+        ra, rb = sorted((find(a), find(b)), key=_key)
+        if ra != rb:
+            parent[rb] = ra
+    return {w: find(w) for w in parent}

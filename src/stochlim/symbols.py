@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "TimeLabel",
@@ -178,10 +178,9 @@ class _EBasis:
     def sort_key(self) -> tuple:
         return (self.kind, tuple(w.sort_key for w in self.waves))
 
-    def subst(self, rep: Callable[[WaveLabel], WaveLabel]) -> "_EBasis":
-        if self.kind == _DOT:
-            return _dot_basis(*(rep(w) for w in self.waves))
-        return _EBasis(self.kind, tuple(rep(w) for w in self.waves))
+    def subst(self, rep: Mapping[WaveLabel, WaveLabel]) -> "_EBasis":
+        waves = tuple(rep.get(w, w) for w in self.waves)
+        return _dot_basis(*waves) if self.kind == _DOT else _EBasis(self.kind, waves)
 
     def render(self) -> str:
         if self.kind == _W:
@@ -229,7 +228,11 @@ class EnergyComb(_Comb):
     def __rmul__(self, c) -> "EnergyComb":
         return self.scale(Fraction(c))
 
-    def subst_waves(self, rep: Callable[[WaveLabel], WaveLabel]) -> "EnergyComb":
+    def subst_waves(self, rep: Mapping[WaveLabel, WaveLabel]) -> "EnergyComb":
+        """Every wave label that `rep` maps replaced by its image; self, not
+        re-made, when no such label is named."""
+        if not any(w in rep for b, _ in self.terms for w in b.waves):
+            return self
         return self.make([(b.subst(rep), c) for b, c in self.terms])
 
     def evaluate(self, omega_v, dot_v, dot_p_v) -> float:

@@ -214,45 +214,97 @@ def _letter_without(key: str) -> dict:
     return letter
 
 
-# argv with {dir} standing for the test's directory, and the JSON
-# contents of the files to write there
+# argv with {dir} standing for the test's directory, the JSON contents
+# of the files to write there, and a fragment of the one-line message
 INPUT_ERRORS = [
-    pytest.param(["--pattern", "a a+", "--numeric", "{dir}/missing.json"], {}, id="missing-numeric-file"),
-    pytest.param(["--job", "{dir}/missing.json"], {}, id="missing-job-file"),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/missing.json"], {}, "cannot read numeric file",
+        id="missing-numeric-file",
+    ),
+    pytest.param(["--job", "{dir}/missing.json"], {}, "cannot read job file", id="missing-job-file"),
     pytest.param(
         ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
         {"n.json": {"times": {"t1": 0.1}}},
+        "has no 'lambda'",
         id="numeric-without-lambda",
     ),
     pytest.param(
         ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
         {"n.json": {"lambda": 0.5}},
+        "no numeric value assigned to t1",
         id="numeric-unassigned-symbol",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "dot": []}},
+        "'dot' must be an object",
+        id="numeric-dot-not-an-object",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": None}},
+        "lambda must be a number",
+        id="numeric-lambda-null",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "dot": {"k1": 0.3}}},
+        "dot key 'k1' is not two labels",
+        id="numeric-dot-key-without-comma",
     ),
     *(
         pytest.param(
             ["--job", "{dir}/job.json"],
             {"job.json": _job([_letter_without(key), "a+"])},
+            f"letter object lacks {key}",
             id=f"job-letter-without-{key}",
         )
         for key in ("eps", "time", "wave")
     ),
-    pytest.param(["--job", "{dir}/job.json"], {"job.json": _job(["a", "a+"], version=2)}, id="job-schema-version"),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job([{"eps": -1, "time": 5, "wave": "k1"}, "a+"])},
+        "must be strings",
+        id="job-letter-time-number",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"], {"job.json": _job(5)}, "must be a list", id="job-pattern-number"
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {**_job(["a", "a+"]), "maxN": None}},
+        "maxN must be a number",
+        id="job-max-n-null",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {**_job(["a", "a+"]), "state": "bogus", "beta": 2}},
+        "unknown state 'bogus'",
+        id="job-unknown-state",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", "a+"], version=2)},
+        "schemaVersion 2 is not supported",
+        id="job-schema-version",
+    ),
     pytest.param(
         ["--job", "{dir}/job.json"],
         {"job.json": {**_job(["a", "a+"]), "patern": ["a", "a+"]}},
+        "unknown keys patern",
         id="job-unknown-key",
     ),
     pytest.param(
         ["--job", "{dir}/job.json"],
         {"job.json": {k: v for k, v in _job(["a", "a+"]).items() if k != "schemaVersion"}},
+        "has no 'schemaVersion'",
         id="job-without-schema-version",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, files", INPUT_ERRORS)
-def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files):
+@pytest.mark.parametrize("argv, files, says", INPUT_ERRORS)
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files, says):
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     argv = [a.format(dir=tmp_path) for a in argv]
@@ -262,6 +314,17 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert says in err
+
+
+def test_job_keys_default_to_the_flags(tmp_path, capsys):
+    # a job file without 'pattern' or 'mode' takes both from the command line
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schemaVersion": 1}))
+    code, out = run_cli(capsys, "--job", str(path), "--pattern", "a a+", "--mode", "limit")
+    assert code == 0
+    _, direct = run_cli(capsys, "--pattern", "a a+", "--mode", "limit")
+    assert out == direct
 
 
 def test_import_does_not_load_scipy():

@@ -20,7 +20,6 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
     q_factor,
 )
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
@@ -78,9 +77,7 @@ def test_two_point_correlators():
     word = word_from_pattern([-1, 1])
     (t1, t2), (k1, k2) = labels(2)
     result = finite_lambda_correlator(word, GAUSSIAN)
-    expected = apply_momentum_deltas(
-        ScalarSum.of(pairing_factor(Edge(2, 1), word))
-    )
+    expected = ScalarSum.of(pairing_factor(Edge(2, 1), word))
     assert result == expected
     # Fock keeps the N+1 edge as weight one
     fock = finite_lambda_correlator(word, FOCK)
@@ -121,7 +118,7 @@ def four_point_golden():
             q_factor(t2 - t3, dot(k2, k3)),
         ],
     )
-    return word, apply_momentum_deltas(ScalarSum.of(rainbow, crossing))
+    return word, ScalarSum.of(rainbow, crossing)
 
 
 def test_four_point_reproduction():
@@ -133,21 +130,19 @@ def test_four_point_limit_keeps_rainbow():
     word, _ = four_point_golden()
     (t1, t2, t3, t4), (k1, k2, k3, k4) = labels(4)
     limit = take_limit(finite_lambda_correlator(word, FOCK))
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                two_pi=2,
-                factors=[
-                    TimeDelta(t2 - t3),
-                    EnergyDelta(
-                        omega(k2) + HALF * dot(k2, k2) + dot_p(k2) + dot(k1, k2)
-                    ),
-                    DeltaK(k2, k3),
-                    TimeDelta(t1 - t4),
-                    EnergyDelta(omega(k1) + HALF * dot(k1, k1) + dot_p(k1)),
-                    DeltaK(k1, k4),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            two_pi=2,
+            factors=[
+                TimeDelta(t2 - t3),
+                EnergyDelta(
+                    omega(k2) + HALF * dot(k2, k2) + dot_p(k2) + dot(k1, k2)
+                ),
+                DeltaK(k2, k3),
+                TimeDelta(t1 - t4),
+                EnergyDelta(omega(k1) + HALF * dot(k1, k1) + dot_p(k1)),
+                DeltaK(k1, k4),
+            ],
         )
     )
     assert limit == expected
@@ -157,17 +152,15 @@ def test_four_point_limit_keeps_rainbow():
 def test_limit_two_point():
     word = word_from_pattern([-1, 1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                two_pi=1,
-                factors=[
-                    TimeDelta(t1 - t2),
-                    EnergyDelta(omega(k2) + HALF * dot(k2, k2) + dot_p(k2)),
-                    MFactor(k2, 1),
-                    DeltaK(k1, k2),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            two_pi=1,
+            factors=[
+                TimeDelta(t1 - t2),
+                EnergyDelta(omega(k2) + HALF * dot(k2, k2) + dot_p(k2)),
+                MFactor(k2, 1),
+                DeltaK(k1, k2),
+            ],
         )
     )
     assert limit_correlator(word, GAUSSIAN) == expected
@@ -205,7 +198,7 @@ def test_limit_alternating_gaussian():
             DeltaK(k2, k3),
         ],
     )
-    expected = apply_momentum_deltas(ScalarSum.of(disjoint, nested))
+    expected = ScalarSum.of(disjoint, nested)
     assert limit_correlator(word, GAUSSIAN) == expected
     # the Fock state kills the N-weighted nested term
     assert len(limit_correlator(word, FOCK).terms) == 1

@@ -19,7 +19,6 @@ from stochlim.scalars import (
     Monomial,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
 )
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import (
@@ -65,17 +64,15 @@ def labels(n):
 def test_two_point_absorption_channel():
     word = word_from_pattern([-1, 1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                two_pi=1,
-                factors=[
-                    TimeDelta(t1 - t2),
-                    EnergyDelta(omega(k1) + HALF * dot(k1, k1) + dot_p(k1)),
-                    MFactor(k1, 1),
-                    DeltaK(k1, k2),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            two_pi=1,
+            factors=[
+                TimeDelta(t1 - t2),
+                EnergyDelta(omega(k1) + HALF * dot(k1, k1) + dot_p(k1)),
+                MFactor(k1, 1),
+                DeltaK(k1, k2),
+            ],
         )
     )
     assert free_correlator(word, GAUSSIAN) == expected
@@ -84,17 +81,15 @@ def test_two_point_absorption_channel():
 def test_two_point_emission_channel():
     word = word_from_pattern([1, -1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                two_pi=1,
-                factors=[
-                    TimeDelta(t2 - t1),
-                    EnergyDelta(omega(k2) - HALF * dot(k2, k2) + dot_p(k2)),
-                    MFactor(k2, 0),
-                    DeltaK(k2, k1),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            two_pi=1,
+            factors=[
+                TimeDelta(t2 - t1),
+                EnergyDelta(omega(k2) - HALF * dot(k2, k2) + dot_p(k2)),
+                MFactor(k2, 0),
+                DeltaK(k2, k1),
+            ],
         )
     )
     assert free_correlator(word, GAUSSIAN) == expected

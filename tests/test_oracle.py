@@ -28,7 +28,6 @@ from stochlim.scalars import (
     Monomial,
     OscExp,
     ScalarSum,
-    apply_momentum_deltas,
     multiply,
     q_factor,
 )
@@ -47,19 +46,17 @@ def test_qdef_two_point():
     word = word_from_pattern([-1, 1])
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                lam=-2,
-                factors=[
-                    q_factor(
-                        t1 - t2,
-                        omega(k1) + HALF * dot(k1, k1) + dot_p(k1),
-                        pairing=True,
-                    ),
-                    DeltaK(k1, k2),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            lam=-2,
+            factors=[
+                q_factor(
+                    t1 - t2,
+                    omega(k1) + HALF * dot(k1, k1) + dot_p(k1),
+                    pairing=True,
+                ),
+                DeltaK(k1, k2),
+            ],
         )
     )
     assert qdef_normal_order(word) == expected
@@ -97,9 +94,7 @@ def _per_branch(step):
 
     def reduce(word, pick):
         return [
-            apply_momentum_deltas(
-                ScalarSum.from_iter(normal_order(branch, step, Monomial.one(), pick))
-            )
+            ScalarSum.from_iter(normal_order(branch, step, Monomial.one(), pick))
             for branch in _species_product(word)
         ]
 
@@ -159,20 +154,18 @@ def test_doubled_two_point_emission():
     word = word_from_pattern([1, -1])
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    expected = apply_momentum_deltas(
-        ScalarSum.of(
-            Monomial.build(
-                lam=-2,
-                factors=[
-                    OscExp(
-                        t1 - t2,
-                        omega(k1) - HALF * dot(k1, k1) + dot_p(k1),
-                        pairing=True,
-                    ),
-                    MFactor(k1, 0),
-                    DeltaK(k1, k2),
-                ],
-            )
+    expected = ScalarSum.of(
+        Monomial.build(
+            lam=-2,
+            factors=[
+                OscExp(
+                    t1 - t2,
+                    omega(k1) - HALF * dot(k1, k1) + dot_p(k1),
+                    pairing=True,
+                ),
+                MFactor(k1, 0),
+                DeltaK(k1, k2),
+            ],
         )
     )
     assert doubled_normal_order(word, GAUSSIAN) == expected

@@ -11,7 +11,6 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    apply_momentum_deltas,
     multiply,
     q_factor,
 )
@@ -88,8 +87,6 @@ def test_canonicalization_idempotent():
         quotas=m.quotas,
     )
     assert m == rebuilt
-    once = apply_momentum_deltas(ScalarSum.of(m))
-    assert apply_momentum_deltas(once) == once
 
 
 def _random_monomial(rng):
@@ -129,11 +126,11 @@ def test_multiply_associative_commutative():
 def test_momentum_delta_substitution():
     s = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K2, K3)))
     expect = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3)))
-    assert apply_momentum_deltas(s) == expect
+    assert s == expect
 
     s2 = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot_p(K2)))
     expect2 = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot_p(K1)))
-    assert apply_momentum_deltas(s2) == expect2
+    assert s2 == expect2
 
 
 def test_momentum_delta_chain_closure():
@@ -149,13 +146,20 @@ def test_momentum_delta_chain_closure():
         OscExp(T1 - T2, omega(K1) + dot_p(K1)),
         MFactor(K1, 0),
     )
-    assert apply_momentum_deltas(s) == expect
+    assert s == expect
 
 
 def test_momentum_delta_can_cancel_rows():
     s = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3) - dot(K2, K3)))
-    unified = apply_momentum_deltas(s)
-    assert unified.terms[0].osc == ()
+    assert s.terms[0].osc == ()
+
+
+def test_product_unifies_across_operands():
+    # the delta of one factor identifies a label in the other's exponent
+    s = ScalarSum.of(Monomial.build(factors=[OscExp(T1 - T2, dot(K2, K3))])) * ScalarSum.of(
+        Monomial.build(factors=[DeltaK(K1, K2)])
+    )
+    assert s == osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3)))
 
 
 def test_delta_factor_validation():
