@@ -54,17 +54,20 @@ __all__ = ["main", "entry", "JobSpec"]
 
 SCHEMA_VERSION = 1
 JOB_KEYS = ("schemaVersion", "mode", "state", "beta", "pattern", "maxN")
-MAX_PATTERN = 12
-MODES = (
-    "finite",
-    "limit",
-    "free",
-    "oracle-fock",
-    "oracle-double",
-    "check-free",
-    "diagrams",
-    "quadrature",
-)
+# Every mode and the most letters its word may have; for check-free, the
+# largest --max-n.  The limit side runs in time proportional to its
+# Catalan-many terms; the other modes have (N/2)! terms or rewrite nodes.
+MAX_LETTERS = {
+    "finite": 12,
+    "limit": 16,
+    "free": 16,
+    "oracle-fock": 12,
+    "oracle-double": 12,
+    "check-free": 16,
+    "diagrams": 12,
+    "quadrature": 12,
+}
+MODES = tuple(MAX_LETTERS)
 
 
 @dataclass
@@ -85,11 +88,13 @@ class JobError(ValueError):
 
 def _as(kind, value, what: str):
     """value converted by kind (int or float); a JobError naming what if
-    it is not a number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise JobError(f"{what} must be a number, got {value!r}") from None
+    it is not a number.  JSON true and false are not numbers."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise JobError(f"{what} must be a number, got {value!r}")
 
 
 def _state_from_args(name: str, beta) -> StateSpec:
@@ -120,8 +125,8 @@ def _word_from_job(pattern_entries) -> OperatorWord:
             missing = [key for key in ("eps", "time", "wave") if key not in entry]
             if missing:
                 raise PatternError(f"letter object lacks {', '.join(missing)}", i)
-            if not (isinstance(entry["time"], str) and isinstance(entry["wave"], str)):
-                raise PatternError("letter time and wave must be strings", i)
+            if not all(isinstance(entry[key], str) and entry[key] for key in ("time", "wave")):
+                raise PatternError("letter time and wave must be strings, not empty", i)
             letters.append(
                 Letter(
                     _as(int, entry["eps"], "letter eps"),
@@ -196,10 +201,13 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     else:
         word = None
     max_n = _as(int, data.get("maxN", args.max_n), "maxN")
-    if word is not None and len(word) > MAX_PATTERN:
-        raise JobError(f"pattern longer than the maximum of {MAX_PATTERN}")
     if mode not in MODES:
         raise JobError(f"unknown mode {mode!r}")
+    cap = MAX_LETTERS[mode]
+    if word is not None and len(word) > cap:
+        raise JobError(f"pattern longer than the maximum of {cap} letters for mode {mode}")
+    if mode == "check-free" and not 2 <= max_n <= cap:
+        raise JobError(f"check-free maxN must be from 2 to {cap}, got {max_n}")
     if mode == "oracle-fock" and state.kind != "fock":
         raise JobError("oracle-fock requires --state fock")
     if mode == "oracle-double" and state.kind == "fock":

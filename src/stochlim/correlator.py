@@ -95,26 +95,25 @@ def _check_edge(edge: Edge, word: OperatorWord) -> None:
         raise ValueError("edge endpoints have the wrong letter signs")
 
 
-def _bare_edge_energy(edge: Edge, word: OperatorWord) -> EnergyComb:
+def _bare_edge_terms(edge: Edge, word: OperatorWord) -> list[EnergyComb]:
     cre = word.letters[edge.creation - 1]
-    return (
-        omega(cre.wave)
-        + Fraction(edge.delta, 2) * dot(cre.wave, cre.wave)
-        + dot_p(cre.wave)
-    )
+    return [
+        omega(cre.wave),
+        Fraction(edge.delta, 2) * dot(cre.wave, cre.wave),
+        dot_p(cre.wave),
+    ]
 
 
 def _edge_energy(edge: Edge, word: OperatorWord, diagram: Diagram) -> EnergyComb:
-    """Bare edge energy plus the momentum shifts from every enclosing edge."""
+    """Bare edge energy plus the momentum shifts from every enclosing edge,
+    made as one combination."""
     cre = word.letters[edge.creation - 1]
-    energy = _bare_edge_energy(edge, word)
-    for other in diagram.edges:
-        if other == edge:
-            continue
-        if classify(other, edge) is Relation.CONTAINS:
-            outer_cre = word.letters[other.creation - 1]
-            energy = energy + other.delta * dot(outer_cre.wave, cre.wave)
-    return energy
+    shifts = [
+        other.delta * dot(word.letters[other.creation - 1].wave, cre.wave)
+        for other in diagram.edges
+        if other != edge and classify(other, edge) is Relation.CONTAINS
+    ]
+    return EnergyComb.sum_of(_bare_edge_terms(edge, word) + shifts)
 
 
 def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
@@ -126,7 +125,11 @@ def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
     return Monomial.build(
         lam=-2,
         factors=[
-            OscExp(cre.time - ann.time, _bare_edge_energy(edge, word), pairing=True),
+            OscExp(
+                cre.time - ann.time,
+                EnergyComb.sum_of(_bare_edge_terms(edge, word)),
+                pairing=True,
+            ),
             MFactor(cre.wave, (edge.delta + 1) // 2),
             DeltaK(cre.wave, ann.wave),
         ],

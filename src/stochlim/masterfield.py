@@ -3,13 +3,16 @@
 The limit of an annihilation-type entangled operator splits into two
 free channels, b(t,k) = b1(t,k) + b2+(t,k), independent in the free
 sense (an annihilator meeting a creator of the other species gives the
-zero operator).  Expectations are evaluated by repeated contraction of
-adjacent annihilator-creator pairs: the species expansion and the
-rewrite driver come from `stochlim.words`, the contraction scalar
-(`_free_step`) lives here.  The expansion is vacuum-pruned, so only the
-species branches that can survive are reduced, not all 2^N.  No
-diagrams are enumerated here, which keeps this path independent of the
-diagram engine it is checked against.
+zero operator).  `free_correlator` evaluates the vacuum expectation in
+one left-to-right walk over the word with a stack of open annihilators:
+every letter either opens or closes, and a closer contracts with the
+top of the stack when that top is of its own species.  Only the live
+species branches are walked, as many as the non-crossing pairings, and
+each one's monomial is built once from the factors collected along it.
+The contraction scalar (`_contract`) lives here; the rewrite reference
+`_free_step`, which the tests run through `words.normal_order`, uses
+the same scalar.  No diagrams are enumerated here, which keeps this
+path independent of the diagram engine it is checked against.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .scalars import (
     ScalarSum,
     TimeDelta,
 )
-from .symbols import dot, dot_p, omega, shift_p
-from .words import MasterLetter, OperatorWord, expand_master_word, normal_order
+from .symbols import EnergyComb, dot, dot_p, omega, shift_p
+from .words import MasterLetter, OperatorWord
 
 __all__ = [
     "BogoliubovCoeffs",
@@ -48,33 +51,35 @@ _PASS_SHIFT = {
 }
 
 
-def _contract(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial) -> Monomial:
-    """Pairing value of the adjacent (annihilator, creator) pair at i, i+1,
-    its p-dependence shifted across the letters still standing to the left."""
-    ann, cre = letters[i], letters[i + 1]
+def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
+    """The four factors of contracting the annihilator ann with the creator
+    cre just right of it, the p-dependence shifted across the passed
+    letters still standing to the left of ann."""
     sign = Fraction(1, 2) if ann.species == 1 else Fraction(-1, 2)
-    energy = omega(ann.wave) + sign * dot(ann.wave, ann.wave) + dot_p(ann.wave)
-    for passed in letters[:i]:
-        energy = shift_p(
-            energy, passed.wave, _PASS_SHIFT[(passed.species, passed.dag)]
-        )
-    return scalar * Monomial.build(
-        two_pi=1,
-        factors=[
-            TimeDelta(ann.time - cre.time),
-            EnergyDelta(energy),
-            MFactor(ann.wave, 1 if ann.species == 1 else 0),
-            DeltaK(ann.wave, cre.wave),
-        ],
+    energy = EnergyComb.sum_of(
+        (omega(ann.wave), sign * dot(ann.wave, ann.wave), dot_p(ann.wave))
     )
+    for letter in passed:
+        energy = shift_p(
+            energy, letter.wave, _PASS_SHIFT[(letter.species, letter.dag)]
+        )
+    return [
+        TimeDelta(ann.time - cre.time),
+        EnergyDelta(energy),
+        MFactor(ann.wave, 1 if ann.species == 1 else 0),
+        DeltaK(ann.wave, cre.wave),
+    ]
 
 
 def _free_step(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial):
-    """The one branch of a free contraction at i; none across species,
-    where the product is the zero operator."""
+    """The rewrite step of a free contraction at i for `words.normal_order`:
+    one branch, none across species, where the product is the zero
+    operator."""
     if letters[i].species != letters[i + 1].species:
         return ()
-    return ((_contract(letters, i, scalar), letters[:i] + letters[i + 2 :]),)
+    factors = _contract(letters[i], letters[i + 1], letters[:i])
+    value = scalar * Monomial.build(two_pi=1, factors=factors)
+    return ((value, letters[:i] + letters[i + 2 :]),)
 
 
 def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
@@ -93,10 +98,11 @@ def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
             outcomes.add(ScalarSum.zero())
             return
         for site in sites:
-            if ls[site].species != ls[site + 1].species:
+            branches = _free_step(ls, site, scalar)
+            if not branches:
                 outcomes.add(ScalarSum.zero())
-                continue
-            go(ls[:site] + ls[site + 2 :], _contract(ls, site, scalar))
+            for value, rest in branches:
+                go(rest, value)
 
     go(tuple(letters), Monomial.one())
     return outcomes
@@ -104,14 +110,41 @@ def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Fock expectation of the master-field word mapped from the given
-    creation/annihilation word."""
+    creation/annihilation word.
+
+    A depth-first walk from the left.  `a` opens as b1 or closes as b2+,
+    `a+` opens as b2 or closes as b1+.  Under leftmost-first reduction the
+    letters standing left of a closer are exactly the open stack, so a
+    closer contracts with the top of the stack, and only with one of its
+    own species; a prefix with more letters open than remain is dropped.
+    Branches that share a prefix share its contractions, and each
+    finished branch builds its monomial once.
+    """
     if not word.balanced:
         return ScalarSum.zero()
-    parts = [
-        value
-        for branch in expand_master_word(word)
-        for value in normal_order(branch, _free_step, Monomial.one())
+    n = len(word.letters)
+    # per letter: its opener and its closer
+    options = [
+        (
+            MasterLetter(2 if l.dag else 1, False, l.time, l.wave),
+            MasterLetter(1 if l.dag else 2, True, l.time, l.wave),
+        )
+        for l in word.letters
     ]
+    parts: list[Monomial] = []
+
+    def walk(i: int, stack: tuple[MasterLetter, ...], factors: list) -> None:
+        if i == n:
+            parts.append(Monomial.build(two_pi=n // 2, factors=factors))
+            return
+        opener, closer = options[i]
+        if len(stack) < n - i - 1:
+            walk(i + 1, stack + (opener,), factors)
+        if stack and stack[-1].species == closer.species:
+            below = stack[:-1]
+            walk(i + 1, below, factors + _contract(stack[-1], closer, below))
+
+    walk(0, (), [])
     return apply_state(ScalarSum.from_iter(parts), state)
 
 

@@ -96,6 +96,11 @@ class _Comb:
         return cls(tuple(kept))
 
     @classmethod
+    def sum_of(cls, combs: Iterable):
+        """The sum of several combinations, merged and sorted once."""
+        return cls.make([t for c in combs for t in c.terms])
+
+    @classmethod
     def zero(cls):
         return cls(())
 

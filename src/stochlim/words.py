@@ -1,9 +1,11 @@
-"""Operator words, and the plumbing the rewriting paths share: two-species
+"""Operator words, and the plumbing the rewriting oracles share: two-species
 letters, the species expansion and one normal-ordering driver.  Each path
 passes in its own scalars, so the paths stay independent in their physics.
 The species expansion is vacuum-pruned: it yields only the branches that
 can have a nonzero vacuum value, a small share of the 2^N (at most 132 of
-4096 for any balanced word of 12 letters)."""
+4096 for any balanced word of 12 letters).  The free master-field path
+uses only the two-species letters: it walks the word with a stack of open
+letters instead of expanding and rewriting it."""
 
 from __future__ import annotations
 

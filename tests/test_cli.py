@@ -74,6 +74,17 @@ def test_pattern_length_cap():
     assert exc.value.code == 2
 
 
+def test_limit_side_modes_take_fourteen_letters(capsys):
+    # the 14-letter finite job is an INPUT_ERRORS case
+    pattern = "a a a+ a+ a a+ a+ a+ a a a a+ a a+"
+    results = []
+    for mode in ("free", "limit"):
+        code, out = run_cli(capsys, "--pattern", pattern, "--mode", mode, "--state", "gaussian")
+        assert code == 0
+        results.append(out.split("result:")[1])
+    assert results[0] == results[1]
+
+
 def test_seed_dual_path_report(capsys):
     code, out = run_cli(
         capsys, "--pattern", "a a a+ a+", "--mode", "finite", "--seed", "11"
@@ -268,7 +279,52 @@ INPUT_ERRORS = [
         id="job-letter-time-number",
     ),
     pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job([{"eps": True, "time": "t1", "wave": "k1"}, "a"])},
+        "letter eps must be a number, got True",
+        id="job-letter-eps-true",
+    ),
+    *(
+        pytest.param(
+            ["--job", "{dir}/job.json"],
+            {"job.json": _job([{"eps": -1, "time": "t1", "wave": "k1", key: ""}, "a+"])},
+            "must be strings, not empty",
+            id=f"job-letter-empty-{key}",
+        )
+        for key in ("time", "wave")
+    ),
+    pytest.param(
         ["--job", "{dir}/job.json"], {"job.json": _job(5)}, "must be a list", id="job-pattern-number"
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {"schemaVersion": 1, "mode": "check-free", "maxN": -4}},
+        "check-free maxN must be from 2 to 16, got -4",
+        id="check-free-max-n-negative",
+    ),
+    pytest.param(
+        ["--mode", "check-free", "--max-n", "1"],
+        {},
+        "check-free maxN must be from 2 to 16, got 1",
+        id="check-free-max-n-one",
+    ),
+    pytest.param(
+        ["--mode", "check-free", "--max-n", "18"],
+        {},
+        "check-free maxN must be from 2 to 16, got 18",
+        id="check-free-max-n-above-cap",
+    ),
+    pytest.param(
+        ["--mode", "finite", "--pattern", " ".join(["a", "a+"] * 7)],
+        {},
+        "maximum of 12 letters for mode finite",
+        id="finite-fourteen-letters",
+    ),
+    pytest.param(
+        ["--mode", "free", "--pattern", " ".join(["a", "a+"] * 9)],
+        {},
+        "maximum of 16 letters for mode free",
+        id="free-eighteen-letters",
     ),
     pytest.param(
         ["--job", "{dir}/job.json"],

@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import product
 
-from stochlim.correlator import FOCK, GAUSSIAN, limit_correlator
+from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
 from stochlim.diagrams import count_non_crossing
 from stochlim.masterfield import (
     BogoliubovCoeffs,
@@ -52,6 +53,16 @@ def passes_ballot(branch):
         if open_ann[l.species] < 0:
             return False
     return open_ann == {1: 0, 2: 0}
+
+
+def free_by_rewriting(word):
+    """The free path by rewriting, before the state is applied: every
+    vacuum-pruned species branch normal-ordered with the free step."""
+    return ScalarSum.from_iter(
+        value
+        for branch in expand_master_word(word)
+        for value in normal_order(branch, _free_step, Monomial.one())
+    )
 
 
 def labels(n):
@@ -153,6 +164,19 @@ def test_reduction_confluence():
                 assert len(_reduce_all_orders(branch)) == 1
 
 
+def test_stack_walk_equals_rewriting():
+    # every word up to N=10, balanced or not
+    for n in range(1, 11):
+        for pattern in product((-1, 1), repeat=n):
+            word = word_from_pattern(pattern)
+            reference = free_by_rewriting(word)
+            for state in (FOCK, GAUSSIAN):
+                assert free_correlator(word, state) == apply_state(reference, state), (
+                    pattern,
+                    state.kind,
+                )
+
+
 def test_channel_count_equals_non_crossing():
     for n in (2, 4, 6, 8, 10):
         for pattern in balanced_patterns(n):
@@ -173,6 +197,15 @@ def test_free_equivalence_up_to_six():
 
 def test_free_equivalence_ten_letters():
     for pattern in balanced_patterns(10):
+        report = check_free_equivalence(word_from_pattern(pattern), GAUSSIAN)
+        assert report.equal, (pattern, report)
+
+
+def test_free_equivalence_sixteen_letters():
+    rng = random.Random(16)
+    for _ in range(40):
+        pattern = [-1] * 8 + [1] * 8
+        rng.shuffle(pattern)
         report = check_free_equivalence(word_from_pattern(pattern), GAUSSIAN)
         assert report.equal, (pattern, report)
 
