@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import quadrature as quadmod
 from .correlator import (
@@ -38,6 +39,7 @@ from .oracle import (
     numeric_eval,
     qdef_normal_order,
     random_assignment,
+    thermal_occupation,
 )
 from .scalars import ScalarSum
 from .symbols import TimeLabel, WaveLabel
@@ -46,7 +48,9 @@ from .words import (
     OperatorWord,
     PatternError,
     balanced_patterns,
+    format_pattern,
     parse_pattern,
+    token_sign,
     word_from_pattern,
 )
 
@@ -54,20 +58,7 @@ __all__ = ["main", "entry", "JobSpec"]
 
 SCHEMA_VERSION = 1
 JOB_KEYS = ("schemaVersion", "mode", "state", "beta", "pattern", "maxN")
-# Every mode and the most letters its word may have; for check-free, the
-# largest --max-n.  The limit side runs in time proportional to its
-# Catalan-many terms; the other modes have (N/2)! terms or rewrite nodes.
-MAX_LETTERS = {
-    "finite": 12,
-    "limit": 16,
-    "free": 16,
-    "oracle-fock": 12,
-    "oracle-double": 12,
-    "check-free": 16,
-    "diagrams": 12,
-    "quadrature": 12,
-}
-MODES = tuple(MAX_LETTERS)
+STATES = ("fock", "gaussian", "temperature")
 
 
 @dataclass
@@ -88,12 +79,16 @@ class JobError(ValueError):
 
 def _as(kind, value, what: str):
     """value converted by kind (int or float); a JobError naming what if
-    it is not a number.  JSON true and false are not numbers."""
+    it is not a finite number.  JSON true and false are not numbers."""
     if not isinstance(value, bool):
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
             pass
+        else:
+            if kind is int or math.isfinite(number):
+                return number
+            raise JobError(f"{what} must be a finite number, got {value!r}")
     raise JobError(f"{what} must be a number, got {value!r}")
 
 
@@ -115,25 +110,21 @@ def _word_from_job(pattern_entries) -> OperatorWord:
     letters = []
     for i, entry in enumerate(pattern_entries, start=1):
         if isinstance(entry, str):
-            eps = -1 if entry == "a" else 1 if entry == "a+" else None
-            if eps is None:
-                raise PatternError(f"expected 'a' or 'a+', got {entry!r}", i)
-            letters.append(Letter(eps, TimeLabel(f"t{i}"), WaveLabel(f"k{i}")))
-        else:
-            if not isinstance(entry, dict):
-                raise PatternError(f"expected 'a', 'a+' or an object, got {entry!r}", i)
-            missing = [key for key in ("eps", "time", "wave") if key not in entry]
-            if missing:
-                raise PatternError(f"letter object lacks {', '.join(missing)}", i)
-            if not all(isinstance(entry[key], str) and entry[key] for key in ("time", "wave")):
-                raise PatternError("letter time and wave must be strings, not empty", i)
-            letters.append(
-                Letter(
-                    _as(int, entry["eps"], "letter eps"),
-                    TimeLabel(entry["time"]),
-                    WaveLabel(entry["wave"]),
-                )
+            entry = {"eps": token_sign(entry, i), "time": f"t{i}", "wave": f"k{i}"}
+        if not isinstance(entry, dict):
+            raise PatternError(f"expected 'a', 'a+' or an object, got {entry!r}", i)
+        missing = [key for key in ("eps", "time", "wave") if key not in entry]
+        if missing:
+            raise PatternError(f"letter object lacks {', '.join(missing)}", i)
+        if not all(isinstance(entry[key], str) and entry[key] for key in ("time", "wave")):
+            raise PatternError("letter time and wave must be strings, not empty", i)
+        letters.append(
+            Letter(
+                _as(int, entry["eps"], "letter eps"),
+                TimeLabel(entry["time"]),
+                WaveLabel(entry["wave"]),
             )
+        )
     return OperatorWord.build(letters)
 
 
@@ -148,7 +139,7 @@ def _read_json(path: str, what: str) -> dict:
     return data
 
 
-def _load_numeric(path: str) -> Assignment:
+def _load_numeric(path: str, state: StateSpec) -> Assignment:
     data = _read_json(path, "numeric")
     if "lambda" not in data:
         raise JobError(f"numeric file {path} has no 'lambda'")
@@ -167,13 +158,26 @@ def _load_numeric(path: str) -> Assignment:
         if len(pair) != 2:
             raise JobError(f"numeric file {path}: dot key {key!r} is not two labels 'a,b'")
         dots[pair] = value
+    omega = numbers("omega")
+    if state.kind != "temperature":
+        occupation = numbers("occupation")
+    elif "occupation" in data:
+        raise JobError(
+            f"numeric file {path}: 'occupation' is derived from beta and omega"
+            " in the temperature state"
+        )
+    else:
+        for k, w in omega.items():
+            if w <= 0:
+                raise JobError(f"numeric file {path}: omega {k!r} must be positive")
+        occupation = {k: thermal_occupation(state.beta, w) for k, w in omega.items()}
     return Assignment(
         lam=_as(float, data["lambda"], f"numeric file {path}: lambda"),
         times=numbers("times"),
-        omega=numbers("omega"),
+        omega=omega,
         dot=dots,
         dot_p=numbers("dotP"),
-        occupation=numbers("occupation"),
+        occupation=occupation,
     )
 
 
@@ -203,19 +207,14 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     max_n = _as(int, data.get("maxN", args.max_n), "maxN")
     if mode not in MODES:
         raise JobError(f"unknown mode {mode!r}")
-    cap = MAX_LETTERS[mode]
-    if word is not None and len(word) > cap:
-        raise JobError(f"pattern longer than the maximum of {cap} letters for mode {mode}")
-    if mode == "check-free" and not 2 <= max_n <= cap:
-        raise JobError(f"check-free maxN must be from 2 to {cap}, got {max_n}")
-    if mode == "oracle-fock" and state.kind != "fock":
-        raise JobError("oracle-fock requires --state fock")
-    if mode == "oracle-double" and state.kind == "fock":
-        raise JobError("oracle-double requires a gaussian or temperature state")
-    if mode in ("finite", "limit", "free", "oracle-fock", "oracle-double", "diagrams"):
-        if word is None:
-            raise JobError(f"mode {mode} needs --pattern")
-    numeric = _load_numeric(args.numeric) if args.numeric else None
+    spec = MODES[mode]
+    if word is not None and len(word) > spec.cap:
+        raise JobError(f"pattern longer than the maximum of {spec.cap} letters for mode {mode}")
+    if state.kind not in spec.states:
+        raise JobError(f"{mode} requires a {' or '.join(spec.states)} state")
+    if spec.needs_word and word is None:
+        raise JobError(f"mode {mode} needs --pattern")
+    numeric = _load_numeric(args.numeric, state) if args.numeric else None
     return JobSpec(
         mode=mode,
         word=word,
@@ -228,137 +227,160 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     )
 
 
-def _sum_result(job: JobSpec, value: ScalarSum, lines: list[str], payload: dict) -> None:
-    lines.append("result:")
-    lines.append(value.render())
-    payload["result"] = {"sum": value.to_json(), "rendered": value.render()}
-    assign = job.numeric
-    if assign is None and job.seed is not None:
-        pool = [value]
-        dual = None
-        if job.mode in ("finite", "oracle-fock") and job.state.kind == "fock":
-            dual = (
-                qdef_normal_order(job.word)
-                if job.mode == "finite"
-                else finite_lambda_correlator(job.word, job.state)
-            )
-            pool.append(dual)
-        assign = random_assignment(pool, random.Random(job.seed), job.state)
-        if dual is not None:
-            v1 = numeric_eval(value, assign)
-            v2 = numeric_eval(dual, assign)
-            lines.append(f"numeric (seed={job.seed}): {v1.real:.12e}{v1.imag:+.12e}j")
-            lines.append(f"numeric (dual path):     {v2.real:.12e}{v2.imag:+.12e}j")
-            lines.append(f"|difference| = {abs(v1 - v2):.3e}")
-            payload["numeric"] = {
-                "seed": job.seed,
-                "value": [v1.real, v1.imag],
-                "dual": [v2.real, v2.imag],
-                "difference": abs(v1 - v2),
-            }
-            return
-    if assign is not None:
+def _sums(evaluate: Callable, fock_dual: Optional[Callable] = None) -> Callable:
+    """The report of a mode whose result is the sum evaluate(word, state).
+    With --seed in the Fock state, fock_dual(word, state) is evaluated at
+    the same random numbers and printed beside it."""
+
+    def report(job: JobSpec, lines: list[str], payload: dict) -> int:
+        value = evaluate(job.word, job.state)
+        lines.append("result:")
+        lines.append(value.render())
+        payload["result"] = {"sum": value.to_json(), "rendered": value.render()}
+        assign, pool = job.numeric, [value]
+        if assign is None and job.seed is not None:
+            if fock_dual is not None and job.state.kind == "fock":
+                pool.append(fock_dual(job.word, job.state))
+            assign = random_assignment(pool, random.Random(job.seed), job.state)
+        if assign is None:
+            return 0
         try:
-            v = numeric_eval(value, assign)
+            v1, *dual = [numeric_eval(s, assign) for s in pool]
         except UnassignedSymbolError as err:
             if job.numeric is None:
                 raise  # a random assignment covers every symbol it is given
             raise JobError(f"numeric file: {err}") from None
-        lines.append(f"numeric: {v.real:.12e}{v.imag:+.12e}j")
-        payload["numeric"] = {"value": [v.real, v.imag]}
+        if not dual:
+            lines.append(f"numeric: {v1.real:.12e}{v1.imag:+.12e}j")
+            payload["numeric"] = {"value": [v1.real, v1.imag]}
+            return 0
+        v2 = dual[0]
+        lines.append(f"numeric (seed={job.seed}): {v1.real:.12e}{v1.imag:+.12e}j")
+        lines.append(f"numeric (dual path):     {v2.real:.12e}{v2.imag:+.12e}j")
+        lines.append(f"|difference| = {abs(v1 - v2):.3e}")
+        payload["numeric"] = {
+            "seed": job.seed,
+            "value": [v1.real, v1.imag],
+            "dual": [v2.real, v2.imag],
+            "difference": abs(v1 - v2),
+        }
+        return 0
+
+    return report
+
+
+def _diagrams(job: JobSpec, lines: list[str], payload: dict) -> int:
+    pattern = job.word.pattern
+    diagrams = enumerate_pairings(pattern)
+    result = {
+        "pairings": len(diagrams),
+        "nonCrossing": count_non_crossing(pattern),
+        "fockSurviving": count_fock_surviving(pattern),
+        "diagrams": [{"edges": str(d), "nonCrossing": is_non_crossing(d)} for d in diagrams],
+    }
+    lines.append(f"pairings: {result['pairings']}")
+    lines.append(f"non-crossing: {result['nonCrossing']}")
+    lines.append(f"fock-surviving: {result['fockSurviving']}")
+    for d in result["diagrams"]:
+        lines.append(f"{d['edges']} {'non-crossing' if d['nonCrossing'] else 'crossing'}")
+    payload["result"] = result
+    return 0
+
+
+def _check_free(job: JobSpec, lines: list[str], payload: dict) -> int:
+    cap = MODES[job.mode].cap
+    if not 2 <= job.max_n <= cap:
+        raise JobError(f"check-free maxN must be from 2 to {cap}, got {job.max_n}")
+    lines.append(f"max-n: {job.max_n}")
+    payload["maxN"] = job.max_n
+    detail = []
+    for n in range(2, job.max_n + 1, 2):
+        for pattern in balanced_patterns(n):
+            word = word_from_pattern(pattern)
+            report = check_free_equivalence(word, job.state)
+            tokens = format_pattern(pattern)
+            status = "ok" if report.equal else "MISMATCH"
+            lines.append(f"{status} {tokens}")
+            detail.append({"pattern": tokens, "equal": report.equal})
+            if not report.equal:
+                for t in report.only_diagram:
+                    lines.append(f"  only diagram path: {t}")
+                for t in report.only_free:
+                    lines.append(f"  only free path:    {t}")
+    mismatches = sum(not d["equal"] for d in detail)
+    lines.append(f"checked: {len(detail)}  mismatches: {mismatches}")
+    payload["result"] = {
+        "checked": len(detail),
+        "mismatches": mismatches,
+        "patterns": detail,
+    }
+    return 0 if mismatches == 0 else 1
+
+
+def _quadrature(job: JobSpec, lines: list[str], payload: dict) -> int:
+    results = quadmod.quadrature_sweep()
+    rows = quadmod.sweep_csv_rows(results)
+    lines.extend(rows)
+    errors = [r.abs_error for r in results]
+    converging = all(b < a for a, b in zip(errors, errors[1:]))
+    lines.append(f"converging: {'yes' if converging else 'no'}")
+    payload["result"] = {
+        "rows": [
+            {
+                "lambda": r.lam,
+                "real": r.value.real,
+                "imag": r.value.imag,
+                "absError": r.abs_error,
+            }
+            for r in results
+        ],
+        "converging": converging,
+    }
+    if job.csv_path:
+        with open(job.csv_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+        lines.append(f"csv written: {job.csv_path}")
+    return 0 if converging else 1
+
+
+def _qdef(word: OperatorWord, state: StateSpec) -> ScalarSum:  # the Fock oracle takes no state
+    return qdef_normal_order(word)
+
+
+class Mode(NamedTuple):
+    report: Callable[[JobSpec, list[str], dict], int]  # appends lines and payload; the exit code
+    cap: int  # the most letters of its word; for check-free, the largest --max-n
+    states: tuple[str, ...] = STATES
+    needs_word: bool = True
+
+
+# In --mode order.  The limit side runs in time proportional to its Catalan-many
+# terms, the others have (N/2)! terms or rewrite nodes.  Evaluators look their
+# function up when called, so wrappers set on module names (bench/layers.py) see it.
+MODES = {
+    "finite": Mode(_sums(lambda w, s: finite_lambda_correlator(w, s), _qdef), 12),
+    "limit": Mode(_sums(lambda w, s: limit_correlator(w, s)), 16),
+    "free": Mode(_sums(lambda w, s: free_correlator(w, s)), 16),
+    "oracle-fock": Mode(_sums(_qdef, lambda w, s: finite_lambda_correlator(w, s)), 12, ("fock",)),
+    "oracle-double": Mode(
+        _sums(lambda w, s: doubled_normal_order(w, s)), 12, ("gaussian", "temperature")
+    ),
+    "check-free": Mode(_check_free, 16, needs_word=False),
+    "diagrams": Mode(_diagrams, 12),
+    "quadrature": Mode(_quadrature, 12, needs_word=False),
+}
 
 
 def run(job: JobSpec) -> tuple[list[str], dict, int]:
     lines = [f"mode: {job.mode}"]
     payload: dict = {"schemaVersion": SCHEMA_VERSION, "mode": job.mode}
     if job.word is not None:
-        tokens = " ".join("a" if e == -1 else "a+" for e in job.word.pattern)
+        tokens = format_pattern(job.word.pattern)
         lines.append(f"pattern: {tokens}")
         payload["pattern"] = tokens
     lines.append(f"state: {job.state.kind}")
     payload["state"] = job.state.kind
-    code = 0
-
-    if job.mode == "finite":
-        _sum_result(job, finite_lambda_correlator(job.word, job.state), lines, payload)
-    elif job.mode == "limit":
-        _sum_result(job, limit_correlator(job.word, job.state), lines, payload)
-    elif job.mode == "free":
-        _sum_result(job, free_correlator(job.word, job.state), lines, payload)
-    elif job.mode == "oracle-fock":
-        _sum_result(job, qdef_normal_order(job.word), lines, payload)
-    elif job.mode == "oracle-double":
-        _sum_result(job, doubled_normal_order(job.word, job.state), lines, payload)
-    elif job.mode == "diagrams":
-        pattern = job.word.pattern
-        diagrams = enumerate_pairings(pattern)
-        lines.append(f"pairings: {len(diagrams)}")
-        lines.append(f"non-crossing: {count_non_crossing(pattern)}")
-        lines.append(f"fock-surviving: {count_fock_surviving(pattern)}")
-        detail = []
-        for d in diagrams:
-            tag = "non-crossing" if is_non_crossing(d) else "crossing"
-            lines.append(f"{d} {tag}")
-            detail.append({"edges": str(d), "nonCrossing": is_non_crossing(d)})
-        payload["result"] = {
-            "pairings": len(diagrams),
-            "nonCrossing": count_non_crossing(pattern),
-            "fockSurviving": count_fock_surviving(pattern),
-            "diagrams": detail,
-        }
-    elif job.mode == "check-free":
-        lines.append(f"max-n: {job.max_n}")
-        payload["maxN"] = job.max_n
-        mismatches = 0
-        checked = 0
-        detail = []
-        for n in range(2, job.max_n + 1, 2):
-            for pattern in balanced_patterns(n):
-                word = word_from_pattern(pattern)
-                report = check_free_equivalence(word, job.state)
-                checked += 1
-                tokens = " ".join("a" if e == -1 else "a+" for e in pattern)
-                status = "ok" if report.equal else "MISMATCH"
-                lines.append(f"{status} {tokens}")
-                detail.append({"pattern": tokens, "equal": report.equal})
-                if not report.equal:
-                    mismatches += 1
-                    for t in report.only_diagram:
-                        lines.append(f"  only diagram path: {t}")
-                    for t in report.only_free:
-                        lines.append(f"  only free path:    {t}")
-        lines.append(f"checked: {checked}  mismatches: {mismatches}")
-        payload["result"] = {
-            "checked": checked,
-            "mismatches": mismatches,
-            "patterns": detail,
-        }
-        code = 0 if mismatches == 0 else 1
-    elif job.mode == "quadrature":
-        results = quadmod.quadrature_sweep()
-        rows = quadmod.sweep_csv_rows(results)
-        lines.extend(rows)
-        errors = [r.abs_error for r in results]
-        converging = all(b < a for a, b in zip(errors, errors[1:]))
-        lines.append(f"converging: {'yes' if converging else 'no'}")
-        payload["result"] = {
-            "rows": [
-                {
-                    "lambda": r.lam,
-                    "real": r.value.real,
-                    "imag": r.value.imag,
-                    "absError": r.abs_error,
-                }
-                for r in results
-            ],
-            "converging": converging,
-        }
-        if job.csv_path:
-            with open(job.csv_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rows) + "\n")
-            lines.append(f"csv written: {job.csv_path}")
-        code = 0 if converging else 1
-    return lines, payload, code
+    return lines, payload, MODES[job.mode].report(job, lines, payload)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -367,9 +389,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="correlators of entangled operators and their weak-coupling limit",
     )
     p.add_argument("--pattern", help="whitespace tokens: 'a' annihilation, 'a+' creation")
-    p.add_argument(
-        "--state", choices=["fock", "gaussian", "temperature"], default="fock"
-    )
+    p.add_argument("--state", choices=STATES, default="fock")
     p.add_argument("--beta", type=float, help="inverse temperature")
     p.add_argument("--mode", choices=list(MODES), default="finite")
     p.add_argument("--max-n", type=int, default=6, help="sweep bound for check-free")

@@ -56,6 +56,7 @@ __all__ = [
     "numeric_eval",
     "Assignment",
     "random_assignment",
+    "thermal_occupation",
     "UnassignedSymbolError",
 ]
 
@@ -268,6 +269,14 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
     return total
 
 
+def thermal_occupation(beta: float, w: float) -> float:
+    """Bose occupation N = 1/(exp(beta*w) - 1) of a mode of energy w > 0 at
+    inverse temperature beta > 0."""
+    x = beta * w
+    # expm1 overflows near x = 709.8; from x = 40 on N equals exp(-x) to double precision
+    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
+
+
 def random_assignment(
     sums: Iterable[ScalarSum],
     rng: random.Random,
@@ -306,7 +315,7 @@ def random_assignment(
     assign.dot_p = {n: rng.uniform(-1.5, 1.5) for (n,) in ordered(dot_ps)}
     if state is not None and state.kind == "temperature":
         assign.occupation = {
-            n: 1.0 / math.expm1(state.beta * assign.omega.get(n, 1.0))
+            n: thermal_occupation(state.beta, assign.omega.get(n, 1.0))
             for (n,) in ordered(occupations)
         }
     else:

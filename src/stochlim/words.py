@@ -21,7 +21,9 @@ __all__ = [
     "OperatorWord",
     "PatternError",
     "word_from_pattern",
+    "token_sign",
     "parse_pattern",
+    "format_pattern",
     "balanced_patterns",
     "expand_master_word",
     "normal_order",
@@ -91,17 +93,21 @@ def word_from_pattern(pattern: Sequence[int]) -> OperatorWord:
     )
 
 
+def token_sign(token: str, position: int) -> int:
+    """-1 for the token "a" (annihilation), +1 for "a+" (creation)."""
+    if token not in ("a", "a+"):
+        raise PatternError(f"expected 'a' or 'a+', got {token!r}", position)
+    return -1 if token == "a" else 1
+
+
 def parse_pattern(text: str) -> tuple[int, ...]:
     """Whitespace separated tokens: "a" annihilation, "a+" creation."""
-    out = []
-    for pos, token in enumerate(text.split(), start=1):
-        if token == "a":
-            out.append(-1)
-        elif token == "a+":
-            out.append(1)
-        else:
-            raise PatternError(f"expected 'a' or 'a+', got {token!r}", pos)
-    return tuple(out)
+    return tuple(token_sign(token, pos) for pos, token in enumerate(text.split(), start=1))
+
+
+def format_pattern(pattern: Sequence[int]) -> str:
+    """The tokens of a sign pattern, as parse_pattern reads them."""
+    return " ".join("a" if eps == -1 else "a+" for eps in pattern)
 
 
 def balanced_patterns(length: int) -> list[tuple[int, ...]]:

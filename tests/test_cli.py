@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 import stochlim
 
 from stochlim.cli import main, make_parser
-from stochlim.correlator import FOCK, finite_lambda_correlator
+from stochlim.correlator import FOCK, finite_lambda_correlator, temperature
+from stochlim.oracle import Assignment, numeric_eval
 from stochlim.scalars import ScalarSum
 from stochlim.words import word_from_pattern
 
@@ -56,12 +58,6 @@ def test_check_free_small_sweep(capsys):
     assert "checked: 8  mismatches: 0" in out
 
 
-def test_mode_state_validation():
-    with pytest.raises(SystemExit) as exc:
-        main(["--pattern", "a a+", "--mode", "oracle-fock", "--state", "gaussian"])
-    assert exc.value.code == 2
-
-
 def test_pattern_parse_error_positions():
     with pytest.raises(SystemExit) as exc:
         main(["--pattern", "a b a+", "--mode", "finite"])
@@ -85,14 +81,28 @@ def test_limit_side_modes_take_fourteen_letters(capsys):
     assert results[0] == results[1]
 
 
-def test_seed_dual_path_report(capsys):
+@pytest.mark.parametrize(
+    "mode, state, dual",
+    [("finite", "fock", True), ("oracle-fock", "fock", True), ("finite", "gaussian", False)],
+    ids=["finite-fock", "oracle-fock-fock", "finite-gaussian"],
+)
+def test_seed_dual_path_report(capsys, mode, state, dual):
+    # in the Fock state finite and oracle-fock print the other path's value beside theirs
     code, out = run_cli(
-        capsys, "--pattern", "a a a+ a+", "--mode", "finite", "--seed", "11"
+        capsys, "--pattern", "a a a+ a+", "--mode", mode, "--state", state, "--seed", "11"
     )
     assert code == 0
-    assert "numeric (dual path)" in out
-    diff = float(out.split("|difference| = ")[1].split()[0])
-    assert diff < 1e-9
+    numeric = [line for line in out.splitlines() if line.startswith("numeric")]
+    if dual:
+        assert [line.split(":")[0] for line in numeric] == [
+            "numeric (seed=11)",
+            "numeric (dual path)",
+        ]
+        diff = float(out.split("|difference| = ")[1].split()[0])
+        assert diff < 1e-9
+    else:
+        assert len(numeric) == 1 and numeric[0].startswith("numeric: ")
+        assert "|difference|" not in out
 
 
 def test_numeric_file(tmp_path, capsys):
@@ -122,6 +132,49 @@ def test_numeric_file(tmp_path, capsys):
     )
     assert code == 0
     assert "numeric:" in out
+
+
+def test_temperature_numeric_file_derives_occupations(tmp_path, capsys):
+    # under temperature N(k) = 1/(exp(beta*w(k)) - 1) from the file's omega
+    numbers = {
+        "lambda": 0.8,
+        "times": {"t1": 0.3, "t2": -0.4},
+        "omega": {"k1": 1.1},
+        "dot": {"k1,k1": 0.7},
+        "dotP": {"k1": 0.2},
+    }
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps(numbers))
+    word = word_from_pattern([-1, 1])
+    values = []
+    for beta in (0.1, 2.0):
+        code, out = run_cli(
+            capsys, "--pattern", "a a+", "--state", "temperature", "--beta", str(beta),
+            "--numeric", str(path),
+        )
+        assert code == 0
+        value = complex(out.split("numeric: ")[1].strip())
+        assign = Assignment(
+            lam=0.8,
+            times=numbers["times"],
+            omega=numbers["omega"],
+            dot={("k1", "k1"): 0.7},
+            dot_p=numbers["dotP"],
+            occupation={"k1": 1.0 / math.expm1(beta * 1.1)},
+        )
+        expected = numeric_eval(finite_lambda_correlator(word, temperature(beta)), assign)
+        assert abs(value - expected) <= 1e-11 * abs(expected)  # printed to 13 digits
+        values.append(value)
+    assert values[0] != values[1]
+
+
+def test_temperature_seed_at_large_beta(capsys):
+    # beta*w(k) beyond the range of exp
+    code, out = run_cli(
+        capsys, "--pattern", "a a+", "--state", "temperature", "--beta", "1000", "--seed", "1"
+    )
+    assert code == 0
+    assert "numeric: " in out
 
 
 def test_job_file_with_explicit_labels(tmp_path, capsys):
@@ -334,6 +387,12 @@ INPUT_ERRORS = [
     ),
     pytest.param(
         ["--job", "{dir}/job.json"],
+        {"job.json": {**_job(["a", "a+"]), "maxN": math.inf}},
+        "maxN must be a number, got inf",
+        id="job-max-n-infinite",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
         {"job.json": {**_job(["a", "a+"]), "state": "bogus", "beta": 2}},
         "unknown state 'bogus'",
         id="job-unknown-state",
@@ -355,6 +414,57 @@ INPUT_ERRORS = [
         {"job.json": {k: v for k, v in _job(["a", "a+"]).items() if k != "schemaVersion"}},
         "has no 'schemaVersion'",
         id="job-without-schema-version",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {"schemaVersion": 1, "mode": "bogus"}},
+        "unknown mode 'bogus'",
+        id="job-unknown-mode",
+    ),
+    pytest.param(
+        ["--mode", "diagrams"], {}, "mode diagrams needs --pattern", id="diagrams-without-pattern"
+    ),
+    pytest.param(
+        ["--mode", "oracle-double", "--state", "gaussian"],
+        {},
+        "mode oracle-double needs --pattern",
+        id="oracle-double-without-pattern",
+    ),
+    pytest.param(
+        ["--mode", "oracle-fock", "--pattern", "a a+", "--state", "gaussian"],
+        {},
+        "oracle-fock requires a fock state",
+        id="oracle-fock-gaussian",
+    ),
+    pytest.param(
+        ["--mode", "oracle-double", "--pattern", "a a+"],
+        {},
+        "oracle-double requires a gaussian or temperature state",
+        id="oracle-double-fock",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature", "--beta", "nan", "--seed", "3"],
+        {},
+        "beta must be a finite number, got nan",
+        id="beta-nan",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": math.nan}},
+        "lambda must be a finite number, got nan",
+        id="numeric-lambda-nan",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature", "--beta", "2", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "omega": {"k1": 1.0}, "occupation": {"k1": 0.5}}},
+        "'occupation' is derived from beta and omega",
+        id="temperature-numeric-occupation",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature", "--beta", "2", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "omega": {"k1": 0.0}}},
+        "omega 'k1' must be positive",
+        id="temperature-numeric-omega-zero",
     ),
 ]
 
