@@ -208,12 +208,12 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     if mode not in MODES:
         raise JobError(f"unknown mode {mode!r}")
     spec = MODES[mode]
-    if word is not None and len(word) > spec.cap:
-        raise JobError(f"pattern longer than the maximum of {spec.cap} letters for mode {mode}")
     if state.kind not in spec.states:
         raise JobError(f"{mode} requires a {' or '.join(spec.states)} state")
-    if spec.needs_word and word is None:
-        raise JobError(f"mode {mode} needs --pattern")
+    if (word is not None) != spec.needs_word:
+        raise JobError(f"mode {mode} {'needs --pattern' if spec.needs_word else 'takes no pattern'}")
+    if word is not None and len(word) > spec.cap:
+        raise JobError(f"pattern longer than the maximum of {spec.cap} letters for mode {mode}")
     numeric = _load_numeric(args.numeric, state) if args.numeric else None
     return JobSpec(
         mode=mode,

@@ -10,9 +10,9 @@ top of the stack when that top is of its own species.  Only the live
 species branches are walked, as many as the non-crossing pairings, and
 each one's monomial is built once from the factors collected along it.
 The contraction scalar (`_contract`) lives here; the rewrite reference
-`_free_step`, which the tests run through `words.normal_order`, uses
-the same scalar.  No diagrams are enumerated here, which keeps this
-path independent of the diagram engine it is checked against.
+`_free_step`, run by the tests through `words.normal_order`, collects the
+same factors, and each finished branch is built once.  No diagrams are
+enumerated here, so the path stays independent of the engine it checks.
 """
 
 from __future__ import annotations
@@ -71,25 +71,25 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
     ]
 
 
-def _free_step(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial):
+def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
     """The rewrite step of a free contraction at i for `words.normal_order`:
-    one branch, none across species, where the product is the zero
-    operator."""
+    one branch extending the collected factors by the contraction's four,
+    none across species, where the product is the zero operator."""
     if letters[i].species != letters[i + 1].species:
         return ()
     factors = _contract(letters[i], letters[i + 1], letters[:i])
-    value = scalar * Monomial.build(two_pi=1, factors=factors)
-    return ((value, letters[:i] + letters[i + 2 :]),)
+    return ((collected + tuple(factors), letters[:i] + letters[i + 2 :]),)
 
 
 def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
     """Outcomes of every reduction order, canonicalized; confluence means
     the returned set is a singleton."""
     outcomes: set[ScalarSum] = set()
+    two_pi = len(letters) // 2
 
-    def go(ls: tuple[MasterLetter, ...], scalar: Monomial) -> None:
+    def go(ls: tuple[MasterLetter, ...], collected: tuple) -> None:
         if not ls:
-            outcomes.add(ScalarSum.of(scalar))
+            outcomes.add(ScalarSum.of(Monomial.build(two_pi=two_pi, factors=collected)))
             return
         sites = [
             i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag
@@ -98,13 +98,13 @@ def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
             outcomes.add(ScalarSum.zero())
             return
         for site in sites:
-            branches = _free_step(ls, site, scalar)
+            branches = _free_step(ls, site, collected)
             if not branches:
                 outcomes.add(ScalarSum.zero())
-            for value, rest in branches:
-                go(rest, value)
+            for factors, rest in branches:
+                go(rest, factors)
 
-    go(tuple(letters), Monomial.one())
+    go(tuple(letters), ())
     return outcomes
 
 

@@ -16,7 +16,8 @@ Three routes that never touch the diagram sum:
   precision.
 
 The two rewriting routes run on the driver and the species expansion of
-`stochlim.words`; their scalars (`_qdef_step`, `_ccr_step`) live here only.
+`stochlim.words`.  Their steps (`_qdef_step`, `_ccr_step`), which live here
+only, extend a branch's collected factors; each finished branch is built once.
 """
 
 from __future__ import annotations
@@ -89,31 +90,27 @@ def _entangled_energy(letter: Letter) -> EnergyComb:
     )
 
 
-def _qdef_step(letters: tuple[Letter, ...], i: int, scalar: Monomial):
+def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):
     """Swap and contraction branches of the deformed exchange relation at
-    the adjacent (annihilator, creator) pair i, i+1."""
+    the adjacent (annihilator, creator) pair i, i+1, each extending the
+    collected factors."""
     ann, cre = letters[i], letters[i + 1]
     measure = (len(letters), _inversions(letters))
 
     swapped = letters[:i] + (cre, ann) + letters[i + 2 :]
     assert (len(swapped), _inversions(swapped)) < measure
-    swap_scalar = scalar * Monomial.build(
-        factors=[OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave))]
-    )
+    swap = collected + (OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave)),)
 
     energy = _entangled_energy(ann)
     for passed in letters[:i]:
         energy = shift_p(energy, passed.wave, -passed.eps)
     contracted = letters[:i] + letters[i + 2 :]
     assert (len(contracted), _inversions(contracted)) < measure
-    pair_scalar = scalar * Monomial.build(
-        lam=-2,
-        factors=[
-            OscExp(ann.time - cre.time, -energy, pairing=True),
-            DeltaK(ann.wave, cre.wave),
-        ],
+    pair = collected + (
+        OscExp(ann.time - cre.time, -energy, pairing=True),
+        DeltaK(ann.wave, cre.wave),
     )
-    return (swap_scalar, swapped), (pair_scalar, contracted)
+    return (swap, swapped), (pair, contracted)
 
 
 def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
@@ -124,14 +121,13 @@ def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
     (1/lam^2) exp(-(i/lam^2)(t-t')[w+k^2/2+k.p]) d(k-k').  The contraction
     scalar is commuted to the far left, shifting p by -eps*k at every
     letter it passes.  Words that normal-order with letters left have
-    vanishing vacuum expectation.
+    vanishing vacuum expectation.  Each finished branch is built once.
     """
     if pick not in ("leftmost", "rightmost"):
         raise ValueError("pick must be 'leftmost' or 'rightmost'")
-    done = normal_order(
-        word.letters, _qdef_step, Monomial.one(), pick=0 if pick == "leftmost" else -1
-    )
-    return ScalarSum.from_iter(done)
+    done = normal_order(word.letters, _qdef_step, pick=0 if pick == "leftmost" else -1)
+    lam = -len(word.letters)
+    return ScalarSum.from_iter(Monomial.build(lam=lam, factors=f) for f in done)
 
 
 def reorder_annihilators(
@@ -155,53 +151,52 @@ def reorder_annihilators(
     return swapped, factor
 
 
-def _dress(word: OperatorWord) -> tuple[Monomial, tuple[tuple[WaveLabel, int], ...]]:
-    """Peel the particle dressing off every letter: the product of each
-    letter's oscillation conjugated through the accumulated exp(i kappa q)
+def _dress(word: OperatorWord) -> tuple[list[OscExp], tuple[tuple[WaveLabel, int], ...]]:
+    """Peel the particle dressing off every letter: each letter's
+    oscillation factor conjugated through the accumulated exp(i kappa q)
     (p -> p - kappa), and the final shift kappa = sum eps*k."""
-    prefix = Monomial.one()
+    factors: list[OscExp] = []
     kappa: list[tuple[WaveLabel, int]] = []
     for letter in word.letters:
         energy = _entangled_energy(letter)
         for wave, eps in kappa:
             energy = shift_p(energy, wave, -eps)
-        prefix = prefix * Monomial.build(
-            factors=[OscExp(TimeComb.of(letter.time, letter.eps), energy)]
-        )
+        factors.append(OscExp(TimeComb.of(letter.time, letter.eps), energy))
         kappa.append((letter.wave, letter.eps))
-    return prefix, tuple(kappa)
+    return factors, tuple(kappa)
 
 
-def _ccr_step(letters: tuple[MasterLetter, ...], i: int, scalar: Monomial):
+def _ccr_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
     """Plain commutation of the bare pair at i, i+1 over the double Fock
-    vacuum: a_s(k) a_s'(k')+ = a_s'(k')+ a_s(k) + [s=s'] d(k-k').
-    Contractions of species 1 carry N+1, of species 2 carry N."""
+    vacuum: a_s(k) a_s'(k')+ = a_s'(k')+ a_s(k) + [s=s'] d(k-k').  A
+    contraction extends the collected tuple by its (ann, cre) pair."""
     ann, cre = letters[i], letters[i + 1]
-    branches = [(scalar, letters[:i] + (cre, ann) + letters[i + 2 :])]
+    branches = [(collected, letters[:i] + (cre, ann) + letters[i + 2 :])]
     if ann.species == cre.species:
-        pair = scalar * Monomial.build(
-            factors=[
-                DeltaK(ann.wave, cre.wave),
-                MFactor(ann.wave, 1 if ann.species == 1 else 0),
-            ],
-            quotas=[ann.time - cre.time],
-        )
-        branches.append((pair, letters[:i] + letters[i + 2 :]))
+        branches.append((collected + ((ann, cre),), letters[:i] + letters[i + 2 :]))
     return branches
+
+
+def _doubled_term(dressing: list[OscExp], pairs: tuple) -> Monomial:
+    """The one monomial of a finished branch: the dressing, and per contracted
+    pair d(k-k'), N+1 for species 1 or N for species 2, and a pairing quota."""
+    factors: list = list(dressing)
+    for ann, cre in pairs:
+        factors += [DeltaK(ann.wave, cre.wave), MFactor(ann.wave, 1 if ann.species == 1 else 0)]
+    quotas = [ann.time - cre.time for ann, cre in pairs]
+    return Monomial.build(lam=-2 * len(pairs), factors=factors, quotas=quotas)
 
 
 def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Gaussian expectation through the doubled Fock representation."""
     if state.kind == "fock":
         raise ValueError("the doubled oracle works on gaussian/temperature states")
-    prefix, kappa = _dress(word)
-    lam_base = Monomial.build(lam=-len(word.letters))
-    terms = [
-        prefix * contraction * lam_base
+    dressing, kappa = _dress(word)
+    result = ScalarSum.from_iter(
+        _doubled_term(dressing, pairs)
         for branch in expand_master_word(word)
-        for contraction in normal_order(branch, _ccr_step, Monomial.one())
-    ]
-    result = ScalarSum.from_iter(terms)
+        for pairs in normal_order(branch, _ccr_step)
+    )
     _assert_shift_vanishes(result, kappa)
     return result
 
@@ -271,10 +266,15 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
 
 def thermal_occupation(beta: float, w: float) -> float:
     """Bose occupation N = 1/(exp(beta*w) - 1) of a mode of energy w > 0 at
-    inverse temperature beta > 0."""
+    inverse temperature beta > 0; a ValueError when it is not a finite number."""
     x = beta * w
     # expm1 overflows near x = 709.8; from x = 40 on N equals exp(-x) to double precision
-    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
+    if x >= 700.0:
+        return math.exp(-x)
+    n = 1.0 / math.expm1(x) if x else math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"thermal occupation is not finite at beta={beta!r}, omega={w!r}")
+    return n
 
 
 def random_assignment(

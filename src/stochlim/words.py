@@ -1,6 +1,7 @@
 """Operator words, and the plumbing the rewriting oracles share: two-species
 letters, the species expansion and one normal-ordering driver.  Each path
-passes in its own scalars, so the paths stay independent in their physics.
+passes in its own step, which extends the factors collected along a branch,
+and builds each finished branch once, so the paths keep their own physics.
 The species expansion is vacuum-pruned: it yields only the branches that
 can have a nonzero vacuum value, a small share of the 2^N (at most 132 of
 4096 for any balanced word of 12 letters).  The free master-field path
@@ -155,21 +156,21 @@ def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
     return [prefix for prefix, _, _ in out]
 
 
-def normal_order(letters: Iterable, step: Callable, scalar, pick: int = 0) -> list:
-    """Scalars of every way to rewrite the letters down to the empty word.
+def normal_order(letters: Iterable, step: Callable, pick: int = 0) -> list[tuple]:
+    """Factor tuples of every rewrite of the letters down to the empty word.
 
-    A depth-first search: at the picked adjacent (annihilator, creator)
-    site i (0 the leftmost, -1 the rightmost) step(letters, i, scalar)
-    returns the (scalar, letters) branches.  A branch vanishes when it
-    has letters but no such site left, or when step returns nothing.
+    Depth first from (): at the picked adjacent (annihilator, creator)
+    site i (0 the leftmost, -1 the rightmost) step(letters, i, collected)
+    returns (collected, letters) branches that extend the tuple.  A branch
+    vanishes with letters but no such site left, or with no step branch.
     """
     done = []
-    stack = [(scalar, tuple(letters))]
+    stack = [((), tuple(letters))]
     while stack:
-        scalar, ls = stack.pop()
+        collected, ls = stack.pop()
         sites = [i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag]
         if sites:
-            stack.extend(step(ls, sites[pick], scalar))
+            stack.extend(step(ls, sites[pick], collected))
         elif not ls:
-            done.append(scalar)
+            done.append(collected)
     return done

@@ -81,16 +81,46 @@ def test_limit_side_modes_take_fourteen_letters(capsys):
     assert results[0] == results[1]
 
 
+# a a+ a a a+ a+ with labels that are not t1..tN, k1..kN and not in label order
+RELABELLED = [
+    {"eps": eps, "time": time, "wave": wave}
+    for eps, time, wave in [
+        (-1, "s17", "k07"),
+        (1, "q42", "w3"),
+        (-1, "s2", "m11"),
+        (-1, "u10", "k9"),
+        (1, "t1", "q42"),
+        (1, "r05", "k10"),
+    ]
+]
+
+
 @pytest.mark.parametrize(
-    "mode, state, dual",
-    [("finite", "fock", True), ("oracle-fock", "fock", True), ("finite", "gaussian", False)],
-    ids=["finite-fock", "oracle-fock-fock", "finite-gaussian"],
+    "mode, state, dual, relabelled",
+    [
+        ("finite", "fock", True, False),
+        ("oracle-fock", "fock", True, False),
+        ("finite", "gaussian", False, False),
+        ("finite", "fock", True, True),
+        ("oracle-fock", "fock", True, True),
+    ],
+    ids=[
+        "finite-fock",
+        "oracle-fock-fock",
+        "finite-gaussian",
+        "finite-fock-relabelled",
+        "oracle-fock-fock-relabelled",
+    ],
 )
-def test_seed_dual_path_report(capsys, mode, state, dual):
+def test_seed_dual_path_report(tmp_path, capsys, mode, state, dual, relabelled):
     # in the Fock state finite and oracle-fock print the other path's value beside theirs
-    code, out = run_cli(
-        capsys, "--pattern", "a a a+ a+", "--mode", mode, "--state", state, "--seed", "11"
-    )
+    if relabelled:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({**_job(RELABELLED), "mode": mode, "state": state}))
+        word = ["--job", str(job)]
+    else:
+        word = ["--pattern", "a a a+ a+", "--mode", mode, "--state", state]
+    code, out = run_cli(capsys, *word, "--seed", "11")
     assert code == 0
     numeric = [line for line in out.splitlines() if line.startswith("numeric")]
     if dual:
@@ -465,6 +495,36 @@ INPUT_ERRORS = [
         {"n.json": {"lambda": 0.5, "omega": {"k1": 0.0}}},
         "omega 'k1' must be positive",
         id="temperature-numeric-omega-zero",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature", "--beta", "1e-320", "--seed", "3"],
+        {},
+        "thermal occupation is not finite",
+        id="temperature-seed-beta-tiny",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature", "--beta", "1e-20", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "omega": {"k1": 1e-300}}},
+        "thermal occupation is not finite",
+        id="temperature-numeric-omega-tiny",
+    ),
+    *(
+        pytest.param(
+            ["--mode", mode, "--pattern", "a a+ a"],
+            {},
+            f"mode {mode} takes no pattern",
+            id=f"{mode}-with-pattern",
+        )
+        for mode in ("check-free", "quadrature")
+    ),
+    *(
+        pytest.param(
+            ["--job", "{dir}/job.json"],
+            {"job.json": {**_job(["a", "a+"]), "mode": mode}},
+            f"mode {mode} takes no pattern",
+            id=f"job-{mode}-with-pattern",
+        )
+        for mode in ("check-free", "quadrature")
     ),
 ]
 

@@ -16,6 +16,7 @@ from stochlim.oracle import (
     Assignment,
     UnassignedSymbolError,
     _ccr_step,
+    _doubled_term,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
@@ -89,12 +90,13 @@ def _species_product(word):
     ]
 
 
-def _per_branch(step):
-    """Each species branch of a word rewritten by the driver at site pick."""
+def _per_branch(step, term):
+    """Each species branch of a word rewritten by the driver at site pick,
+    every finished branch built by term(word, collected)."""
 
     def reduce(word, pick):
         return [
-            ScalarSum.from_iter(normal_order(branch, step, Monomial.one(), pick))
+            ScalarSum.from_iter(term(word, c) for c in normal_order(branch, step, pick))
             for branch in _species_product(word)
         ]
 
@@ -107,8 +109,11 @@ REWRITE_PATHS = [
         lambda word, pick: qdef_normal_order(word, ("leftmost", "rightmost")[pick]),
         id="qdef",
     ),
-    pytest.param(_per_branch(_ccr_step), id="ccr"),
-    pytest.param(_per_branch(_free_step), id="free"),
+    pytest.param(_per_branch(_ccr_step, lambda w, pairs: _doubled_term([], pairs)), id="ccr"),
+    pytest.param(
+        _per_branch(_free_step, lambda w, f: Monomial.build(two_pi=len(w) // 2, factors=f)),
+        id="free",
+    ),
 ]
 
 
@@ -185,6 +190,14 @@ def test_doubled_matches_engine_gaussian():
             assert doubled_normal_order(word, GAUSSIAN) == finite_lambda_correlator(
                 word, GAUSSIAN
             )
+
+
+def test_oracles_match_engine_ten_letters():
+    for pattern in random.Random(10).sample(balanced_patterns(10), 6):
+        word = word_from_pattern(pattern)
+        assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK), pattern
+        gaussian = finite_lambda_correlator(word, GAUSSIAN)
+        assert doubled_normal_order(word, GAUSSIAN) == gaussian, pattern
 
 
 def test_doubled_rejects_fock():
