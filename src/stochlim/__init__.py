@@ -16,8 +16,6 @@ from .correlator import (
 from .diagrams import (
     Diagram,
     Edge,
-    Relation,
-    classify,
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,

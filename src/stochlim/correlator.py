@@ -3,7 +3,10 @@
 The exact N-point correlator is a sum over pair partitions.  Every edge
 contributes a 1/lam^2 pairing exponent whose energy carries the edge's
 orientation and the momentum shifts inherited from enclosing edges;
-crossing edges leave extra single-time exponents behind.  In the limit
+crossing edges leave extra single-time exponents behind.  Which edges
+enclose an edge and where it is crossed is read from the diagram's span
+scan (`Diagram.spans`) in one per-edge pass (`_edges`), shared by the
+exact sum and the direct limit.  In the limit
 lam -> 0 each pairing exponent turns into 2pi * dT * dE while any
 oscillation that cannot be matched to a pairing quota suppresses its
 whole term, which is why only non-crossing diagrams survive.
@@ -15,14 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import (
-    Diagram,
-    Edge,
-    Relation,
-    classify,
-    enumerate_pairings,
-    non_crossing_pairings,
-)
+from .diagrams import Diagram, Edge, enumerate_pairings, non_crossing_pairings
 from .scalars import (
     DeltaK,
     EnergyDelta,
@@ -33,7 +29,7 @@ from .scalars import (
     TimeDelta,
 )
 from .symbols import EnergyComb, TimeComb, dot, dot_p, omega
-from .words import OperatorWord
+from .words import Letter, OperatorWord
 
 __all__ = [
     "StateSpec",
@@ -95,8 +91,7 @@ def _check_edge(edge: Edge, word: OperatorWord) -> None:
         raise ValueError("edge endpoints have the wrong letter signs")
 
 
-def _bare_edge_terms(edge: Edge, word: OperatorWord) -> list[EnergyComb]:
-    cre = word.letters[edge.creation - 1]
+def _bare_edge_terms(edge: Edge, cre: Letter) -> list[EnergyComb]:
     return [
         omega(cre.wave),
         Fraction(edge.delta, 2) * dot(cre.wave, cre.wave),
@@ -104,16 +99,8 @@ def _bare_edge_terms(edge: Edge, word: OperatorWord) -> list[EnergyComb]:
     ]
 
 
-def _edge_energy(edge: Edge, word: OperatorWord, diagram: Diagram) -> EnergyComb:
-    """Bare edge energy plus the momentum shifts from every enclosing edge,
-    made as one combination."""
-    cre = word.letters[edge.creation - 1]
-    shifts = [
-        other.delta * dot(word.letters[other.creation - 1].wave, cre.wave)
-        for other in diagram.edges
-        if other != edge and classify(other, edge) is Relation.CONTAINS
-    ]
-    return EnergyComb.sum_of(_bare_edge_terms(edge, word) + shifts)
+def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter) -> list:
+    return [MFactor(cre.wave, (edge.delta + 1) // 2), DeltaK(cre.wave, ann.wave)]
 
 
 def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
@@ -122,42 +109,37 @@ def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
     _check_edge(edge, word)
     cre = word.letters[edge.creation - 1]
     ann = word.letters[edge.annihilation - 1]
+    energy = EnergyComb.sum_of(_bare_edge_terms(edge, cre))
     return Monomial.build(
         lam=-2,
-        factors=[
-            OscExp(
-                cre.time - ann.time,
-                EnergyComb.sum_of(_bare_edge_terms(edge, word)),
-                pairing=True,
-            ),
-            MFactor(cre.wave, (edge.delta + 1) // 2),
-            DeltaK(cre.wave, ann.wave),
-        ],
+        factors=[OscExp(cre.time - ann.time, energy, pairing=True)]
+        + _occupation_and_delta(edge, cre, ann),
     )
 
 
-def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
+def _edges(word: OperatorWord, diagram: Diagram):
+    """Per edge of the diagram, from its span scan: the edge, its creation
+    and annihilation letters, its energy (the bare terms plus the momentum
+    shift of every enclosing edge, made as one combination) and its
+    crossing positions."""
     letters = word.letters
-    factors = []
-    for edge in diagram.edges:
+    for edge, (enclosing, crossings) in zip(diagram.edges, diagram.spans()):
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
-        factors += [
-            OscExp(cre.time - ann.time, _edge_energy(edge, word, diagram), pairing=True),
-            MFactor(cre.wave, (edge.delta + 1) // 2),
-            DeltaK(cre.wave, ann.wave),
-        ]
-        for other in diagram.edges:
-            if other == edge:
-                continue
-            rel = classify(other, edge)
-            if rel is Relation.LEFT_CROSS:
-                pos = other.b
-            elif rel is Relation.RIGHT_CROSS:
-                pos = other.a
-            else:
-                continue
-            vertex = letters[pos - 1]
+        shifts = [o.delta * dot(letters[o.creation - 1].wave, cre.wave) for o in enclosing]
+        energy = EnergyComb.sum_of(_bare_edge_terms(edge, cre) + shifts)
+        yield edge, cre, ann, energy, crossings
+
+
+def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
+    """The pairing exponents of every edge, and one single-time exponent
+    per crossing vertex of an edge."""
+    factors = []
+    for edge, cre, ann, energy, crossings in _edges(word, diagram):
+        factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
+        factors += _occupation_and_delta(edge, cre, ann)
+        for pos in crossings:
+            vertex = word.letters[pos - 1]
             factors.append(
                 OscExp(
                     TimeComb.of(vertex.time),
@@ -251,18 +233,11 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     directly, each edge a 2pi * dT * dE * occupation * momentum-delta block."""
     if not word.balanced:
         return ScalarSum.zero()
-    letters = word.letters
     terms = []
     for diagram in non_crossing_pairings(word.pattern):
         factors = []
-        for edge in diagram.edges:
-            cre = letters[edge.creation - 1]
-            ann = letters[edge.annihilation - 1]
-            factors += [
-                TimeDelta(cre.time - ann.time),
-                EnergyDelta(_edge_energy(edge, word, diagram)),
-                MFactor(cre.wave, (edge.delta + 1) // 2),
-                DeltaK(cre.wave, ann.wave),
-            ]
+        for edge, cre, ann, energy, _ in _edges(word, diagram):
+            factors += [TimeDelta(cre.time - ann.time), EnergyDelta(energy)]
+            factors += _occupation_and_delta(edge, cre, ann)
         terms.append(Monomial.build(two_pi=len(diagram.edges), factors=factors))
     return apply_state(ScalarSum.from_iter(terms), state)

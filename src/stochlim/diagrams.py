@@ -1,8 +1,11 @@
 """Pair partitions of balanced operator patterns.
 
 A diagram matches every creation position with an annihilation position;
-edges are drawn as arcs above the word, and the crossing/nesting
-relations between arcs drive both the exact correlator and its limit.
+edges are drawn as arcs above the word.  Its geometry is read from one
+scan of each edge's span (`Diagram.spans`): a position strictly inside
+an edge whose partner is inside too belongs to an edge it encloses, one
+whose partner is outside is a crossing vertex of the edge.  The enclosing
+edges and the crossings drive both the exact correlator and its limit.
 Positions are 1-based.
 
 The exact correlator needs all (N/2)! pairings (`enumerate_pairings`);
@@ -13,7 +16,6 @@ crossing diagram.  The counts are computed without enumeration.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -22,22 +24,12 @@ from typing import Iterator, Sequence
 __all__ = [
     "Edge",
     "Diagram",
-    "Relation",
-    "classify",
     "enumerate_pairings",
     "non_crossing_pairings",
     "is_non_crossing",
     "count_non_crossing",
     "count_fock_surviving",
 ]
-
-
-class Relation(enum.Enum):
-    DISJOINT = "disjoint"
-    CONTAINS = "contains"      # first edge strictly contains the second
-    INSIDE = "inside"          # first edge sits strictly inside the second
-    LEFT_CROSS = "left-cross"  # a(l) < a(j) < b(l) < b(j)
-    RIGHT_CROSS = "right-cross"
 
 
 @dataclass(frozen=True)
@@ -65,20 +57,6 @@ class Edge:
         return 1 if self.creation > self.annihilation else -1
 
 
-def classify(l: Edge, j: Edge) -> Relation:
-    if l.b < j.a or j.b < l.a:
-        return Relation.DISJOINT
-    if l.a < j.a and j.b < l.b:
-        return Relation.CONTAINS
-    if j.a < l.a and l.b < j.b:
-        return Relation.INSIDE
-    if l.a < j.a < l.b < j.b:
-        return Relation.LEFT_CROSS
-    if j.a < l.a < j.b < l.b:
-        return Relation.RIGHT_CROSS
-    raise ValueError(f"edges share an endpoint: {l}, {j}")
-
-
 @dataclass(frozen=True)
 class Diagram:
     """Edges numbered by their left vertices, covering every position once."""
@@ -92,6 +70,26 @@ class Diagram:
         if positions != list(range(1, 2 * len(edges) + 1)):
             raise ValueError("edges must cover positions 1..N exactly once")
         return cls(edges)
+
+    def spans(self) -> list[tuple[list[Edge], list[int]]]:
+        """Per edge, in order: the edges enclosing it and its crossing
+        positions, from one scan of every edge's span."""
+        partner = {}
+        for e in self.edges:
+            partner[e.a], partner[e.b] = e.b, e.a
+        # keyed by an edge's left end: the edges enclosing it
+        enclosing: dict[int, list[Edge]] = {e.a: [] for e in self.edges}
+        out = []
+        for e in self.edges:
+            crossings = []
+            for p in range(e.a + 1, e.b):
+                q = partner[p]
+                if not e.a < q < e.b:
+                    crossings.append(p)
+                elif p < q:
+                    enclosing[p].append(e)
+            out.append((enclosing[e.a], crossings))
+        return out
 
     def __str__(self) -> str:
         return "".join(f"({e.creation},{e.annihilation})" for e in self.edges)
@@ -159,11 +157,7 @@ def non_crossing_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
 
 
 def is_non_crossing(d: Diagram) -> bool:
-    for i, l in enumerate(d.edges):
-        for j in d.edges[i + 1 :]:
-            if classify(l, j) in (Relation.LEFT_CROSS, Relation.RIGHT_CROSS):
-                return False
-    return True
+    return not any(crossings for _, crossings in d.spans())
 
 
 def count_non_crossing(pattern: Sequence[int]) -> int:

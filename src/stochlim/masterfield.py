@@ -30,7 +30,7 @@ from .scalars import (
     TimeDelta,
 )
 from .symbols import EnergyComb, dot, dot_p, omega, shift_p
-from .words import MasterLetter, OperatorWord
+from .words import MasterLetter, OperatorWord, master_letters
 
 __all__ = [
     "BogoliubovCoeffs",
@@ -123,14 +123,8 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if not word.balanced:
         return ScalarSum.zero()
     n = len(word.letters)
-    # per letter: its opener and its closer
-    options = [
-        (
-            MasterLetter(2 if l.dag else 1, False, l.time, l.wave),
-            MasterLetter(1 if l.dag else 2, True, l.time, l.wave),
-        )
-        for l in word.letters
-    ]
+    # per letter: its opener (dag False) and its closer (dag True)
+    options = [sorted(master_letters(l), key=lambda m: m.dag) for l in word.letters]
     parts: list[Monomial] = []
 
     def walk(i: int, stack: tuple[MasterLetter, ...], factors: list) -> None:

@@ -39,6 +39,9 @@ from .scalars import (
     wave_representatives,
 )
 from .symbols import (
+    _DOT,
+    _KP,
+    _W,
     EnergyComb,
     TimeComb,
     TimeLabel,
@@ -290,17 +293,13 @@ def random_assignment(
     dots: set[tuple[WaveLabel, WaveLabel]] = set()
     dot_ps: set[tuple[WaveLabel]] = set()
     occupations: set[tuple[WaveLabel]] = set()
+    by_kind = {_W: omegas, _DOT: dots, _KP: dot_ps}
     for s in sums:
         for m in s.terms:
             for label, energy in m.osc:
                 times.add((label,))
                 for basis, _ in energy.terms:
-                    if basis.kind == 0:
-                        omegas.add(basis.waves)
-                    elif basis.kind == 1:
-                        dots.add(basis.waves)
-                    else:
-                        dot_ps.add(basis.waves)
+                    by_kind[basis.kind].add(basis.waves)
             for wave, _ in m.m_factors:
                 occupations.add((wave,))
 

@@ -39,7 +39,14 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Union
 
-from .symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel
+from .symbols import (
+    EnergyComb,
+    TimeComb,
+    TimeLabel,
+    WaveLabel,
+    basis_from_json,
+    basis_to_json,
+)
 
 __all__ = [
     "OscExp",
@@ -374,12 +381,7 @@ class ScalarSum:
             return [[l.name, c] for l, c in t.terms]
 
         def ec(e: EnergyComb):
-            from .symbols import _KIND_NAMES  # local: serialization detail
-
-            return [
-                [_KIND_NAMES[b.kind], [w.name for w in b.waves], c.numerator, c.denominator]
-                for b, c in e.terms
-            ]
+            return [[*basis_to_json(b), c.numerator, c.denominator] for b, c in e.terms]
 
         return {
             "terms": [
@@ -400,21 +402,13 @@ class ScalarSum:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarSum":
-        from .symbols import _DOT, _EBasis, _KINDS_BY_NAME, _dot_basis
-
         def tc(items) -> TimeComb:
             return TimeComb.make([(TimeLabel(n), int(c)) for n, c in items])
-
-        def basis(kind: str, names) -> _EBasis:
-            waves = tuple(WaveLabel(n) for n in names)
-            kind = _KINDS_BY_NAME[kind]
-            # a dot basis keeps its two labels in label order, whatever the JSON says
-            return _dot_basis(*waves) if kind == _DOT else _EBasis(kind, waves)
 
         def ec(items) -> EnergyComb:
             return EnergyComb.make(
                 [
-                    (basis(kind, waves), Fraction(int(num), int(den)))
+                    (basis_from_json(kind, waves), Fraction(int(num), int(den)))
                     for kind, waves, num, den in items
                 ]
             )

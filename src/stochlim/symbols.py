@@ -174,6 +174,16 @@ _KIND_NAMES = {_W: "w", _DOT: "dot", _KP: "kp"}
 _KINDS_BY_NAME = {v: k for k, v in _KIND_NAMES.items()}
 
 
+def basis_to_json(b: "_EBasis") -> tuple[str, list[str]]:
+    """A basis symbol's JSON form: its kind name and its wave names."""
+    return _KIND_NAMES[b.kind], [w.name for w in b.waves]
+
+
+def basis_from_json(kind: str, names) -> "_EBasis":
+    """The basis symbol of a JSON kind name and wave names."""
+    return _basis(_KINDS_BY_NAME[kind], tuple(WaveLabel(n) for n in names))
+
+
 @dataclass(frozen=True)
 class _EBasis:
     kind: int
@@ -184,8 +194,7 @@ class _EBasis:
         return (self.kind, tuple(w.sort_key for w in self.waves))
 
     def subst(self, rep: Mapping[WaveLabel, WaveLabel]) -> "_EBasis":
-        waves = tuple(rep.get(w, w) for w in self.waves)
-        return _dot_basis(*waves) if self.kind == _DOT else _EBasis(self.kind, waves)
+        return _basis(self.kind, tuple(rep.get(w, w) for w in self.waves))
 
     def render(self) -> str:
         if self.kind == _W:
@@ -221,6 +230,11 @@ class _EBasis:
 def _dot_basis(a: WaveLabel, b: WaveLabel) -> _EBasis:
     """The dot-product basis symbol, its two labels in label order."""
     return _EBasis(_DOT, tuple(sorted((a, b), key=lambda w: w.sort_key)))
+
+
+def _basis(kind: int, waves: tuple[WaveLabel, ...]) -> _EBasis:
+    # a dot basis keeps its two labels in label order, whatever their order here
+    return _dot_basis(*waves) if kind == _DOT else _EBasis(kind, waves)
 
 
 class EnergyComb(_Comb):

@@ -1,12 +1,13 @@
 """Operator words, and the plumbing the rewriting oracles share: two-species
-letters, the species expansion and one normal-ordering driver.  Each path
-passes in its own step, which extends the factors collected along a branch,
-and builds each finished branch once, so the paths keep their own physics.
-The species expansion is vacuum-pruned: it yields only the branches that
-can have a nonzero vacuum value, a small share of the 2^N (at most 132 of
-4096 for any balanced word of 12 letters).  The free master-field path
-uses only the two-species letters: it walks the word with a stack of open
-letters instead of expanding and rewriting it."""
+letters, the one species map (`master_letters`), the species expansion and
+one normal-ordering driver.  Each path passes in its own step, which
+extends the factors collected along a branch, and builds each finished
+branch once, so the paths keep their own physics.  The species expansion
+is vacuum-pruned: it yields only the branches that can have a nonzero
+vacuum value, a small share of the 2^N (at most 132 of 4096 for any
+balanced word of 12 letters).  The free master-field path uses only the
+two-species letters and the species map: it walks the word with a stack
+of open letters instead of expanding and rewriting it."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ __all__ = [
     "parse_pattern",
     "format_pattern",
     "balanced_patterns",
+    "master_letters",
     "expand_master_word",
     "normal_order",
 ]
@@ -124,6 +126,15 @@ def balanced_patterns(length: int) -> list[tuple[int, ...]]:
     return out
 
 
+def master_letters(l: Letter) -> tuple[MasterLetter, MasterLetter]:
+    """The letter's species-1 and species-2 parts: b = b1 + b2+ and
+    b+ = b1+ + b2."""
+    return (
+        MasterLetter(1, l.dag, l.time, l.wave),
+        MasterLetter(2, not l.dag, l.time, l.wave),
+    )
+
+
 def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
     """The species assignments of b = b1 + b2+ and b+ = b1+ + b2 that can
     have a nonzero vacuum value, in the order of the full 2^N expansion.
@@ -140,10 +151,7 @@ def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
     remaining = len(word.letters)
     for l in word.letters:
         remaining -= 1
-        options = (
-            MasterLetter(1, l.dag, l.time, l.wave),
-            MasterLetter(2, not l.dag, l.time, l.wave),
-        )
+        options = master_letters(l)
         grown = []
         for prefix, open1, open2 in out:
             for o in options:

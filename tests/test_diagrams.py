@@ -6,8 +6,6 @@ import pytest
 from stochlim.diagrams import (
     Diagram,
     Edge,
-    Relation,
-    classify,
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
@@ -104,23 +102,29 @@ def test_non_crossing_generator_matches_filter():
     assert list(non_crossing_pairings((-1, 1, 1))) == []
 
 
-def test_classify_antisymmetric():
-    for pattern in balanced_patterns(6):
+def test_span_scan_matches_interval_definitions():
+    """Every diagram of every balanced pattern up to N=8: the scan's
+    enclosing edges and crossing positions are the interval definitions,
+    and a diagram is non-crossing when no edge has a crossing position."""
+    for pattern in balanced_up_to(8):
         for d in enumerate_pairings(pattern):
-            for i, l in enumerate(d.edges):
-                for j in d.edges[i + 1 :]:
-                    rel = classify(l, j)
-                    back = classify(j, l)
-                    if rel is Relation.LEFT_CROSS:
-                        assert back is Relation.RIGHT_CROSS
-                    elif rel is Relation.RIGHT_CROSS:
-                        assert back is Relation.LEFT_CROSS
-                    elif rel is Relation.CONTAINS:
-                        assert back is Relation.INSIDE
-                    elif rel is Relation.INSIDE:
-                        assert back is Relation.CONTAINS
-                    else:
-                        assert back is Relation.DISJOINT
+            spans = d.spans()
+            assert len(spans) == len(d.edges)
+            crossing = False
+            for e, (enclosing, crossings) in zip(d.edges, spans):
+                assert sorted(enclosing, key=lambda l: l.a) == [
+                    l for l in d.edges if l.a < e.a < e.b < l.b
+                ], (d, e)
+                inside = [
+                    p
+                    for l in d.edges
+                    if (e.a < l.a < e.b) != (e.a < l.b < e.b)
+                    for p in (l.a, l.b)
+                    if e.a < p < e.b
+                ]
+                assert crossings == sorted(inside), (d, e)
+                crossing = crossing or bool(inside)
+            assert is_non_crossing(d) == (not crossing), d
 
 
 def test_degenerate_edges_rejected():
