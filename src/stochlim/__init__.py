@@ -9,7 +9,6 @@ from .correlator import (
     apply_state,
     finite_lambda_correlator,
     limit_correlator,
-    pairing_factor,
     take_limit,
     temperature,
 )
@@ -23,15 +22,15 @@ from .diagrams import (
     non_crossing_pairings,
 )
 from .masterfield import (
-    BogoliubovCoeffs,
     EquivalenceReport,
-    bosonic_double_check,
     check_free_equivalence,
     free_correlator,
 )
 from .oracle import (
     Assignment,
+    BogoliubovCoeffs,
     UnassignedSymbolError,
+    bosonic_double_check,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,

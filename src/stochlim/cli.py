@@ -78,14 +78,16 @@ class JobError(ValueError):
 
 
 def _as(kind, value, what: str):
-    """value converted by kind (int or float); a JobError naming what if
-    it is not a finite number.  JSON true and false are not numbers."""
+    """value as kind: an int only from an integral number (not -1.5 or "-1"), a
+    float only from a finite one, else a JobError naming what; never a bool."""
     if not isinstance(value, bool):
         try:
             number = kind(value)
         except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
             pass
         else:
+            if kind is int and number != value:
+                raise JobError(f"{what} must be an integer, got {value!r}")
             if kind is int or math.isfinite(number):
                 return number
             raise JobError(f"{what} must be a finite number, got {value!r}")
@@ -205,7 +207,7 @@ def build_job(args: argparse.Namespace) -> JobSpec:
     else:
         word = None
     max_n = _as(int, data.get("maxN", args.max_n), "maxN")
-    if mode not in MODES:
+    if not isinstance(mode, str) or mode not in MODES:
         raise JobError(f"unknown mode {mode!r}")
     spec = MODES[mode]
     if state.kind not in spec.states:
@@ -337,8 +339,11 @@ def _quadrature(job: JobSpec, lines: list[str], payload: dict) -> int:
         "converging": converging,
     }
     if job.csv_path:
-        with open(job.csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        try:
+            with open(job.csv_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(rows) + "\n")
+        except OSError as err:
+            raise JobError(f"cannot write csv file {job.csv_path}: {err.strerror}") from None
         lines.append(f"csv written: {job.csv_path}")
     return 0 if converging else 1
 

@@ -37,7 +37,6 @@ __all__ = [
     "GAUSSIAN",
     "temperature",
     "LimitStructureError",
-    "pairing_factor",
     "finite_lambda_correlator",
     "take_limit",
     "limit_correlator",
@@ -83,51 +82,23 @@ def apply_state(s: ScalarSum, state: StateSpec) -> ScalarSum:
     )
 
 
-def _check_edge(edge: Edge, word: OperatorWord) -> None:
-    letters = word.letters
-    if edge.b > len(letters):
-        raise ValueError("edge endpoint outside the word")
-    if letters[edge.creation - 1].eps != 1 or letters[edge.annihilation - 1].eps != -1:
-        raise ValueError("edge endpoints have the wrong letter signs")
-
-
-def _bare_edge_terms(edge: Edge, cre: Letter) -> list[EnergyComb]:
-    return [
-        omega(cre.wave),
-        Fraction(edge.delta, 2) * dot(cre.wave, cre.wave),
-        dot_p(cre.wave),
-    ]
-
-
 def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter) -> list:
     return [MFactor(cre.wave, (edge.delta + 1) // 2), DeltaK(cre.wave, ann.wave)]
 
 
-def pairing_factor(edge: Edge, word: OperatorWord) -> Monomial:
-    """The two-point pairing of one edge: (1/lam^2) * exp with the edge's
-    orientation energy * occupation * momentum delta."""
-    _check_edge(edge, word)
-    cre = word.letters[edge.creation - 1]
-    ann = word.letters[edge.annihilation - 1]
-    energy = EnergyComb.sum_of(_bare_edge_terms(edge, cre))
-    return Monomial.build(
-        lam=-2,
-        factors=[OscExp(cre.time - ann.time, energy, pairing=True)]
-        + _occupation_and_delta(edge, cre, ann),
-    )
-
-
 def _edges(word: OperatorWord, diagram: Diagram):
     """Per edge of the diagram, from its span scan: the edge, its creation
-    and annihilation letters, its energy (the bare terms plus the momentum
-    shift of every enclosing edge, made as one combination) and its
-    crossing positions."""
+    and annihilation letters, its energy (w(k) + (delta/2) k.k + k.p of the
+    creation's k, plus the momentum shift of every enclosing edge, made as
+    one combination) and its crossing positions."""
     letters = word.letters
     for edge, (enclosing, crossings) in zip(diagram.edges, diagram.spans()):
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
-        shifts = [o.delta * dot(letters[o.creation - 1].wave, cre.wave) for o in enclosing]
-        energy = EnergyComb.sum_of(_bare_edge_terms(edge, cre) + shifts)
+        k = cre.wave
+        bare = [omega(k), Fraction(edge.delta, 2) * dot(k, k), dot_p(k)]
+        shifts = [o.delta * dot(letters[o.creation - 1].wave, k) for o in enclosing]
+        energy = EnergyComb.sum_of(bare + shifts)
         yield edge, cre, ann, energy, crossings
 
 

@@ -63,14 +63,6 @@ class Diagram:
 
     edges: tuple[Edge, ...]
 
-    @classmethod
-    def build(cls, edges) -> "Diagram":
-        edges = tuple(sorted(edges, key=lambda e: e.a))
-        positions = sorted(p for e in edges for p in (e.creation, e.annihilation))
-        if positions != list(range(1, 2 * len(edges) + 1)):
-            raise ValueError("edges must cover positions 1..N exactly once")
-        return cls(edges)
-
     def spans(self) -> list[tuple[list[Edge], list[int]]]:
         """Per edge, in order: the edges enclosing it and its crossing
         positions, from one scan of every edge's span."""

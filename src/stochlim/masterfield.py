@@ -9,9 +9,10 @@ every letter either opens or closes, and a closer contracts with the
 top of the stack when that top is of its own species.  Only the live
 species branches are walked, as many as the non-crossing pairings, and
 each one's monomial is built once from the factors collected along it.
-The contraction scalar (`_contract`) lives here; the rewrite reference
-`_free_step`, run by the tests through `words.normal_order`, collects the
-same factors, and each finished branch is built once.  No diagrams are
+The contraction scalar (`_contract`), with its own occupation weights
+(the doubled oracle reads the Bogoliubov table in `stochlim.oracle`),
+lives here; the rewrite reference `_free_step`, run by the tests through
+`words.normal_order`, collects the same factors.  No diagrams are
 enumerated here, so the path stays independent of the engine it checks.
 """
 
@@ -33,11 +34,9 @@ from .symbols import EnergyComb, dot, dot_p, omega, shift_p
 from .words import MasterLetter, OperatorWord, master_letters
 
 __all__ = [
-    "BogoliubovCoeffs",
     "free_correlator",
     "check_free_equivalence",
     "EquivalenceReport",
-    "bosonic_double_check",
 ]
 
 # Moving a function of p leftward across a master letter shifts p by the
@@ -79,33 +78,6 @@ def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
         return ()
     factors = _contract(letters[i], letters[i + 1], letters[:i])
     return ((collected + tuple(factors), letters[:i] + letters[i + 2 :]),)
-
-
-def _reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
-    """Outcomes of every reduction order, canonicalized; confluence means
-    the returned set is a singleton."""
-    outcomes: set[ScalarSum] = set()
-    two_pi = len(letters) // 2
-
-    def go(ls: tuple[MasterLetter, ...], collected: tuple) -> None:
-        if not ls:
-            outcomes.add(ScalarSum.of(Monomial.build(two_pi=two_pi, factors=collected)))
-            return
-        sites = [
-            i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag
-        ]
-        if not sites:
-            outcomes.add(ScalarSum.zero())
-            return
-        for site in sites:
-            branches = _free_step(ls, site, collected)
-            if not branches:
-                outcomes.add(ScalarSum.zero())
-            for factors, rest in branches:
-                go(rest, factors)
-
-    go(tuple(letters), ())
-    return outcomes
 
 
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -169,57 +141,3 @@ def check_free_equivalence(word: OperatorWord, state: StateSpec) -> EquivalenceR
             only_l += (lhs_terms[k].render(),)
             only_r += (rhs_terms[k].render(),)
     return EquivalenceReport(False, only_l, only_r)
-
-
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    """|u|^2 and |v|^2 as linear forms a + b*nu in a formal occupation nu.
-
-    Numeric coefficients use nu_coeff = 0; the symbolic occupation N(k)
-    is (0, 1).  The mixing a(k) -> u a1(k) + v a2+(k) preserves the
-    commutator exactly when u2 - v2 = 1.
-    """
-
-    u2: tuple[Fraction, Fraction]
-    v2: tuple[Fraction, Fraction]
-
-    @classmethod
-    def from_occupation(cls, v2=(0, 1)) -> "BogoliubovCoeffs":
-        v2 = (Fraction(v2[0]), Fraction(v2[1]))
-        return cls(u2=(v2[0] + 1, v2[1]), v2=v2)
-
-    @property
-    def normalized(self) -> bool:
-        return (
-            self.u2[0] - self.v2[0] == 1 and self.u2[1] - self.v2[1] == 0
-        )
-
-
-def _double_pair_weight(coeffs: BogoliubovCoeffs, left: str, right: str):
-    """Vacuum pairing weight of two mixed letters; letters are 'a' or 'a+'.
-
-    Expanding a = u a1 + v a2+ and a+ = u a1+ + v a2 over the double Fock
-    vacuum, only annihilator-before-creator pairings of equal species
-    survive: a a+ keeps the u a1 * u a1+ branch, a+ a keeps v a2 * v a2+.
-    """
-    if left == "a" and right == "a+":
-        return coeffs.u2
-    if left == "a+" and right == "a":
-        return coeffs.v2
-    return (Fraction(0), Fraction(0))
-
-
-def bosonic_double_check(coeffs: BogoliubovCoeffs) -> bool:
-    """Verify the bosonic mixing reproduces a mean-zero Gaussian state:
-    <a+ a> = |v|^2 d(k-k'), <a a+> = (|v|^2 + 1) d(k-k'), <a a> = <a+ a+> = 0,
-    under the exact normalization |u|^2 - |v|^2 = 1."""
-    if not coeffs.normalized:
-        return False
-    v2 = coeffs.v2
-    checks = [
-        _double_pair_weight(coeffs, "a", "a+") == (v2[0] + 1, v2[1]),
-        _double_pair_weight(coeffs, "a+", "a") == v2,
-        _double_pair_weight(coeffs, "a", "a") == (0, 0),
-        _double_pair_weight(coeffs, "a+", "a+") == (0, 0),
-    ]
-    return all(checks)

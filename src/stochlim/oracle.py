@@ -10,7 +10,9 @@ Three routes that never touch the diagram sum:
 * doubled_normal_order expresses an arbitrary Gaussian state through
   two auxiliary Fock fields, a(k) -> u a1(k) + v a2+(k), peels the
   particle dressing off every letter and normal-orders the bare letters
-  with plain canonical commutation relations.
+  with plain canonical commutation relations, each contracted pair
+  weighted from the Bogoliubov table `BogoliubovCoeffs`: |u|^2 = N+1
+  for species 1, |v|^2 = N for species 2.
 * numeric_eval evaluates finite-coupling expressions at concrete numbers
   so structurally different computations can be compared to double
   precision.
@@ -51,9 +53,18 @@ from .symbols import (
     omega,
     shift_p,
 )
-from .words import Letter, MasterLetter, OperatorWord, expand_master_word, normal_order
+from .words import (
+    Letter,
+    MasterLetter,
+    OperatorWord,
+    expand_master_word,
+    master_letters,
+    normal_order,
+)
 
 __all__ = [
+    "BogoliubovCoeffs",
+    "bosonic_double_check",
     "qdef_normal_order",
     "reorder_annihilators",
     "doubled_normal_order",
@@ -74,15 +85,6 @@ class UnassignedSymbolError(KeyError):
         return f"no numeric value assigned to {self.symbol}"
 
 
-def _inversions(letters) -> int:
-    return sum(
-        1
-        for i in range(len(letters))
-        for j in range(i + 1, len(letters))
-        if letters[i].eps == -1 and letters[j].eps == 1
-    )
-
-
 def _entangled_energy(letter: Letter) -> EnergyComb:
     """Energetic argument of one letter's own oscillation:
     w(k) + (1/2)k.k + k.p for annihilators, w(k) - (1/2)k.k + k.p for creators."""
@@ -96,19 +98,15 @@ def _entangled_energy(letter: Letter) -> EnergyComb:
 def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):
     """Swap and contraction branches of the deformed exchange relation at
     the adjacent (annihilator, creator) pair i, i+1, each extending the
-    collected factors."""
+    collected factors and lowering (length, inversions) of the letters."""
     ann, cre = letters[i], letters[i + 1]
-    measure = (len(letters), _inversions(letters))
-
     swapped = letters[:i] + (cre, ann) + letters[i + 2 :]
-    assert (len(swapped), _inversions(swapped)) < measure
     swap = collected + (OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave)),)
 
     energy = _entangled_energy(ann)
     for passed in letters[:i]:
         energy = shift_p(energy, passed.wave, -passed.eps)
     contracted = letters[:i] + letters[i + 2 :]
-    assert (len(contracted), _inversions(contracted)) < measure
     pair = collected + (
         OscExp(ann.time - cre.time, -energy, pairing=True),
         DeltaK(ann.wave, cre.wave),
@@ -116,19 +114,17 @@ def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):
     return (swap, swapped), (pair, contracted)
 
 
-def qdef_normal_order(word: OperatorWord, pick: str = "leftmost") -> ScalarSum:
+def qdef_normal_order(word: OperatorWord) -> ScalarSum:
     """Fock expectation by exhausting the deformed exchange relations.
 
-    Each rewriting step takes an adjacent (annihilator, creator) pair and
-    branches: swap against exp(-(i/lam^2)(t-t') k.k'), or contract into
+    Each rewriting step takes the leftmost adjacent (annihilator, creator)
+    pair and branches: swap against exp(-(i/lam^2)(t-t') k.k'), or contract into
     (1/lam^2) exp(-(i/lam^2)(t-t')[w+k^2/2+k.p]) d(k-k').  The contraction
     scalar is commuted to the far left, shifting p by -eps*k at every
     letter it passes.  Words that normal-order with letters left have
     vanishing vacuum expectation.  Each finished branch is built once.
     """
-    if pick not in ("leftmost", "rightmost"):
-        raise ValueError("pick must be 'leftmost' or 'rightmost'")
-    done = normal_order(word.letters, _qdef_step, pick=0 if pick == "leftmost" else -1)
+    done = normal_order(word.letters, _qdef_step)
     lam = -len(word.letters)
     return ScalarSum.from_iter(Monomial.build(lam=lam, factors=f) for f in done)
 
@@ -180,12 +176,66 @@ def _ccr_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
     return branches
 
 
+@dataclass(frozen=True)
+class BogoliubovCoeffs:
+    """|u|^2 and |v|^2 as linear forms a + b*nu in a formal occupation nu.
+
+    Numeric coefficients use nu_coeff = 0; the symbolic occupation N(k)
+    is (0, 1).  The mixing a(k) -> u a1(k) + v a2+(k) preserves the
+    commutator exactly when u2 - v2 = 1.
+    """
+
+    u2: tuple[Fraction, Fraction]
+    v2: tuple[Fraction, Fraction]
+
+    @classmethod
+    def from_occupation(cls, v2=(0, 1)) -> "BogoliubovCoeffs":
+        v2 = (Fraction(v2[0]), Fraction(v2[1]))
+        return cls(u2=(v2[0] + 1, v2[1]), v2=v2)
+
+    @property
+    def normalized(self) -> bool:
+        return self.u2[0] - self.v2[0] == 1 and self.u2[1] == self.v2[1]
+
+    def pair_weight(self, species: int) -> tuple[Fraction, Fraction]:
+        """Weight of a contracted pair: |u|^2 for species 1 (a a+ keeps
+        u a1 * u a1+), |v|^2 for species 2 (a+ a keeps v a2 * v a2+)."""
+        return self.u2 if species == 1 else self.v2
+
+
+def bosonic_double_check(coeffs: BogoliubovCoeffs) -> bool:
+    """Verify the bosonic mixing reproduces a mean-zero Gaussian state:
+    <a+ a> = |v|^2 d(k-k'), <a a+> = (|v|^2 + 1) d(k-k'), <a a> = <a+ a+> = 0,
+    under the exact normalization |u|^2 - |v|^2 = 1.  Read through the
+    species map: in the double Fock vacuum only an annihilator followed by
+    a creator of its own species survives, at most one species a pair."""
+    a, a_dag = (Letter(eps, TimeLabel("t"), WaveLabel("k")) for eps in (-1, 1))
+
+    def weight(left: Letter, right: Letter):
+        for l, r in zip(master_letters(left), master_letters(right)):
+            if not l.dag and r.dag:
+                return coeffs.pair_weight(l.species)
+        return (0, 0)
+
+    return (
+        coeffs.normalized
+        and weight(a, a_dag) == (coeffs.v2[0] + 1, coeffs.v2[1])
+        and weight(a_dag, a) == coeffs.v2
+        and weight(a, a) == (0, 0)
+        and weight(a_dag, a_dag) == (0, 0)
+    )
+
+
+_BOGOLIUBOV = BogoliubovCoeffs.from_occupation()  # symbolic N(k): |u|^2 = N+1, |v|^2 = N
+
+
 def _doubled_term(dressing: list[OscExp], pairs: tuple) -> Monomial:
     """The one monomial of a finished branch: the dressing, and per contracted
-    pair d(k-k'), N+1 for species 1 or N for species 2, and a pairing quota."""
+    pair d(k-k'), its weight from the Bogoliubov table and a pairing quota."""
     factors: list = list(dressing)
     for ann, cre in pairs:
-        factors += [DeltaK(ann.wave, cre.wave), MFactor(ann.wave, 1 if ann.species == 1 else 0)]
+        offset, _ = _BOGOLIUBOV.pair_weight(ann.species)  # the weight is N(k) + offset
+        factors += [DeltaK(ann.wave, cre.wave), MFactor(ann.wave, int(offset))]
     quotas = [ann.time - cre.time for ann, cre in pairs]
     return Monomial.build(lam=-2 * len(pairs), factors=factors, quotas=quotas)
 

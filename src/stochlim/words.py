@@ -164,21 +164,22 @@ def expand_master_word(word: OperatorWord) -> list[tuple[MasterLetter, ...]]:
     return [prefix for prefix, _, _ in out]
 
 
-def normal_order(letters: Iterable, step: Callable, pick: int = 0) -> list[tuple]:
+def normal_order(letters: Iterable, step: Callable) -> list[tuple]:
     """Factor tuples of every rewrite of the letters down to the empty word.
 
-    Depth first from (): at the picked adjacent (annihilator, creator)
-    site i (0 the leftmost, -1 the rightmost) step(letters, i, collected)
-    returns (collected, letters) branches that extend the tuple.  A branch
-    vanishes with letters but no such site left, or with no step branch.
+    Depth first from (): at the leftmost adjacent (annihilator, creator)
+    site i, step(letters, i, collected) returns (collected, letters)
+    branches that extend the tuple.  A branch vanishes with letters but no
+    such site left, or with no step branch.  There is no site option: the
+    tests check that other sites give the same result.
     """
     done = []
     stack = [((), tuple(letters))]
     while stack:
         collected, ls = stack.pop()
-        sites = [i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag]
-        if sites:
-            stack.extend(step(ls, sites[pick], collected))
+        site = next((i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag), None)
+        if site is not None:
+            stack.extend(step(ls, site, collected))
         elif not ls:
             done.append(collected)
     return done

@@ -1,0 +1,62 @@
+"""Rewriting helpers the tests share: the full species expansion and two
+drivers that `words.normal_order` does not offer, a site chooser and
+every reduction order."""
+
+from itertools import product
+
+from stochlim.masterfield import _free_step
+from stochlim.scalars import Monomial, ScalarSum
+from stochlim.words import MasterLetter
+
+
+def species_product(word):
+    """The full 2^N species expansion of b = b1 + b2+, dead branches kept."""
+    return [
+        tuple(
+            MasterLetter(s, l.dag if s == 1 else not l.dag, l.time, l.wave)
+            for s, l in zip(species, word.letters)
+        )
+        for species in product((1, 2), repeat=len(word))
+    ]
+
+
+def normal_order_at(letters, step, choose):
+    """`words.normal_order` with the rewrite site taken by choose(sites)
+    from the adjacent (annihilator, creator) sites, in order."""
+    done = []
+    stack = [((), tuple(letters))]
+    while stack:
+        collected, ls = stack.pop()
+        sites = [i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag]
+        if sites:
+            stack.extend(step(ls, choose(sites), collected))
+        elif not ls:
+            done.append(collected)
+    return done
+
+
+def reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
+    """Outcomes of every reduction order, canonicalized; confluence means
+    the returned set is a singleton."""
+    outcomes: set[ScalarSum] = set()
+    two_pi = len(letters) // 2
+
+    def go(ls: tuple[MasterLetter, ...], collected: tuple) -> None:
+        if not ls:
+            outcomes.add(ScalarSum.of(Monomial.build(two_pi=two_pi, factors=collected)))
+            return
+        sites = [
+            i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag
+        ]
+        if not sites:
+            outcomes.add(ScalarSum.zero())
+            return
+        for site in sites:
+            branches = _free_step(ls, site, collected)
+            if not branches:
+                outcomes.add(ScalarSum.zero())
+            for factors, rest in branches:
+                go(rest, factors)
+
+    go(tuple(letters), ())
+    return outcomes

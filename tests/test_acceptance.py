@@ -16,12 +16,11 @@ from stochlim.correlator import (
     take_limit,
 )
 from stochlim.diagrams import count_non_crossing, enumerate_pairings
-from stochlim.masterfield import (
+from stochlim.masterfield import check_free_equivalence
+from stochlim.oracle import (
+    _BOGOLIUBOV,
     BogoliubovCoeffs,
     bosonic_double_check,
-    check_free_equivalence,
-)
-from stochlim.oracle import (
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
@@ -263,4 +262,11 @@ def test_c10_bosonic_double():
     assert not bosonic_double_check(
         BogoliubovCoeffs(u2=(Fraction(2), Fraction(0)), v2=(Fraction(2), Fraction(0)))
     )
+    # the doubled oracle weighs its pairs with this table: a a+ pairs through
+    # species 1, |u|^2 = N+1, and a+ a through species 2, |v|^2 = N
+    assert _BOGOLIUBOV == symbolic
+    for pattern, species in (([-1, 1], 1), ([1, -1], 2)):
+        (term,) = doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).terms
+        ((_, offset),) = term.m_factors
+        assert (offset, 1) == _BOGOLIUBOV.pair_weight(species)
     print("\nACCEPTANCE 10 PASS bosonic temperature double")

@@ -452,6 +452,39 @@ INPUT_ERRORS = [
         id="job-unknown-mode",
     ),
     pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": {**_job(["a", "a+"]), "mode": ["finite"]}},
+        "unknown mode ['finite']",
+        id="job-mode-list",
+    ),
+    *(
+        pytest.param(
+            ["--job", "{dir}/job.json"],
+            {"job.json": _job([{"eps": eps, "time": "t1", "wave": "k1"}, "a+"])},
+            f"letter eps must be an integer, got {eps!r}",
+            id=f"job-letter-eps-{eps}",
+        )
+        for eps in (-1.5, "-1")
+    ),
+    *(
+        pytest.param(
+            ["--job", "{dir}/job.json"],
+            {"job.json": {"schemaVersion": 1, "mode": "check-free", "maxN": max_n}},
+            f"maxN must be an integer, got {max_n!r}",
+            id=f"job-max-n-{max_n}",
+        )
+        for max_n in (4.9, "4")
+    ),
+    *(
+        pytest.param(
+            ["--mode", "quadrature", "--csv", path],
+            {},
+            "cannot write csv file",
+            id=f"csv-{name}",
+        )
+        for name, path in (("missing-directory", "{dir}/no/such/x.csv"), ("directory", "{dir}"))
+    ),
+    pytest.param(
         ["--mode", "diagrams"], {}, "mode diagrams needs --pattern", id="diagrams-without-pattern"
     ),
     pytest.param(

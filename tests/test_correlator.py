@@ -8,10 +8,8 @@ from stochlim.correlator import (
     LimitStructureError,
     finite_lambda_correlator,
     limit_correlator,
-    pairing_factor,
     take_limit,
 )
-from stochlim.diagrams import Edge
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -35,12 +33,10 @@ def labels(n):
     )
 
 
-def test_pairing_factor_absorption_edge():
-    # <a(t1,k1) a+(t2,k2)>: creation right of annihilation
-    word = word_from_pattern([-1, 1])
+def absorption_pairing():
+    """<a(t1,k1) a+(t2,k2)>, built by hand: creation right of annihilation."""
     (t1, t2), (k1, k2) = labels(2)
-    factor = pairing_factor(Edge(2, 1), word)
-    expected = Monomial.build(
+    return Monomial.build(
         lam=-2,
         factors=[
             OscExp(t2 - t1, omega(k2) + HALF * dot(k2, k2) + dot_p(k2), pairing=True),
@@ -48,14 +44,17 @@ def test_pairing_factor_absorption_edge():
             DeltaK(k2, k1),
         ],
     )
-    assert factor == expected
+
+
+def test_pairing_factor_absorption_edge():
+    word = word_from_pattern([-1, 1])
+    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.of(absorption_pairing())
 
 
 def test_pairing_factor_emission_edge():
     # <a+(t1,k1) a(t2,k2)>: creation left of annihilation, N-weighted
     word = word_from_pattern([1, -1])
     (t1, t2), (k1, k2) = labels(2)
-    factor = pairing_factor(Edge(1, 2), word)
     expected = Monomial.build(
         lam=-2,
         factors=[
@@ -64,21 +63,13 @@ def test_pairing_factor_emission_edge():
             DeltaK(k1, k2),
         ],
     )
-    assert factor == expected
-
-
-def test_pairing_factor_rejects_wrong_signs():
-    word = word_from_pattern([-1, 1])
-    with pytest.raises(ValueError):
-        pairing_factor(Edge(1, 2), word)
+    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.of(expected)
 
 
 def test_two_point_correlators():
     word = word_from_pattern([-1, 1])
-    (t1, t2), (k1, k2) = labels(2)
     result = finite_lambda_correlator(word, GAUSSIAN)
-    expected = ScalarSum.of(pairing_factor(Edge(2, 1), word))
-    assert result == expected
+    assert result == ScalarSum.of(absorption_pairing())
     # Fock keeps the N+1 edge as weight one
     fock = finite_lambda_correlator(word, FOCK)
     assert len(fock.terms) == 1 and fock.terms[0].m_factors == ()

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from stochlim.diagrams import (
-    Diagram,
     Edge,
     count_fock_surviving,
     count_non_crossing,
@@ -130,8 +129,6 @@ def test_span_scan_matches_interval_definitions():
 def test_degenerate_edges_rejected():
     with pytest.raises(ValueError):
         Edge(2, 2)
-    with pytest.raises(ValueError):
-        Diagram.build([Edge(2, 1), Edge(3, 2)])
 
 
 def test_edge_orientation():

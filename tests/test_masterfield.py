@@ -4,15 +4,8 @@ from itertools import product
 
 from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
 from stochlim.diagrams import count_non_crossing
-from stochlim.masterfield import (
-    BogoliubovCoeffs,
-    _free_step,
-    _reduce_all_orders,
-    bosonic_double_check,
-    check_free_equivalence,
-    free_correlator,
-)
-from stochlim.oracle import _ccr_step
+from stochlim.masterfield import _free_step, check_free_equivalence, free_correlator
+from stochlim.oracle import BogoliubovCoeffs, _ccr_step, bosonic_double_check
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -30,18 +23,9 @@ from stochlim.words import (
     word_from_pattern,
 )
 
+from rewriting import reduce_all_orders, species_product
+
 HALF = Fraction(1, 2)
-
-
-def species_product(word):
-    """The full 2^N species expansion of b = b1 + b2+, dead branches kept."""
-    return [
-        tuple(
-            MasterLetter(s, l.dag if s == 1 else not l.dag, l.time, l.wave)
-            for s, l in zip(species, word.letters)
-        )
-        for species in product((1, 2), repeat=len(word))
-    ]
 
 
 def passes_ballot(branch):
@@ -161,7 +145,7 @@ def test_reduction_confluence():
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
             for branch in species_product(word):
-                assert len(_reduce_all_orders(branch)) == 1
+                assert len(reduce_all_orders(branch)) == 1
 
 
 def test_stack_walk_equals_rewriting():

@@ -17,6 +17,7 @@ from stochlim.oracle import (
     UnassignedSymbolError,
     _ccr_step,
     _doubled_term,
+    _qdef_step,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
@@ -33,12 +34,9 @@ from stochlim.scalars import (
     q_factor,
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
-from stochlim.words import (
-    MasterLetter,
-    balanced_patterns,
-    normal_order,
-    word_from_pattern,
-)
+from stochlim.words import balanced_patterns, normal_order, word_from_pattern
+
+from rewriting import normal_order_at, species_product
 
 HALF = Fraction(1, 2)
 
@@ -79,39 +77,31 @@ def test_qdef_matches_engine_fock():
             assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK)
 
 
-def _species_product(word):
-    """The full 2^N species expansion of b = b1 + b2+, dead branches kept."""
-    return [
-        tuple(
-            MasterLetter(s, l.dag if s == 1 else not l.dag, l.time, l.wave)
-            for s, l in zip(species, word.letters)
-        )
-        for species in product((1, 2), repeat=len(word))
-    ]
+def _rewrite(step, term, branches=species_product):
+    """word, driver -> the word's value per branch: each branch rewritten by
+    driver(letters, step), each finished one built by term(word, collected)."""
 
-
-def _per_branch(step, term):
-    """Each species branch of a word rewritten by the driver at site pick,
-    every finished branch built by term(word, collected)."""
-
-    def reduce(word, pick):
+    def reduce(word, driver):
         return [
-            ScalarSum.from_iter(term(word, c) for c in normal_order(branch, step, pick))
-            for branch in _species_product(word)
+            ScalarSum.from_iter(term(word, c) for c in driver(letters, step))
+            for letters in branches(word)
         ]
 
     return reduce
 
 
-# word, driver site (0 leftmost, -1 rightmost) -> the path's value
 REWRITE_PATHS = [
     pytest.param(
-        lambda word, pick: qdef_normal_order(word, ("leftmost", "rightmost")[pick]),
+        _rewrite(
+            _qdef_step,
+            lambda w, f: Monomial.build(lam=-len(w), factors=f),
+            lambda w: [w.letters],
+        ),
         id="qdef",
     ),
-    pytest.param(_per_branch(_ccr_step, lambda w, pairs: _doubled_term([], pairs)), id="ccr"),
+    pytest.param(_rewrite(_ccr_step, lambda w, pairs: _doubled_term([], pairs)), id="ccr"),
     pytest.param(
-        _per_branch(_free_step, lambda w, f: Monomial.build(two_pi=len(w) // 2, factors=f)),
+        _rewrite(_free_step, lambda w, f: Monomial.build(two_pi=len(w) // 2, factors=f)),
         id="free",
     ),
 ]
@@ -119,10 +109,37 @@ REWRITE_PATHS = [
 
 @pytest.mark.parametrize("reduce", REWRITE_PATHS)
 def test_rewrite_sites_agree(reduce):
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
+    # every word up to N=6: the program's driver, which takes the leftmost
+    # site, against the rightmost site and a seeded random one
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for pattern in product((-1, 1), repeat=n):
             word = word_from_pattern(pattern)
-            assert reduce(word, 0) == reduce(word, -1), pattern
+            leftmost = reduce(word, normal_order)
+            for choose in (lambda sites: sites[-1], rng.choice):
+                at = reduce(word, lambda letters, step: normal_order_at(letters, step, choose))
+                assert at == leftmost, pattern
+
+
+def _inversions(letters) -> int:
+    """Pairs of an annihilator and a creator right of it, adjacent or not."""
+    return sum(1 for i, l in enumerate(letters) for r in letters[i + 1 :] if not l.dag and r.dag)
+
+
+def test_qdef_step_lowers_length_and_inversions():
+    # the measure that ends the qdef rewriting, at every (annihilator,
+    # creator) site of every word up to N=8
+    for n in range(2, 9):
+        for pattern in product((-1, 1), repeat=n):
+            letters = word_from_pattern(pattern).letters
+            measure = (n, _inversions(letters))
+            for i in range(n - 1):
+                if letters[i].dag or not letters[i + 1].dag:
+                    continue
+                branches = _qdef_step(letters, i, ())
+                assert len(branches) == 2, (pattern, i)
+                for _, rest in branches:
+                    assert (len(rest), _inversions(rest)) < measure, (pattern, i)
 
 
 def test_reorder_annihilators_factor():
