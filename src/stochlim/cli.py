@@ -78,8 +78,8 @@ class JobError(ValueError):
 
 
 def _as(kind, value, what: str):
-    """value as kind: an int only from an integral number (not -1.5 or "-1"), a
-    float only from a finite one, else a JobError naming what; never a bool."""
+    """value as kind, never from a bool or a string: an int only from an integral
+    number (not -1.5), a float only from a finite one; else a JobError naming what."""
     if not isinstance(value, bool):
         try:
             number = kind(value)
@@ -88,6 +88,8 @@ def _as(kind, value, what: str):
         else:
             if kind is int and number != value:
                 raise JobError(f"{what} must be an integer, got {value!r}")
+            if isinstance(value, str):  # float() parses "2", but a string is no number
+                raise JobError(f"{what} must be a number, got {value!r}")
             if kind is int or math.isfinite(number):
                 return number
             raise JobError(f"{what} must be a finite number, got {value!r}")

@@ -55,16 +55,11 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
     cre just right of it, the p-dependence shifted across the passed
     letters still standing to the left of ann."""
     sign = Fraction(1, 2) if ann.species == 1 else Fraction(-1, 2)
-    energy = EnergyComb.sum_of(
-        (omega(ann.wave), sign * dot(ann.wave, ann.wave), dot_p(ann.wave))
-    )
-    for letter in passed:
-        energy = shift_p(
-            energy, letter.wave, _PASS_SHIFT[(letter.species, letter.dag)]
-        )
+    own = (omega(ann.wave), sign * dot(ann.wave, ann.wave), dot_p(ann.wave))
+    shifts = [(l.wave, _PASS_SHIFT[(l.species, l.dag)]) for l in passed]
     return [
         TimeDelta(ann.time - cre.time),
-        EnergyDelta(energy),
+        EnergyDelta(shift_p(EnergyComb.sum_of(own), shifts)),
         MFactor(ann.wave, 1 if ann.species == 1 else 0),
         DeltaK(ann.wave, cre.wave),
     ]
@@ -122,22 +117,16 @@ class EquivalenceReport:
 
 
 def check_free_equivalence(word: OperatorWord, state: StateSpec) -> EquivalenceReport:
-    """Compare the diagram-built limit against the free-algebra evaluation."""
+    """Compare the diagram-built limit against the free-algebra evaluation;
+    on a mismatch, each side's terms that the other lacks, in its sum's
+    canonical order."""
     lhs = limit_correlator(word, state)
     rhs = free_correlator(word, state)
     if lhs == rhs:
         return EquivalenceReport(True, (), ())
-    lhs_terms = {m.merge_key: m for m in lhs.terms}
-    rhs_terms = {m.merge_key: m for m in rhs.terms}
-    only_l = tuple(
-        lhs_terms[k].render() for k in sorted(lhs_terms.keys() - rhs_terms.keys())
-    )
-    only_r = tuple(
-        rhs_terms[k].render() for k in sorted(rhs_terms.keys() - lhs_terms.keys())
-    )
-    # equal keys with different rationals also count as a diff
-    for k in sorted(lhs_terms.keys() & rhs_terms.keys()):
-        if lhs_terms[k].rational != rhs_terms[k].rational:
-            only_l += (lhs_terms[k].render(),)
-            only_r += (rhs_terms[k].render(),)
+    # Monomial equality is term identity, the rational included, so a term
+    # whose rational differs is listed on both sides
+    lhs_terms, rhs_terms = set(lhs.terms), set(rhs.terms)
+    only_l = tuple(m.render() for m in lhs.terms if m not in rhs_terms)
+    only_r = tuple(m.render() for m in rhs.terms if m not in lhs_terms)
     return EquivalenceReport(False, only_l, only_r)

@@ -13,9 +13,9 @@ Three routes that never touch the diagram sum:
   with plain canonical commutation relations, each contracted pair
   weighted from the Bogoliubov table `BogoliubovCoeffs`: |u|^2 = N+1
   for species 1, |v|^2 = N for species 2.
-* numeric_eval evaluates finite-coupling expressions at concrete numbers
-  so structurally different computations can be compared to double
-  precision.
+* numeric_eval, the one owner of symbol values, evaluates finite-coupling
+  sums at concrete numbers so structurally different computations can be
+  compared to double precision.
 
 The two rewriting routes run on the driver and the species expansion of
 `stochlim.words`.  Their steps (`_qdef_step`, `_ccr_step`), which live here
@@ -41,13 +41,12 @@ from .scalars import (
     wave_representatives,
 )
 from .symbols import (
-    _DOT,
-    _KP,
-    _W,
     EnergyComb,
     TimeComb,
     TimeLabel,
     WaveLabel,
+    basis_from_json,
+    basis_to_json,
     dot,
     dot_p,
     omega,
@@ -85,14 +84,16 @@ class UnassignedSymbolError(KeyError):
         return f"no numeric value assigned to {self.symbol}"
 
 
-def _entangled_energy(letter: Letter) -> EnergyComb:
-    """Energetic argument of one letter's own oscillation:
-    w(k) + (1/2)k.k + k.p for annihilators, w(k) - (1/2)k.k + k.p for creators."""
-    return (
+def _entangled_energy(letter: Letter, left: Iterable[Letter]) -> EnergyComb:
+    """Energetic argument of one letter's own oscillation, w(k) + (1/2)k.k + k.p
+    for annihilators and w(k) - (1/2)k.k + k.p for creators, with p shifted by
+    -eps*k over each letter to its left, as commuting it to the far left does."""
+    energy = (
         omega(letter.wave)
         - Fraction(letter.eps, 2) * dot(letter.wave, letter.wave)
         + dot_p(letter.wave)
     )
+    return shift_p(energy, [(l.wave, -l.eps) for l in left])
 
 
 def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):
@@ -103,9 +104,7 @@ def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):
     swapped = letters[:i] + (cre, ann) + letters[i + 2 :]
     swap = collected + (OscExp(ann.time - cre.time, -dot(ann.wave, cre.wave)),)
 
-    energy = _entangled_energy(ann)
-    for passed in letters[:i]:
-        energy = shift_p(energy, passed.wave, -passed.eps)
+    energy = _entangled_energy(ann, letters[:i])
     contracted = letters[:i] + letters[i + 2 :]
     pair = collected + (
         OscExp(ann.time - cre.time, -energy, pairing=True),
@@ -150,19 +149,15 @@ def reorder_annihilators(
     return swapped, factor
 
 
-def _dress(word: OperatorWord) -> tuple[list[OscExp], tuple[tuple[WaveLabel, int], ...]]:
-    """Peel the particle dressing off every letter: each letter's
-    oscillation factor conjugated through the accumulated exp(i kappa q)
-    (p -> p - kappa), and the final shift kappa = sum eps*k."""
-    factors: list[OscExp] = []
-    kappa: list[tuple[WaveLabel, int]] = []
-    for letter in word.letters:
-        energy = _entangled_energy(letter)
-        for wave, eps in kappa:
-            energy = shift_p(energy, wave, -eps)
-        factors.append(OscExp(TimeComb.of(letter.time, letter.eps), energy))
-        kappa.append((letter.wave, letter.eps))
-    return factors, tuple(kappa)
+def _dress(word: OperatorWord) -> list[OscExp]:
+    """Peel the particle dressing off every letter: its oscillation factor
+    conjugated through exp(i kappa q), kappa = sum eps*k over the letters to
+    its left, which `_entangled_energy` applies as p -> p - kappa."""
+    letters = word.letters
+    return [
+        OscExp(TimeComb.of(letter.time, letter.eps), _entangled_energy(letter, letters[:i]))
+        for i, letter in enumerate(letters)
+    ]
 
 
 def _ccr_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
@@ -244,32 +239,33 @@ def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Gaussian expectation through the doubled Fock representation."""
     if state.kind == "fock":
         raise ValueError("the doubled oracle works on gaussian/temperature states")
-    dressing, kappa = _dress(word)
+    dressing = _dress(word)
     result = ScalarSum.from_iter(
         _doubled_term(dressing, pairs)
         for branch in expand_master_word(word)
         for pairs in normal_order(branch, _ccr_step)
     )
-    _assert_shift_vanishes(result, kappa)
+    _assert_shift_vanishes(result, word)
     return result
 
 
-def _assert_shift_vanishes(result: ScalarSum, kappa) -> None:
-    # fully contracted terms must have zero net exp(i kappa q) once the
-    # pairing deltas identify wave labels
+def _assert_shift_vanishes(result: ScalarSum, word: OperatorWord) -> None:
+    # fully contracted terms must have zero net exp(i kappa q), kappa = sum
+    # eps*k over the word, once the pairing deltas identify wave labels
     for m in result.terms:
         rep = wave_representatives(m.delta_k)
         net: dict[WaveLabel, int] = {}
-        for wave, eps in kappa:
-            r = rep.get(wave, wave)
-            net[r] = net.get(r, 0) + eps
+        for letter in word.letters:
+            r = rep.get(letter.wave, letter.wave)
+            net[r] = net.get(r, 0) + letter.eps
         assert all(v == 0 for v in net.values()), "pending momentum shift survived"
 
 
 @dataclass
 class Assignment:
     """Concrete numbers for a finite-coupling expression, keyed by label
-    names (after delta unification)."""
+    names (after delta unification); a dot value is keyed by its two names
+    in either order."""
 
     lam: float
     times: dict[str, float] = field(default_factory=dict)
@@ -278,22 +274,19 @@ class Assignment:
     dot_p: dict[str, float] = field(default_factory=dict)
     occupation: dict[str, float] = field(default_factory=dict)
 
-    def normalized_dot(self) -> dict[tuple[str, str], float]:
-        """Dot values keyed by their two names in label order, whichever
-        order they were given in."""
-        return {
-            tuple(sorted(k, key=lambda n: WaveLabel(n).sort_key)): v
-            for k, v in self.dot.items()
-        }
-
 
 def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
-    """Evaluate a finite-coupling sum at the given numbers.  Momentum deltas
-    are label-equality indicators, already applied because every monomial
-    is built unified; limit factors are rejected."""
+    """Evaluate a finite-coupling sum at the given numbers.  Each energy basis
+    symbol is looked up in one table made from the assignment, and a symbol
+    without a value raises UnassignedSymbolError.  Momentum deltas are
+    label-equality indicators, already applied because every monomial is
+    built unified; limit factors are rejected."""
     if assign.lam <= 0:
         raise ValueError("lam must be positive")
-    dot_v = assign.normalized_dot()
+    # keyed by basis symbol through the JSON form, which puts a dot pair in label order
+    values = {basis_from_json("w", [n]): v for n, v in assign.omega.items()}
+    values.update((basis_from_json("dot", pair), v) for pair, v in assign.dot.items())
+    values.update((basis_from_json("kp", [n]), v) for n, v in assign.dot_p.items())
     total = 0j
     for m in s.terms:
         if m.time_deltas or m.energy_deltas:
@@ -304,9 +297,9 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
             if label.name not in assign.times:
                 raise UnassignedSymbolError(label.name)
             try:
-                e_val = energy.evaluate(assign.omega, dot_v, assign.dot_p)
+                e_val = sum(float(c) * values[b] for b, c in energy.terms)
             except KeyError as err:
-                raise UnassignedSymbolError(err.args[0]) from None
+                raise UnassignedSymbolError(err.args[0].render()) from None
             phase += assign.times[label.name] * e_val
         out = value * cmath.exp(1j * phase / assign.lam**2)
         for wave, offset in m.m_factors:
@@ -335,38 +328,36 @@ def random_assignment(
     rng: random.Random,
     state: Optional[StateSpec] = None,
 ) -> Assignment:
-    """Uniform random values for every symbol the given sums need."""
-    # label tuples: one label per time, omega, k.p and occupation symbol,
-    # the two labels of a dot basis (stored in label order)
-    times: set[tuple[TimeLabel]] = set()
-    omegas: set[tuple[WaveLabel]] = set()
-    dots: set[tuple[WaveLabel, WaveLabel]] = set()
-    dot_ps: set[tuple[WaveLabel]] = set()
-    occupations: set[tuple[WaveLabel]] = set()
-    by_kind = {_W: omegas, _DOT: dots, _KP: dot_ps}
+    """Uniform random values for every symbol the given sums need.  After lam,
+    the times are drawn in label order, then the energy basis symbols in
+    their key order (kind w, dot, kp, then labels), then the occupations."""
+    times, bases, occupied = set(), set(), set()
     for s in sums:
         for m in s.terms:
             for label, energy in m.osc:
-                times.add((label,))
-                for basis, _ in energy.terms:
-                    by_kind[basis.kind].add(basis.waves)
-            for wave, _ in m.m_factors:
-                occupations.add((wave,))
+                times.add(label)
+                bases.update(energy.support)
+            occupied.update(wave for wave, _ in m.m_factors)
 
-    def ordered(groups) -> list[tuple[str, ...]]:
-        keyed = sorted(groups, key=lambda g: tuple(l.sort_key for l in g))
-        return [tuple(l.name for l in g) for g in keyed]
+    def ordered(symbols) -> list:
+        return sorted(symbols, key=lambda x: x.sort_key)
 
     assign = Assignment(lam=rng.uniform(0.3, 1.2))
-    assign.times = {n: rng.uniform(-2.0, 2.0) for (n,) in ordered(times)}
-    assign.omega = {n: rng.uniform(0.5, 2.5) for (n,) in ordered(omegas)}
-    assign.dot = {k: rng.uniform(-1.5, 1.5) for k in ordered(dots)}
-    assign.dot_p = {n: rng.uniform(-1.5, 1.5) for (n,) in ordered(dot_ps)}
+    assign.times = {t.name: rng.uniform(-2.0, 2.0) for t in ordered(times)}
+    ranges = {
+        "w": (assign.omega, 0.5, 2.5),
+        "dot": (assign.dot, -1.5, 1.5),
+        "kp": (assign.dot_p, -1.5, 1.5),
+    }
+    for basis in ordered(bases):
+        kind, names = basis_to_json(basis)
+        values, low, high = ranges[kind]
+        values[tuple(names) if kind == "dot" else names[0]] = rng.uniform(low, high)
     if state is not None and state.kind == "temperature":
         assign.occupation = {
-            n: thermal_occupation(state.beta, assign.omega.get(n, 1.0))
-            for (n,) in ordered(occupations)
+            w.name: thermal_occupation(state.beta, assign.omega.get(w.name, 1.0))
+            for w in ordered(occupied)
         }
     else:
-        assign.occupation = {n: rng.uniform(0.1, 2.0) for (n,) in ordered(occupations)}
+        assign.occupation = {w.name: rng.uniform(0.1, 2.0) for w in ordered(occupied)}
     return assign

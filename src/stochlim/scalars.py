@@ -340,9 +340,7 @@ class ScalarSum:
                 )
             else:
                 by_key[key] = m
-        kept = [m for m in by_key.values() if not m.is_zero]
-        kept.sort(key=lambda m: m.merge_key)
-        return cls(tuple(kept))
+        return cls(tuple(m for m in map(by_key.get, sorted(by_key)) if not m.is_zero))
 
     @classmethod
     def zero(cls) -> "ScalarSum":

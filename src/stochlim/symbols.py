@@ -205,27 +205,6 @@ class _EBasis:
 
     __str__ = render
 
-    def evaluate(
-        self,
-        omega_v: Mapping[str, float],
-        dot_v: Mapping[tuple[str, str], float],
-        dot_p_v: Mapping[str, float],
-    ) -> float:
-        if self.kind == _W:
-            name = self.waves[0].name
-            if name not in omega_v:
-                raise KeyError(self.render())
-            return omega_v[name]
-        if self.kind == _DOT:
-            key = (self.waves[0].name, self.waves[1].name)
-            if key not in dot_v:
-                raise KeyError(self.render())
-            return dot_v[key]
-        name = self.waves[0].name
-        if name not in dot_p_v:
-            raise KeyError(self.render())
-        return dot_p_v[name]
-
 
 def _dot_basis(a: WaveLabel, b: WaveLabel) -> _EBasis:
     """The dot-product basis symbol, its two labels in label order."""
@@ -254,11 +233,6 @@ class EnergyComb(_Comb):
             return self
         return self.make([(b.subst(rep), c) for b, c in self.terms])
 
-    def evaluate(self, omega_v, dot_v, dot_p_v) -> float:
-        return sum(
-            float(c) * b.evaluate(omega_v, dot_v, dot_p_v) for b, c in self.terms
-        )
-
 
 def omega(k: WaveLabel) -> EnergyComb:
     """The dispersion symbol w(k)."""
@@ -275,14 +249,19 @@ def dot_p(k: WaveLabel) -> EnergyComb:
     return EnergyComb(((_EBasis(_KP, (k,)), Fraction(1)),))
 
 
-def shift_p(energy: EnergyComb, j: WaveLabel, sign: int) -> EnergyComb:
-    """Substitute p -> p + sign*k_j: every c*(k.p) term adds c*sign*(k.k_j)."""
-    if sign not in (1, -1):
+def shift_p(energy: EnergyComb, shifts: Iterable[tuple[WaveLabel, int]]) -> EnergyComb:
+    """Substitute p -> p + sum(sign*k_j) over the (k_j, sign) pairs of shifts,
+    in one merge: every c*(k.p) term adds c*sign*(k.k_j) per pair.  The same
+    as shifting one pair at a time, since a shift adds no k.p term."""
+    shifts = tuple(shifts)
+    if any(sign not in (1, -1) for _, sign in shifts):
         raise ValueError("shift sign must be +1 or -1")
-    extra = []
-    for basis, c in energy.terms:
-        if basis.kind == _KP:
-            extra.append((_dot_basis(basis.waves[0], j), c * sign))
+    extra = [
+        (_dot_basis(basis.waves[0], j), c * sign)
+        for basis, c in energy.terms
+        if basis.kind == _KP
+        for j, sign in shifts
+    ]
     if not extra:
         return energy
     return EnergyComb.make(list(energy.terms) + extra)

@@ -512,6 +512,24 @@ INPUT_ERRORS = [
         id="beta-nan",
     ),
     pytest.param(
+        ["--job", "{dir}/job.json", "--seed", "1"],
+        {"job.json": {**_job(["a", "a+"]), "state": "temperature", "beta": "2"}},
+        "beta must be a number, got '2'",
+        id="job-beta-string",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": "0.5"}},
+        "lambda must be a number, got '0.5'",
+        id="numeric-lambda-string",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {"lambda": 0.5, "omega": {"k1": "1.1"}}},
+        "omega 'k1' must be a number, got '1.1'",
+        id="numeric-omega-string",
+    ),
+    pytest.param(
         ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
         {"n.json": {"lambda": math.nan}},
         "lambda must be a finite number, got nan",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from stochlim.cli import main
 from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
 from stochlim.diagrams import count_non_crossing
 from stochlim.masterfield import _free_step, check_free_equivalence, free_correlator
@@ -200,6 +201,41 @@ def test_equivalence_report_diff():
     lhs = limit_correlator(word_a, GAUSSIAN)
     rhs = free_correlator(word_from_pattern([1, -1]), GAUSSIAN)
     assert lhs != rhs
+
+
+def _tampered_free(word, state):
+    # the limit with its first term dropped, when it has two or more, and
+    # the first remaining term's rational doubled
+    terms = list(limit_correlator(word, state).terms)
+    if len(terms) > 1:
+        terms.pop(0)
+    if terms:
+        terms[0] = terms[0].scaled(2)
+    return ScalarSum(tuple(terms))
+
+
+def test_equivalence_report_lists_each_side(monkeypatch):
+    monkeypatch.setattr("stochlim.masterfield.free_correlator", _tampered_free)
+    word = word_from_pattern([-1, 1, -1, 1])
+    dropped, doubled, *_ = limit_correlator(word, GAUSSIAN).terms
+    report = check_free_equivalence(word, GAUSSIAN)
+    assert not report.equal
+    assert set(report.only_diagram) == {dropped.render(), doubled.render()}
+    assert set(report.only_free) == {doubled.scaled(2).render()}
+
+
+def test_check_free_prints_mismatches_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("stochlim.masterfield.free_correlator", _tampered_free)
+    assert main(["--mode", "check-free", "--max-n", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    (term,) = limit_correlator(word_from_pattern([-1, 1]), FOCK).terms
+    at = lines.index("MISMATCH a a+")
+    assert lines[at + 1 : at + 3] == [
+        f"  only diagram path: {term.render()}",
+        f"  only free path:    {term.scaled(2).render()}",
+    ]
+    assert "ok a+ a" in lines  # a zero limit has nothing to tamper with
+    assert lines[-1] == "checked: 8  mismatches: 3"
 
 
 def test_bosonic_double_symbolic_occupation():

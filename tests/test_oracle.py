@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -34,7 +35,13 @@ from stochlim.scalars import (
     q_factor,
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
-from stochlim.words import balanced_patterns, normal_order, word_from_pattern
+from stochlim.words import (
+    Letter,
+    OperatorWord,
+    balanced_patterns,
+    normal_order,
+    word_from_pattern,
+)
 
 from rewriting import normal_order_at, species_product
 
@@ -306,3 +313,28 @@ def test_dot_key_order_of_a_given_assignment_is_free():
         for key in (("k9", "k10"), ("k10", "k9"))
     ]
     assert values[0] == values[1]
+
+
+def test_random_assignment_draw_order_is_pinned():
+    # Gaussian finite sum of a length-10 word with waves k5..k14: k9 and
+    # k10 both survive the delta unification, and they order differently
+    # by label and by string, as t9 and t10 do.  Each drawn key and the
+    # float.hex() of its value, in dict order, hash to a fixed digest; a
+    # changed draw order or key order changes it.  Uniform draws are exact
+    # IEEE operations, so the digest holds on every platform (the
+    # temperature state, whose occupations go through expm1, is left out).
+    word = OperatorWord.build(
+        Letter(eps, TimeLabel(f"t{i}"), WaveLabel(f"k{i + 4}"))
+        for i, eps in enumerate([-1, 1] * 5, start=1)
+    )
+    s = finite_lambda_correlator(word, GAUSSIAN)
+    assign = random_assignment([s], random.Random(1), GAUSSIAN)
+    lines = [f"lam {assign.lam.hex()}"]
+    for section in ("times", "omega", "dot", "dot_p", "occupation"):
+        for key, value in getattr(assign, section).items():
+            name = key if isinstance(key, str) else ",".join(key)
+            lines.append(f"{section} {name} {value.hex()}")
+    assert "dot k9,k10" in {l.rsplit(" ", 1)[0] for l in lines}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 72
+    assert digest == "cf9c63ab54e5a98816988ce90236e3f643ede22135a27f7e6e17aff71de3f24d"

@@ -52,45 +52,64 @@ def test_energy_comb_merges_and_cancels():
 
 def test_shift_p_example():
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    shifted = shift_p(dot_p(k2), k1, +1)
+    shifted = shift_p(dot_p(k2), [(k1, +1)])
     assert shifted == dot_p(k2) + dot(k1, k2)
-    assert shift_p(omega(k2), k1, +1) == omega(k2)
+    assert shift_p(omega(k2), [(k1, +1)]) == omega(k2)
 
 
 def test_shift_p_inverse():
     k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
     e = omega(k1) + 3 * dot_p(k2) - Fraction(1, 2) * dot_p(k3)
-    assert shift_p(shift_p(e, k1, +1), k1, -1) == e
+    assert shift_p(shift_p(e, [(k1, +1)]), [(k1, -1)]) == e
+
+
+def _random_comb(rng: random.Random, waves) -> EnergyComb:
+    e = EnergyComb.zero()
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["w", "dot", "kp"])
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if kind == "w":
+            e = e + c * omega(rng.choice(waves))
+        elif kind == "dot":
+            e = e + c * dot(rng.choice(waves), rng.choice(waves))
+        else:
+            e = e + c * dot_p(rng.choice(waves))
+    return e
 
 
 def test_shift_p_distributes_over_addition():
     rng = random.Random(11)
     waves = [WaveLabel(f"k{i}") for i in range(1, 5)]
-
-    def random_comb():
-        e = EnergyComb.zero()
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(["w", "dot", "kp"])
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            if kind == "w":
-                e = e + c * omega(rng.choice(waves))
-            elif kind == "dot":
-                e = e + c * dot(rng.choice(waves), rng.choice(waves))
-            else:
-                e = e + c * dot_p(rng.choice(waves))
-        return e
-
     for _ in range(50):
-        a, b = random_comb(), random_comb()
-        j = rng.choice(waves)
-        s = rng.choice([1, -1])
-        assert shift_p(a + b, j, s) == shift_p(a, j, s) + shift_p(b, j, s)
+        a, b = _random_comb(rng, waves), _random_comb(rng, waves)
+        shift = [(rng.choice(waves), rng.choice([1, -1]))]
+        assert shift_p(a + b, shift) == shift_p(a, shift) + shift_p(b, shift)
+
+
+def test_shift_p_over_a_list_is_one_pair_at_a_time():
+    rng = random.Random(12)
+    waves = [WaveLabel(f"k{i}") for i in range(1, 5)]
+    for _ in range(50):
+        e = _random_comb(rng, waves)
+        shifts = [(rng.choice(waves), rng.choice([1, -1])) for _ in range(rng.randint(0, 5))]
+        one_at_a_time = e
+        for pair in shifts:
+            one_at_a_time = shift_p(one_at_a_time, [pair])
+        assert shift_p(e, shifts) == one_at_a_time
+        assert shift_p(e, iter(shifts)) == one_at_a_time
 
 
 def test_shift_p_rejects_bad_sign():
-    k = WaveLabel("k1")
+    k1, k2 = WaveLabel("k1"), WaveLabel("k2")
     with pytest.raises(ValueError):
-        shift_p(dot_p(k), k, 2)
+        shift_p(dot_p(k1), [(k1, 2)])
+    # one bad sign anywhere in the list raises, even on an energy without k.p
+    for at in range(3):
+        shifts = [(k1, 1), (k2, -1), (k1, -1)]
+        shifts[at] = (shifts[at][0], 0)
+        for energy in (dot_p(k1), omega(k2)):
+            with pytest.raises(ValueError):
+                shift_p(energy, shifts)
 
 
 def test_energy_render():
