@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -305,8 +306,11 @@ def _check_free(job: JobSpec, lines: list[str], payload: dict) -> int:
             tokens = format_pattern(pattern)
             status = "ok" if report.equal else "MISMATCH"
             lines.append(f"{status} {tokens}")
-            detail.append({"pattern": tokens, "equal": report.equal})
+            entry = {"pattern": tokens, "equal": report.equal}
+            detail.append(entry)
             if not report.equal:
+                entry["onlyDiagram"] = list(report.only_diagram)
+                entry["onlyFree"] = list(report.only_free)
                 for t in report.only_diagram:
                     lines.append(f"  only diagram path: {t}")
                 for t in report.only_free:
@@ -424,7 +428,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

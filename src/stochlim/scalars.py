@@ -158,14 +158,24 @@ class Monomial:
         rows summed per time label, wave labels replaced by their delta-chain
         representatives, zero rows dropped, every field sorted by the label
         and combination keys of `symbols`.  Entries must already be valid
-        and sign-normalized."""
-        rows: dict[TimeLabel, EnergyComb] = {}
-        for label, e in osc:
-            rows[label] = rows[label] + e if label in rows else e
+        and sign-normalized.
+
+        Each row is merged once: a time label's contributions are gathered,
+        their waves substituted on the way in, and the row made by one
+        EnergyComb.make; a lone contribution that names no mapped wave is
+        kept as it is."""
         delta_k = tuple(sorted(delta_k, key=_pair_key))
         rep = wave_representatives(delta_k)
+        parts: dict[TimeLabel, list[EnergyComb]] = {}
+        for label, e in osc:
+            parts.setdefault(label, []).append(e)
+        rows = {
+            label: es[0].subst_waves(rep)
+            if len(es) == 1
+            else EnergyComb.make([(b.subst(rep), c) for e in es for b, c in e.terms])
+            for label, es in parts.items()
+        }
         if rep:
-            rows = {label: e.subst_waves(rep) for label, e in rows.items()}
             energy_deltas = [
                 _nonzero_delta(e.subst_waves(rep), "energy") for e in energy_deltas
             ]

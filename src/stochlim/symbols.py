@@ -4,8 +4,9 @@ Times and wave vectors stay opaque symbols end to end; nothing in the
 engine ever assigns them components.  Energies live in the span of the
 basis symbols w(k) (dispersion), k.k' (dot products between wave
 vectors, k.k allowed) and k.p (dot product with the particle momentum),
-with exact rational coefficients.  Time combinations carry integer
-coefficients.
+with exact rational coefficients: an `int` when integral, a `Fraction`
+otherwise (the two compare, hash and render alike).  Time combinations
+carry integer coefficients.
 
 Label order is owned by one key: `sort_key`, computed once when a label
 is made, orders names naturally (k9 before k10) and tells every two
@@ -88,9 +89,12 @@ class _Comb:
 
     @classmethod
     def make(cls, items: Iterable[tuple]):
+        """One merge of (basis, coefficient) items: a coefficient is added
+        only to another of the same basis, so a term that merges with
+        nothing keeps its coefficient object."""
         acc: dict = {}
         for basis, c in items:
-            acc[basis] = acc.get(basis, 0) + c
+            acc[basis] = acc[basis] + c if basis in acc else c
         kept = [(b, c) for b, c in acc.items() if c]
         kept.sort(key=lambda bc: bc[0].sort_key)
         return cls(tuple(kept))
@@ -128,6 +132,8 @@ class _Comb:
         return self + (-other)
 
     def scale(self, c):
+        if c == 1:
+            return self
         if c == 0:
             return self.zero()
         return type(self)(tuple((b, c * cc) for b, cc in self.terms))
@@ -184,16 +190,24 @@ def basis_from_json(kind: str, names) -> "_EBasis":
     return _basis(_KINDS_BY_NAME[kind], tuple(WaveLabel(n) for n in names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _EBasis:
+    """An energy basis symbol; `sort_key`, its place in basis order, is made
+    once, as a label's is.  `subst` maps its waves, returning self when none
+    is mapped, so a row merged in one pass re-makes only the bases it must."""
+
     kind: int
     waves: tuple[WaveLabel, ...]
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.kind, tuple(w.sort_key for w in self.waves))
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "sort_key", (self.kind, tuple(w.sort_key for w in self.waves))
+        )
 
     def subst(self, rep: Mapping[WaveLabel, WaveLabel]) -> "_EBasis":
+        if not any(w in rep for w in self.waves):
+            return self
         return _basis(self.kind, tuple(rep.get(w, w) for w in self.waves))
 
     def render(self) -> str:
@@ -224,7 +238,8 @@ class EnergyComb(_Comb):
     """
 
     def __rmul__(self, c) -> "EnergyComb":
-        return self.scale(Fraction(c))
+        # an int stays an int: int and Fraction compare, hash and render alike
+        return self.scale(c if type(c) is int else Fraction(c))
 
     def subst_waves(self, rep: Mapping[WaveLabel, WaveLabel]) -> "EnergyComb":
         """Every wave label that `rep` maps replaced by its image; self, not
@@ -236,17 +251,17 @@ class EnergyComb(_Comb):
 
 def omega(k: WaveLabel) -> EnergyComb:
     """The dispersion symbol w(k)."""
-    return EnergyComb(((_EBasis(_W, (k,)), Fraction(1)),))
+    return EnergyComb(((_EBasis(_W, (k,)), 1),))
 
 
 def dot(a: WaveLabel, b: WaveLabel) -> EnergyComb:
     """The dot product a.b of two wave vectors (a.a is the square)."""
-    return EnergyComb(((_dot_basis(a, b), Fraction(1)),))
+    return EnergyComb(((_dot_basis(a, b), 1),))
 
 
 def dot_p(k: WaveLabel) -> EnergyComb:
     """The dot product k.p with the particle momentum."""
-    return EnergyComb(((_EBasis(_KP, (k,)), Fraction(1)),))
+    return EnergyComb(((_EBasis(_KP, (k,)), 1),))
 
 
 def shift_p(energy: EnergyComb, shifts: Iterable[tuple[WaveLabel, int]]) -> EnergyComb:

@@ -609,3 +609,19 @@ def test_import_does_not_load_scipy():
     code = "import sys, stochlim.cli; assert 'scipy' not in sys.modules"
     src = Path(stochlim.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the report (about 1.3 MB) is far larger than a 64 KiB pipe buffer, so
+    # the writer meets the closed pipe after the reader stops
+    src = Path(stochlim.__file__).resolve().parents[1]
+    word = "a a+ a a+ a a+ a a+ a a+"
+    cmd = [sys.executable, "-m", "stochlim.cli", "--mode", "finite",
+           "--state", "gaussian", "--pattern", word, "--json"]
+    proc = subprocess.Popen(cmd, cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(50).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -236,6 +237,23 @@ def test_check_free_prints_mismatches_and_exits_1(monkeypatch, capsys):
     ]
     assert "ok a+ a" in lines  # a zero limit has nothing to tamper with
     assert lines[-1] == "checked: 8  mismatches: 3"
+
+
+def test_check_free_json_lists_the_differing_terms(monkeypatch, capsys):
+    monkeypatch.setattr("stochlim.masterfield.free_correlator", _tampered_free)
+    assert main(["--mode", "check-free", "--max-n", "4", "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    entries = {d["pattern"]: d for d in result["patterns"]}
+    (term,) = limit_correlator(word_from_pattern([-1, 1]), FOCK).terms
+    assert entries["a a+"] == {
+        "pattern": "a a+",
+        "equal": False,
+        "onlyDiagram": [term.render()],
+        "onlyFree": [term.scaled(2).render()],
+    }
+    # a matching pattern keeps its two keys, so passing reports are unchanged
+    assert entries["a+ a"] == {"pattern": "a+ a", "equal": True}
+    assert result["mismatches"] == 3
 
 
 def test_bosonic_double_symbolic_occupation():

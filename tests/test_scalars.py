@@ -1,7 +1,13 @@
+import functools
+import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+
+from stochlim import symbols
+from stochlim.correlator import GAUSSIAN, finite_lambda_correlator
 
 from stochlim.scalars import (
     DeltaK,
@@ -14,7 +20,8 @@ from stochlim.scalars import (
     multiply,
     q_factor,
 )
-from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
+from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
+from stochlim.words import word_from_pattern
 
 T1, T2, T3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
 K1, K2, K3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
@@ -230,3 +237,61 @@ def test_json_dot_labels_in_either_order():
     parsed = ScalarSum.from_json(data)
     assert parsed == s
     assert parsed.render() == s.render()
+
+
+def _dumps(s: ScalarSum) -> str:
+    return json.dumps(s.to_json(), sort_keys=True)
+
+
+def test_coefficient_type_makes_no_difference():
+    # an integral coefficient may be held as int or as Fraction
+    bases = [b for e in (omega(K1), dot(K1, K2), dot_p(K2)) for b, _ in e.terms]
+    coeffs = [1, -2, 3]
+    as_int = EnergyComb.make(list(zip(bases, coeffs)))
+    as_frac = EnergyComb.make([(b, Fraction(c)) for b, c in zip(bases, coeffs)])
+    assert as_int == as_frac
+    assert hash(as_int) == hash(as_frac)
+    assert as_int.render() == as_frac.render()
+    assert as_int.sort_key == as_frac.sort_key
+    assert _dumps(osc_sum(OscExp(T1 - T2, as_int))) == _dumps(osc_sum(OscExp(T1 - T2, as_frac)))
+    # a mixed-type make that cancels drops the term
+    w1, k1k2 = bases[:2]
+    assert EnergyComb.make([(w1, 1), (k1k2, 1), (w1, Fraction(-1))]).support == (k1k2,)
+    halves = EnergyComb.make([(w1, Fraction(1, 2)), (w1, Fraction(1, 2))])
+    assert halves == EnergyComb.make([(w1, 1)])
+
+
+def test_json_round_trip_of_a_finite_sum():
+    # from_json yields Fraction coefficients, a built sum may hold ints
+    s = finite_lambda_correlator(word_from_pattern([-1, 1] * 4), GAUSSIAN)
+    parsed = ScalarSum.from_json(s.to_json())
+    assert parsed == s
+    assert _dumps(parsed) == _dumps(s)
+
+
+def test_each_oscillation_row_is_merged_once(monkeypatch):
+    # t1 gets three contributions and t2 one, and a delta chain maps k2, k3 to k1
+    t1, t2 = TimeComb.of(T1), TimeComb.of(T2)
+    factors = [
+        OscExp(t1, omega(K1)),
+        OscExp(t1, dot(K2, K3)),
+        OscExp(t1, dot_p(K3)),
+        OscExp(t2, omega(K3)),
+        DeltaK(K1, K2),
+        DeltaK(K2, K3),
+    ]
+    made = []
+    make = symbols._Comb.make.__func__
+
+    def counting_make(cls, items):
+        made.append(cls)
+        return make(cls, items)
+
+    monkeypatch.setattr(symbols._Comb, "make", classmethod(counting_make))
+    m = Monomial.build(factors=factors)
+    assert len(made) == len(m.osc) == 2
+    assert [(label.name, e.render()) for label, e in m.osc] == [
+        ("t1", "w(k1) + k1.k1 + k1.p"),
+        ("t2", "w(k1)"),
+    ]
+    assert m == functools.reduce(operator.mul, (Monomial.build(factors=[f]) for f in factors))
