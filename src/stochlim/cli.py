@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -109,6 +110,12 @@ def _state_from_args(name: str, beta) -> StateSpec:
     return temperature(_as(float, beta, "beta"))
 
 
+# a job-file label name, one the report grammar reads back (',' and ' '
+# separate labels there); the wave name p is reserved, since a wave p
+# would render both its k.k and its k.p as p.p
+_LABEL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _word_from_job(pattern_entries) -> OperatorWord:
     if not isinstance(pattern_entries, list):
         raise JobError("job 'pattern' must be a list of letters")
@@ -123,6 +130,15 @@ def _word_from_job(pattern_entries) -> OperatorWord:
             raise PatternError(f"letter object lacks {', '.join(missing)}", i)
         if not all(isinstance(entry[key], str) and entry[key] for key in ("time", "wave")):
             raise PatternError("letter time and wave must be strings, not empty", i)
+        for key in ("time", "wave"):
+            if not _LABEL_NAME.fullmatch(entry[key]):
+                raise PatternError(
+                    f"letter {key} {entry[key]!r} is not a name of letters, digits"
+                    " and _ that starts with a letter or _",
+                    i,
+                )
+        if entry["wave"] == "p":
+            raise PatternError("letter wave 'p' is reserved for the particle momentum", i)
         letters.append(
             Letter(
                 _as(int, entry["eps"], "letter eps"),

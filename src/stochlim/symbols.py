@@ -8,6 +8,12 @@ with exact rational coefficients: an `int` when integral, a `Fraction`
 otherwise (the two compare, hash and render alike).  Time combinations
 carry integer coefficients.
 
+There is one object per label and per basis: a label's class and name,
+or a basis's kind and waves, find the object made the first time, so
+dicts and sets hash and compare them by identity.  The order of a set
+of them follows object addresses, which differ from run to run, so no
+output may depend on it.
+
 Label order is owned by one key: `sort_key`, computed once when a label
 is made, orders names naturally (k9 before k10) and tells every two
 distinct names apart.  Every place that orders labels, here or in the
@@ -46,27 +52,48 @@ def _natural_key(name: str) -> tuple:
     return (parts, name)
 
 
-@dataclass(frozen=True)
+_LABELS: dict = {}
+
+
 class _Label:
-    """A named symbol; `sort_key`, its place in label order, is made once."""
+    """A named symbol, one object per (class, name): the first call makes it
+    with its `sort_key`, its place in label order, and every later call
+    returns that object, so dicts and sets hash and compare labels by
+    identity.  Labels cannot be changed; copy and pickle give back the one
+    object."""
 
-    name: str
-    sort_key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "sort_key")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort_key", _natural_key(self.name))
+    def __new__(cls, name: str):
+        label = _LABELS.get((cls, name))
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "name", name)
+            object.__setattr__(label, "sort_key", _natural_key(name))
+            _LABELS[cls, name] = label
+        return label
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} {self.name!r} cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
 
 class TimeLabel(_Label):
+    __slots__ = ()
+
     def __sub__(self, other: "TimeLabel") -> "TimeComb":
         return TimeComb.diff(self, other)
 
 
 class WaveLabel(_Label):
-    pass
+    __slots__ = ()
 
 
 def _signed_join(parts: list[tuple[str, bool]]) -> str:
@@ -190,20 +217,24 @@ def basis_from_json(kind: str, names) -> "_EBasis":
     return _basis(_KINDS_BY_NAME[kind], tuple(WaveLabel(n) for n in names))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _EBasis:
-    """An energy basis symbol; `sort_key`, its place in basis order, is made
-    once, as a label's is.  `subst` maps its waves, returning self when none
-    is mapped, so a row merged in one pass re-makes only the bases it must."""
+    """An energy basis symbol, one object per (kind, waves), made only by
+    `_basis`, so it hashes and compares by identity; `sort_key`, its place
+    in basis order, is made once, as a label's is.  `subst` maps its waves,
+    returning self when none is mapped."""
 
     kind: int
     waves: tuple[WaveLabel, ...]
-    sort_key: tuple = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "sort_key", (self.kind, tuple(w.sort_key for w in self.waves))
         )
+
+    def __reduce__(self):
+        return _basis, (self.kind, self.waves)
 
     def subst(self, rep: Mapping[WaveLabel, WaveLabel]) -> "_EBasis":
         if not any(w in rep for w in self.waves):
@@ -220,14 +251,24 @@ class _EBasis:
     __str__ = render
 
 
-def _dot_basis(a: WaveLabel, b: WaveLabel) -> _EBasis:
-    """The dot-product basis symbol, its two labels in label order."""
-    return _EBasis(_DOT, tuple(sorted((a, b), key=lambda w: w.sort_key)))
+_BASES: dict[tuple, _EBasis] = {}
 
 
 def _basis(kind: int, waves: tuple[WaveLabel, ...]) -> _EBasis:
-    # a dot basis keeps its two labels in label order, whatever their order here
-    return _dot_basis(*waves) if kind == _DOT else _EBasis(kind, waves)
+    """The one basis symbol of a kind and its waves.  A dot basis keeps its
+    two labels in label order; the table also holds it under the other
+    order, so either order finds it without a sort."""
+    basis = _BASES.get((kind, waves))
+    if basis is None:
+        arity = 2 if kind == _DOT else 1
+        if len(waves) != arity:
+            raise ValueError(f"a {_KIND_NAMES[kind]} basis takes {arity} waves, not {len(waves)}")
+        if kind == _DOT and waves[1].sort_key < waves[0].sort_key:
+            basis = _basis(kind, waves[::-1])
+        else:
+            basis = _EBasis(kind, waves)
+        _BASES[kind, waves] = basis
+    return basis
 
 
 class EnergyComb(_Comb):
@@ -251,17 +292,17 @@ class EnergyComb(_Comb):
 
 def omega(k: WaveLabel) -> EnergyComb:
     """The dispersion symbol w(k)."""
-    return EnergyComb(((_EBasis(_W, (k,)), 1),))
+    return EnergyComb(((_basis(_W, (k,)), 1),))
 
 
 def dot(a: WaveLabel, b: WaveLabel) -> EnergyComb:
     """The dot product a.b of two wave vectors (a.a is the square)."""
-    return EnergyComb(((_dot_basis(a, b), 1),))
+    return EnergyComb(((_basis(_DOT, (a, b)), 1),))
 
 
 def dot_p(k: WaveLabel) -> EnergyComb:
     """The dot product k.p with the particle momentum."""
-    return EnergyComb(((_EBasis(_KP, (k,)), 1),))
+    return EnergyComb(((_basis(_KP, (k,)), 1),))
 
 
 def shift_p(energy: EnergyComb, shifts: Iterable[tuple[WaveLabel, int]]) -> EnergyComb:
@@ -272,7 +313,7 @@ def shift_p(energy: EnergyComb, shifts: Iterable[tuple[WaveLabel, int]]) -> Ener
     if any(sign not in (1, -1) for _, sign in shifts):
         raise ValueError("shift sign must be +1 or -1")
     extra = [
-        (_dot_basis(basis.waves[0], j), c * sign)
+        (_basis(_DOT, (basis.waves[0], j)), c * sign)
         for basis, c in energy.terms
         if basis.kind == _KP
         for j, sign in shifts

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,26 @@ INPUT_ERRORS = [
         )
         for key in ("time", "wave")
     ),
+    # a label the report grammar could not read back: p.p would name both
+    # k.k and k.p of a wave p, and "k,1" or "t 2" would split on , or space
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", {"eps": 1, "time": "t2", "wave": "p"}])},
+        "pattern token 2: letter wave 'p' is reserved",
+        id="job-letter-wave-p",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job([{"eps": -1, "time": "t1", "wave": "k,1"}, "a+"])},
+        "pattern token 1: letter wave 'k,1' is not a name",
+        id="job-letter-wave-comma",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", {"eps": 1, "time": "t 2", "wave": "k2"}])},
+        "pattern token 2: letter time 't 2' is not a name",
+        id="job-letter-time-space",
+    ),
     pytest.param(
         ["--job", "{dir}/job.json"], {"job.json": _job(5)}, "must be a list", id="job-pattern-number"
     ),
@@ -609,6 +630,28 @@ def test_import_does_not_load_scipy():
     code = "import sys, stochlim.cli; assert 'scipy' not in sys.modules"
     src = Path(stochlim.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [("finite", []), ("oracle-double", ["--seed", "1"])],
+    ids=["finite", "oracle-double"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(mode, extra):
+    # labels and bases hash by identity, so set order follows object addresses
+    # and differs between processes; one process cannot see that
+    src = Path(stochlim.__file__).resolve().parents[1]
+    cmd = [sys.executable, "-m", "stochlim.cli", "--mode", mode, "--state", "gaussian",
+           "--pattern", "a a a+ a a+ a+ a a+", "--json", *extra]
+    outputs = [
+        subprocess.run(
+            cmd, cwd=src, env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].startswith(b"{")
+    assert outputs[0] == outputs[1]
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -1,18 +1,24 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from stochlim.correlator import GAUSSIAN, finite_lambda_correlator
 from stochlim.symbols import (
     EnergyComb,
     TimeComb,
     TimeLabel,
     WaveLabel,
+    basis_from_json,
+    basis_to_json,
     dot,
     dot_p,
     omega,
     shift_p,
 )
+from stochlim.words import word_from_pattern
 
 
 def test_natural_label_order():
@@ -130,3 +136,40 @@ def test_label_key_is_a_total_order():
     assert TimeLabel("t1") != WaveLabel("t1")
     # a digit that is not a decimal digit is text, not a number
     assert WaveLabel("k1").sort_key < WaveLabel("\u00b2").sort_key
+
+
+def test_one_object_per_label():
+    assert WaveLabel("k1") is WaveLabel("k1")
+    assert TimeLabel("k1") != WaveLabel("k1")
+    assert WaveLabel("k01") is not WaveLabel("k1")
+    label = WaveLabel("k1")
+    with pytest.raises(AttributeError):
+        label.name = "k2"
+    with pytest.raises(AttributeError):
+        del label.sort_key
+    assert label.name == "k1"
+
+
+def test_one_object_per_basis():
+    k1, k2 = WaveLabel("k1"), WaveLabel("k2")
+    (basis, _), = dot(k1, k2).terms
+    assert basis_from_json("dot", ["k2", "k1"]) is basis
+    assert dot(k2, k1).terms[0][0] is basis
+    assert omega(k1).terms[0][0] is basis_from_json("w", ["k1"])
+    assert shift_p(dot_p(k2), [(k1, 1)]).terms[0][0] is basis
+    with pytest.raises(ValueError):
+        basis_from_json("dot", ["k1"])
+
+
+def test_copies_give_back_the_interned_symbols():
+    value = finite_lambda_correlator(word_from_pattern([-1, -1, 1, 1]), GAUSSIAN)
+    assert value.terms
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value
+        for m in copied.terms:
+            for label, energy in m.osc:
+                assert label is TimeLabel(label.name)
+                for basis in energy.support:
+                    assert basis is basis_from_json(*basis_to_json(basis))
+            for wave, _ in m.m_factors:
+                assert wave is WaveLabel(wave.name)
