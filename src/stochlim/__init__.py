@@ -52,7 +52,6 @@ from .scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    multiply,
     q_factor,
 )
 from .symbols import (

@@ -155,6 +155,8 @@ def _read_json(path: str, what: str) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise JobError(f"cannot read {what} file {path}: {err.strerror}") from None
+    except (ValueError, RecursionError) as err:  # not JSON or not UTF-8, or nested too deeply
+        raise JobError(f"cannot read {what} file {path}: {err}") from None
     if not isinstance(data, dict):
         raise JobError(f"{what} file {path} does not hold a JSON object")
     return data

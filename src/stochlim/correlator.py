@@ -75,9 +75,9 @@ def apply_state(s: ScalarSum, state: StateSpec) -> ScalarSum:
     """In the Fock state N(k) = 0: N-weighted terms drop, N+1 becomes 1."""
     if state.kind != "fock":
         return s
-    return ScalarSum.from_iter(
-        dataclasses.replace(m, m_factors=())
-        for m in s.terms
+    return ScalarSum.make(
+        (dataclasses.replace(m, m_factors=()), c)
+        for m, c in s.terms
         if all(off == 1 for _, off in m.m_factors)
     )
 
@@ -172,7 +172,7 @@ def take_limit(s: ScalarSum) -> ScalarSum:
     """lam -> 0 limit: every pairing quota becomes 2pi * dT * dE; oscillation
     not matched by a quota sends its monomial to zero."""
     out = []
-    for m in s.terms:
+    for m, c in s.terms:
         if m.time_deltas or m.energy_deltas:
             raise LimitStructureError("input already contains limit factors")
         n = len(m.quotas)
@@ -185,18 +185,16 @@ def take_limit(s: ScalarSum) -> ScalarSum:
             continue
         if any(e.is_zero for e in deltas):
             raise LimitStructureError("pairing exponent with vanishing energy")
-        out.append(
-            Monomial._canonical(
-                m.rational,
-                m.two_pi + n,
-                0,
-                time_deltas=m.quotas,
-                energy_deltas=[e.normalized() for e in deltas],
-                delta_k=m.delta_k,
-                m_factors=m.m_factors,
-            )
+        limit = Monomial._canonical(
+            m.two_pi + n,
+            0,
+            time_deltas=m.quotas,
+            energy_deltas=[e.normalized() for e in deltas],
+            delta_k=m.delta_k,
+            m_factors=m.m_factors,
         )
-    return ScalarSum.from_iter(out)
+        out.append((limit, c))
+    return ScalarSum.make(out)
 
 
 def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:

@@ -11,9 +11,9 @@ species branches are walked, as many as the non-crossing pairings, and
 each one's monomial is built once from the factors collected along it.
 The contraction scalar (`_contract`), with its own occupation weights
 (the doubled oracle reads the Bogoliubov table in `stochlim.oracle`),
-lives here; the rewrite reference `_free_step`, run by the tests through
-`words.normal_order`, collects the same factors.  No diagrams are
-enumerated here, so the path stays independent of the engine it checks.
+lives here; the tests rewrite with it through `words.normal_order` as a
+reference for the walk.  No diagrams are enumerated here, so the path
+stays independent of the engine it checks.
 """
 
 from __future__ import annotations
@@ -65,16 +65,6 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
     ]
 
 
-def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
-    """The rewrite step of a free contraction at i for `words.normal_order`:
-    one branch extending the collected factors by the contraction's four,
-    none across species, where the product is the zero operator."""
-    if letters[i].species != letters[i + 1].species:
-        return ()
-    factors = _contract(letters[i], letters[i + 1], letters[:i])
-    return ((collected + tuple(factors), letters[:i] + letters[i + 2 :]),)
-
-
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Fock expectation of the master-field word mapped from the given
     creation/annihilation word.
@@ -124,9 +114,9 @@ def check_free_equivalence(word: OperatorWord, state: StateSpec) -> EquivalenceR
     rhs = free_correlator(word, state)
     if lhs == rhs:
         return EquivalenceReport(True, (), ())
-    # Monomial equality is term identity, the rational included, so a term
-    # whose rational differs is listed on both sides
+    # a term is its (monomial, rational) pair, so a term whose rational
+    # differs is listed on both sides
     lhs_terms, rhs_terms = set(lhs.terms), set(rhs.terms)
-    only_l = tuple(m.render() for m in lhs.terms if m not in rhs_terms)
-    only_r = tuple(m.render() for m in rhs.terms if m not in lhs_terms)
+    only_l = tuple(m.render(c) for m, c in lhs.terms if (m, c) not in rhs_terms)
+    only_r = tuple(m.render(c) for m, c in rhs.terms if (m, c) not in lhs_terms)
     return EquivalenceReport(False, only_l, only_r)

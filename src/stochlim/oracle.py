@@ -252,7 +252,7 @@ def doubled_normal_order(word: OperatorWord, state: StateSpec) -> ScalarSum:
 def _assert_shift_vanishes(result: ScalarSum, word: OperatorWord) -> None:
     # fully contracted terms must have zero net exp(i kappa q), kappa = sum
     # eps*k over the word, once the pairing deltas identify wave labels
-    for m in result.terms:
+    for m, _ in result.terms:
         rep = wave_representatives(m.delta_k)
         net: dict[WaveLabel, int] = {}
         for letter in word.letters:
@@ -288,10 +288,10 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
     values.update((basis_from_json("dot", pair), v) for pair, v in assign.dot.items())
     values.update((basis_from_json("kp", [n]), v) for n, v in assign.dot_p.items())
     total = 0j
-    for m in s.terms:
+    for m, rational in s.terms:
         if m.time_deltas or m.energy_deltas:
             raise ValueError("numeric evaluation handles finite-coupling sums only")
-        value = float(m.rational) * (2 * math.pi) ** m.two_pi * assign.lam**m.lam
+        value = float(rational) * (2 * math.pi) ** m.two_pi * assign.lam**m.lam
         phase = 0.0
         for label, energy in m.osc:
             if label.name not in assign.times:
@@ -333,7 +333,7 @@ def random_assignment(
     their key order (kind w, dot, kp, then labels), then the occupations."""
     times, bases, occupied = set(), set(), set()
     for s in sums:
-        for m in s.terms:
+        for m, _ in s.terms:
             for label, energy in m.osc:
                 times.add(label)
                 bases.update(energy.support)

@@ -1,9 +1,13 @@
 """Scalar expressions: exact sums of monomials.
 
-A monomial is a product of an exact rational, formal powers of 2pi and
-of the coupling lam, oscillating exponents, delta factors and occupation
-factors.  Equality of sums is structural equality of canonical forms,
-so canonicalization is the load-bearing part of this module:
+A monomial is a product of formal powers of 2pi and of the coupling lam,
+oscillating exponents, delta factors and occupation factors; it carries
+no coefficient.  A sum is a `symbols._Comb` of (monomial, rational)
+terms, so one merge (`_Comb.make`) adds the coefficients of equal
+monomials, drops zeros and sorts by `Monomial.sort_key`; a coefficient
+is an `int` or a `Fraction`, which render alike.  Equality of sums is
+structural equality of canonical forms, so canonicalization is the
+load-bearing part of this module:
 
 * The oscillating content exp((i/lam^2) * sum_r T_r * E_r) is expanded
   into one energy row per time label.  Products that were written with
@@ -32,7 +36,6 @@ evaluator.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +44,7 @@ from typing import Iterable, Union
 
 from .symbols import (
     EnergyComb,
+    _Comb,
     TimeComb,
     TimeLabel,
     WaveLabel,
@@ -56,7 +60,6 @@ __all__ = [
     "MFactor",
     "Monomial",
     "ScalarSum",
-    "multiply",
     "wave_representatives",
     "q_factor",
 ]
@@ -125,13 +128,13 @@ def _nonzero_delta(c: "TimeComb | EnergyComb", kind: str):
 
 @dataclass(frozen=True)
 class Monomial:
-    """One canonical product term.
+    """One canonical product of factors, without a coefficient: a sum
+    pairs each monomial with its rational.
 
     Do not call the constructor directly: Monomial.build validates factors,
     and every field is sorted by Monomial._canonical.
     """
 
-    rational: Fraction
     two_pi: int
     lam: int
     quotas: tuple[TimeComb, ...]
@@ -144,7 +147,6 @@ class Monomial:
     @classmethod
     def _canonical(
         cls,
-        rational: Fraction,
         two_pi: int,
         lam: int,
         quotas: Iterable[TimeComb] = (),
@@ -181,7 +183,6 @@ class Monomial:
             ]
             m_factors = [(rep.get(w, w), o) for w, o in m_factors]
         return cls(
-            rational=rational,
             two_pi=two_pi,
             lam=lam,
             quotas=tuple(sorted(quotas, key=_key)),
@@ -202,7 +203,6 @@ class Monomial:
     @classmethod
     def build(
         cls,
-        rational=1,
         two_pi: int = 0,
         lam: int = 0,
         factors: Iterable[Factor] = (),
@@ -244,7 +244,6 @@ class Monomial:
             else:
                 raise TypeError(f"not a scalar factor: {f!r}")
         return cls._canonical(
-            Fraction(rational),
             two_pi,
             lam,
             quotas=quota_list,
@@ -255,22 +254,10 @@ class Monomial:
             m_factors=mfs,
         )
 
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls.build()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rational == 0
-
-    def scaled(self, r) -> "Monomial":
-        return dataclasses.replace(self, rational=self.rational * Fraction(r))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
         return Monomial._canonical(
-            self.rational * other.rational,
             self.two_pi + other.two_pi,
             self.lam + other.lam,
             quotas=self.quotas + other.quotas,
@@ -282,8 +269,8 @@ class Monomial:
         )
 
     @property
-    def merge_key(self) -> tuple:
-        """Everything but the rational coefficient; equal keys merge in a sum."""
+    def sort_key(self) -> tuple:
+        """The monomial's place in the order of a sum's terms."""
         return (
             self.two_pi,
             self.lam,
@@ -295,9 +282,11 @@ class Monomial:
             tuple((w.sort_key, o) for w, o in self.m_factors),
         )
 
-    def render(self) -> str:
+    def render(self, rational=1) -> str:
+        """The monomial times rational; the rational is printed when it is
+        not 1 or when there is no other factor."""
         parts: list[str] = []
-        if self.rational != 1 or not (
+        if rational != 1 or not (
             self.two_pi
             or self.lam
             or self.osc
@@ -306,7 +295,7 @@ class Monomial:
             or self.delta_k
             or self.m_factors
         ):
-            parts.append(str(self.rational))
+            parts.append(str(rational))
         if self.two_pi:
             parts.append("(2pi)" if self.two_pi == 1 else f"(2pi)^{self.two_pi}")
         if self.lam:
@@ -327,11 +316,9 @@ class Monomial:
         return " * ".join(parts)
 
 
-@dataclass(frozen=True)
-class ScalarSum:
-    """Canonical sum of monomials: sorted, merged, zero terms dropped."""
-
-    terms: tuple[Monomial, ...]
+class ScalarSum(_Comb):
+    """Canonical sum of (monomial, rational) terms: merged, zero terms
+    dropped, sorted by monomial."""
 
     @classmethod
     def of(cls, *monomials: Monomial) -> "ScalarSum":
@@ -339,50 +326,24 @@ class ScalarSum:
 
     @classmethod
     def from_iter(cls, monomials: Iterable[Monomial]) -> "ScalarSum":
-        by_key: dict[tuple, Monomial] = {}
-        for m in monomials:
-            if m.is_zero:
-                continue
-            key = m.merge_key
-            if key in by_key:
-                by_key[key] = dataclasses.replace(
-                    m, rational=by_key[key].rational + m.rational
-                )
-            else:
-                by_key[key] = m
-        return cls(tuple(m for m in map(by_key.get, sorted(by_key)) if not m.is_zero))
-
-    @classmethod
-    def zero(cls) -> "ScalarSum":
-        return cls(())
+        """The sum of the monomials, each with coefficient 1."""
+        return cls.make((m, 1) for m in monomials)
 
     @classmethod
     def unit(cls) -> "ScalarSum":
-        return cls.of(Monomial.one())
+        return cls.of(Monomial.build())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ScalarSum") -> "ScalarSum":
-        return ScalarSum.from_iter(self.terms + other.terms)
-
-    def __mul__(self, other: "ScalarSum | Monomial") -> "ScalarSum":
-        if isinstance(other, Monomial):
-            other = ScalarSum.of(other)
+    def __mul__(self, other: "ScalarSum") -> "ScalarSum":
         if not isinstance(other, ScalarSum):
             return NotImplemented
-        return ScalarSum.from_iter(
-            a * b for a, b in itertools.product(self.terms, other.terms)
+        return ScalarSum.make(
+            (a * b, c * d) for (a, c), (b, d) in itertools.product(self.terms, other.terms)
         )
-
-    def scaled(self, r) -> "ScalarSum":
-        return ScalarSum.from_iter(m.scaled(r) for m in self.terms)
 
     def render(self) -> str:
         if not self.terms:
             return "0"
-        return "\n+ ".join(m.render() for m in self.terms)
+        return "\n+ ".join(m.render(c) for m, c in self.terms)
 
     def to_json(self) -> dict:
         def tc(t: TimeComb):
@@ -394,7 +355,7 @@ class ScalarSum:
         return {
             "terms": [
                 {
-                    "rational": [m.rational.numerator, m.rational.denominator],
+                    "rational": [r.numerator, r.denominator],
                     "twoPi": m.two_pi,
                     "lambda": m.lam,
                     "pairs": [tc(q) for q in m.quotas],
@@ -404,7 +365,7 @@ class ScalarSum:
                     "waveDeltas": [[a.name, b.name] for a, b in m.delta_k],
                     "occupation": [[w.name, o] for w, o in m.m_factors],
                 }
-                for m in self.terms
+                for m, r in self.terms
             ]
         }
 
@@ -421,7 +382,7 @@ class ScalarSum:
                 ]
             )
 
-        monomials = []
+        terms = []
         for t in data["terms"]:
             factors: list[Factor] = []
             for name, e in t["osc"]:
@@ -434,21 +395,14 @@ class ScalarSum:
                 factors.append(DeltaK(WaveLabel(a), WaveLabel(b)))
             for w, o in t["occupation"]:
                 factors.append(MFactor(WaveLabel(w), int(o)))
-            monomials.append(
-                Monomial.build(
-                    rational=Fraction(t["rational"][0], t["rational"][1]),
-                    two_pi=int(t["twoPi"]),
-                    lam=int(t["lambda"]),
-                    factors=factors,
-                    quotas=[tc(q) for q in t["pairs"]],
-                )
+            m = Monomial.build(
+                two_pi=int(t["twoPi"]),
+                lam=int(t["lambda"]),
+                factors=factors,
+                quotas=[tc(q) for q in t["pairs"]],
             )
-        return cls.from_iter(monomials)
-
-
-def multiply(a: ScalarSum, b: ScalarSum) -> ScalarSum:
-    """Product of two sums in canonical form."""
-    return a * b
+            terms.append((m, Fraction(t["rational"][0], t["rational"][1])))
+        return cls.make(terms)
 
 
 def wave_representatives(

@@ -109,8 +109,9 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
 
 @dataclass(frozen=True)
 class _Comb:
-    """Exact linear combination of basis symbols with a `sort_key`: terms
-    merged, zero coefficients dropped, sorted by basis; empty is zero."""
+    """Exact linear combination of basis objects with a `sort_key` (labels,
+    energy bases, the monomials of `scalars.ScalarSum`): terms merged, zero
+    coefficients dropped, sorted by basis; empty is zero."""
 
     terms: tuple
 

@@ -170,13 +170,17 @@ def normal_order(letters: Iterable, step: Callable) -> list[tuple]:
     Depth first from (): at the leftmost adjacent (annihilator, creator)
     site i, step(letters, i, collected) returns (collected, letters)
     branches that extend the tuple.  A branch vanishes with letters but no
-    such site left, or with no step branch.  There is no site option: the
-    tests check that other sites give the same result.
+    such site left, or with no step branch.  It is dropped at once when it
+    starts with a creator or ends with an annihilator: that letter can
+    never move or contract (<0| a+ = 0, a |0> = 0).  There is no site
+    option: the tests check that other sites give the same result.
     """
     done = []
     stack = [((), tuple(letters))]
     while stack:
         collected, ls = stack.pop()
+        if ls and (ls[0].dag or not ls[-1].dag):
+            continue
         site = next((i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag), None)
         if site is not None:
             stack.extend(step(ls, site, collected))

@@ -1,12 +1,23 @@
-"""Rewriting helpers the tests share: the full species expansion and two
-drivers that `words.normal_order` does not offer, a site chooser and
-every reduction order."""
+"""Rewriting helpers the tests share: the full species expansion, the
+free path's rewrite step, and two drivers that `words.normal_order` does
+not offer, a site chooser and every reduction order."""
 
 from itertools import product
 
-from stochlim.masterfield import _free_step
+from stochlim.masterfield import _contract
 from stochlim.scalars import Monomial, ScalarSum
 from stochlim.words import MasterLetter
+
+
+def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
+    """The rewrite step of a free contraction at i for `words.normal_order`,
+    the reference for `masterfield.free_correlator`'s walk: one branch
+    extending the collected factors by the contraction's four, none across
+    species, where the product is the zero operator."""
+    if letters[i].species != letters[i + 1].species:
+        return ()
+    factors = _contract(letters[i], letters[i + 1], letters[:i])
+    return ((collected + tuple(factors), letters[:i] + letters[i + 2 :]),)
 
 
 def species_product(word):

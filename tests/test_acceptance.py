@@ -35,7 +35,6 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    multiply,
     q_factor,
 )
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
@@ -113,7 +112,7 @@ def test_c02_four_point_limit():
     result = take_limit(finite_lambda_correlator(four_point_word(), FOCK))
     assert result == four_point_limit_expected()
     assert len(result.terms) == 1
-    term = result.terms[0]
+    term, _ = result.terms[0]
     assert term.two_pi == 2 and term.lam == 0 and term.osc == ()
     assert len(term.time_deltas) == 2 and len(term.energy_deltas) == 2
     print("\nACCEPTANCE 2 PASS four-point limit keeps only the non-crossing term")
@@ -151,7 +150,7 @@ def test_c03_permutation_coherence():
     swapped_expected = ScalarSum.of(nested, crossed)
     assert qdef_normal_order(swapped) == swapped_expected
     # multiplying back by the exchange factor restores the original word
-    product = multiply(qdef_normal_order(swapped), ScalarSum.of(factor))
+    product = qdef_normal_order(swapped) * ScalarSum.of(factor)
     assert product == qdef_normal_order(word)
     # and the limit forgets the permutation entirely
     assert take_limit(product) == four_point_limit_expected()
@@ -266,7 +265,7 @@ def test_c10_bosonic_double():
     # species 1, |u|^2 = N+1, and a+ a through species 2, |v|^2 = N
     assert _BOGOLIUBOV == symbolic
     for pattern, species in (([-1, 1], 1), ([1, -1], 2)):
-        (term,) = doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).terms
+        ((term, _),) = doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).terms
         ((_, offset),) = term.m_factors
         assert (offset, 1) == _BOGOLIUBOV.pair_weight(species)
     print("\nACCEPTANCE 10 PASS bosonic temperature double")

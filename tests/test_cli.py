@@ -317,6 +317,25 @@ INPUT_ERRORS = [
         id="missing-numeric-file",
     ),
     pytest.param(["--job", "{dir}/missing.json"], {}, "cannot read job file", id="missing-job-file"),
+    # a file given as a string is written as it stands, not as JSON
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": ""},
+        "cannot read numeric file",
+        id="empty-numeric-file",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": '{"schemaVersion": 1, "pattern": ["a", '},
+        "cannot read job file",
+        id="truncated-job-file",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": "[" * 200_000},
+        "cannot read job file",
+        id="deeply-nested-job-file",
+    ),
     pytest.param(
         ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
         {"n.json": {"times": {"t1": 0.1}}},
@@ -604,7 +623,7 @@ INPUT_ERRORS = [
 @pytest.mark.parametrize("argv, files, says", INPUT_ERRORS)
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, files, says):
     for name, data in files.items():
-        (tmp_path / name).write_text(json.dumps(data))
+        (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
     argv = [a.format(dir=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)

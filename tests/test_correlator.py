@@ -72,7 +72,7 @@ def test_two_point_correlators():
     assert result == ScalarSum.of(absorption_pairing())
     # Fock keeps the N+1 edge as weight one
     fock = finite_lambda_correlator(word, FOCK)
-    assert len(fock.terms) == 1 and fock.terms[0].m_factors == ()
+    assert len(fock.terms) == 1 and fock.terms[0][0].m_factors == ()
     # the reversed order carries N and dies in the Fock state
     rev = finite_lambda_correlator(word_from_pattern([1, -1]), FOCK)
     assert rev.is_zero
@@ -308,7 +308,7 @@ def test_path_independence_eight_letters():
 def test_lambda_power_bookkeeping():
     for pattern in balanced_patterns(6):
         word = word_from_pattern(pattern)
-        for m in finite_lambda_correlator(word, GAUSSIAN).terms:
+        for m, _ in finite_lambda_correlator(word, GAUSSIAN).terms:
             assert m.lam == -6
             assert len(m.quotas) == 3
 
@@ -316,7 +316,7 @@ def test_lambda_power_bookkeeping():
 def test_limit_factor_counts():
     for pattern in balanced_patterns(6):
         word = word_from_pattern(pattern)
-        for m in limit_correlator(word, GAUSSIAN).terms:
+        for m, _ in limit_correlator(word, GAUSSIAN).terms:
             assert len(m.time_deltas) == 3
             assert len(m.energy_deltas) == 3
             assert len(m.delta_k) == 3

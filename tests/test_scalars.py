@@ -17,7 +17,6 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    multiply,
     q_factor,
 )
 from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
@@ -35,18 +34,20 @@ def test_merge_exponents_with_equal_time():
     a = osc_sum(OscExp(T1 - T2, omega(K1)))
     b = osc_sum(OscExp(T1 - T2, dot_p(K1)))
     merged = osc_sum(OscExp(T1 - T2, omega(K1) + dot_p(K1)))
-    assert multiply(a, b) == merged
+    assert a * b == merged
+    # and multiplies the coefficients
+    assert a.scale(Fraction(1, 3)) * b.scale(Fraction(-3, 2)) == merged.scale(Fraction(-1, 2))
 
 
 def test_zero_annihilates():
     a = osc_sum(OscExp(T1 - T2, omega(K1)))
-    assert multiply(a, ScalarSum.zero()).is_zero
+    assert (a * ScalarSum.zero()).is_zero
 
 
 def test_exponent_cancellation_gives_unit():
     a = osc_sum(OscExp(T1 - T2, omega(K1)))
     b = osc_sum(OscExp(T1 - T2, -omega(K1)))
-    assert multiply(a, b) == ScalarSum.unit()
+    assert a * b == ScalarSum.unit()
 
 
 def test_factored_forms_compare_equal():
@@ -65,17 +66,20 @@ def test_q_factor_is_negated_exponent():
 
 
 def test_sum_merges_structurally_identical_terms():
-    m = Monomial.build(rational=Fraction(1, 3), factors=[OscExp(T1 - T2, omega(K1))])
-    s = ScalarSum.from_iter([m, m, m])
-    assert len(s.terms) == 1
-    assert s.terms[0].rational == 1
-    cancel = ScalarSum.from_iter([m, m.scaled(-1)])
-    assert cancel.is_zero
+    # two equal monomials merge to the int coefficient 2
+    m = Monomial.build(factors=[MFactor(K1, 0)])
+    s = ScalarSum.of(m, m)
+    ((merged, two),) = s.terms
+    assert merged == m and type(two) is int and two == 2
+    assert s.render() == "2 * N(k1)"
+    assert s.to_json()["terms"][0]["rational"] == [2, 1]
+    sixth = s.scale(Fraction(1, 12))
+    assert (sixth + sixth + sixth).terms == ((m, Fraction(1, 2)),)
+    assert (s - s).is_zero
 
 
 def test_canonicalization_idempotent():
     m = Monomial.build(
-        rational=Fraction(-3, 2),
         two_pi=1,
         lam=-2,
         factors=[
@@ -85,7 +89,6 @@ def test_canonicalization_idempotent():
         ],
     )
     rebuilt = Monomial.build(
-        rational=m.rational,
         two_pi=m.two_pi,
         lam=m.lam,
         factors=[OscExp(TimeComb.of(l), e) for l, e in m.osc]
@@ -96,7 +99,8 @@ def test_canonicalization_idempotent():
     assert m == rebuilt
 
 
-def _random_monomial(rng):
+def _random_term(rng):
+    """A one-term sum: a random monomial with a random rational."""
     times = [TimeLabel(f"t{i}") for i in range(1, 5)]
     waves = [WaveLabel(f"k{i}") for i in range(1, 5)]
     factors = []
@@ -112,22 +116,17 @@ def _random_monomial(rng):
         factors.append(DeltaK(a, b))
     if rng.random() < 0.5:
         factors.append(MFactor(rng.choice(waves), rng.randint(0, 1)))
-    return Monomial.build(
-        rational=Fraction(rng.randint(1, 5), rng.randint(1, 3)),
-        lam=rng.choice([0, -2]),
-        factors=factors,
-    )
+    rational = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return ScalarSum.of(Monomial.build(lam=rng.choice([0, -2]), factors=factors)).scale(rational)
 
 
 def test_multiply_associative_commutative():
     rng = random.Random(5)
     for _ in range(60):
-        a = ScalarSum.of(_random_monomial(rng))
-        b = ScalarSum.of(_random_monomial(rng))
-        c = ScalarSum.of(_random_monomial(rng))
-        assert multiply(a, b) == multiply(b, a)
-        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
-        assert multiply(a, b + c) == multiply(a, b) + multiply(a, c)
+        a, b, c = (_random_term(rng) for _ in range(3))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
 
 
 def test_momentum_delta_substitution():
@@ -158,7 +157,7 @@ def test_momentum_delta_chain_closure():
 
 def test_momentum_delta_can_cancel_rows():
     s = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3) - dot(K2, K3)))
-    assert s.terms[0].osc == ()
+    assert s.terms[0][0].osc == ()
 
 
 def test_product_unifies_across_operands():
@@ -189,8 +188,11 @@ def test_delta_sign_normalization():
 def test_json_round_trip():
     rng = random.Random(9)
     for _ in range(20):
-        s = ScalarSum.from_iter([_random_monomial(rng) for _ in range(3)])
+        s = ScalarSum.sum_of(_random_term(rng) for _ in range(3))
         assert ScalarSum.from_json(s.to_json()) == s
+    minus = osc_sum(OscExp(T1 - T2, omega(K1)), DeltaK(K1, K2)).scale(Fraction(-3, 2))
+    assert minus.to_json()["terms"][0]["rational"] == [-3, 2]
+    assert ScalarSum.from_json(minus.to_json()) == minus
     limit_like = ScalarSum.of(
         Monomial.build(
             two_pi=2,
@@ -207,12 +209,11 @@ def test_json_round_trip():
 
 def test_render_deterministic():
     m = Monomial.build(
-        rational=Fraction(1, 2),
         two_pi=1,
         lam=-2,
         factors=[OscExp(T1 - T2, omega(K1), pairing=True), DeltaK(K1, K2)],
     )
-    text = ScalarSum.of(m).render()
+    text = ScalarSum.of(m).scale(Fraction(1, 2)).render()
     assert text == (
         "1/2 * (2pi) * lam^-2 * pair(t1 - t2) * "
         "exp{(i/lam^2)[t1: w(k1); t2: -w(k1)]} * dk(k1,k2)"

@@ -166,7 +166,7 @@ def test_copies_give_back_the_interned_symbols():
     assert value.terms
     for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert copied == value
-        for m in copied.terms:
+        for m, _ in copied.terms:
             for label, energy in m.osc:
                 assert label is TimeLabel(label.name)
                 for basis in energy.support:
