@@ -18,6 +18,7 @@ from .diagrams import (
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
+    fock_pairings,
     is_non_crossing,
     non_crossing_pairings,
 )

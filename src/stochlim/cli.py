@@ -384,8 +384,9 @@ class Mode(NamedTuple):
 
 
 # In --mode order.  The limit side runs in time proportional to its Catalan-many
-# terms, the others have (N/2)! terms or rewrite nodes.  Evaluators look their
-# function up when called, so wrappers set on module names (bench/layers.py) see it.
+# terms and Fock `finite` to its vacuum pairings; the others have (N/2)! terms
+# or rewrite nodes.  Evaluators look their function up when called, so wrappers
+# set on module names (bench/layers.py) see it.
 MODES = {
     "finite": Mode(_sums(lambda w, s: finite_lambda_correlator(w, s), _qdef), 12),
     "limit": Mode(_sums(lambda w, s: limit_correlator(w, s)), 16),

@@ -18,7 +18,13 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import Diagram, Edge, enumerate_pairings, non_crossing_pairings
+from .diagrams import (
+    Diagram,
+    Edge,
+    enumerate_pairings,
+    fock_pairings,
+    non_crossing_pairings,
+)
 from .scalars import (
     DeltaK,
     EnergyDelta,
@@ -121,10 +127,12 @@ def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
 
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
-    """Exact correlator at finite coupling: sum over all pair partitions."""
+    """Exact correlator at finite coupling: sum over all pair partitions,
+    in the Fock state over those it keeps (`fock_pairings`)."""
     if not word.balanced:
         return ScalarSum.zero()
-    terms = [_diagram_monomial(word, d) for d in enumerate_pairings(word.pattern)]
+    pairings = fock_pairings if state.kind == "fock" else enumerate_pairings
+    terms = [_diagram_monomial(word, d) for d in pairings(word.pattern)]
     return apply_state(ScalarSum.from_iter(terms), state)
 
 
@@ -134,38 +142,49 @@ def _absorb(quotas, rows):
     Returns the list of F_j, or None when the system is inconsistent (the
     leftover oscillation has no 1/lam^2 quota and kills the monomial).
     Raises when the quota time combinations are linearly dependent.
+
+    The matrix is kept sparse, one {column: coefficient} row per time
+    label, and column r pivots in row r.  Quota coefficients are ints,
+    mostly +-1, so a pivot row is divided only when its pivot is not 1,
+    and a Fraction appears only when it is not -1 either.
     """
     labels = sorted(
         {l for q in quotas for l in q.support} | set(rows),
         key=lambda l: l.sort_key,
     )
-    n = len(quotas)
-    matrix = [[Fraction(q.coeff(l)) for q in quotas] for l in labels]
+    index = {l: i for i, l in enumerate(labels)}
+    matrix: list[dict[int, int | Fraction]] = [{} for _ in labels]
+    for j, q in enumerate(quotas):
+        for l, c in q.terms:
+            matrix[index[l]][j] = c
     rhs = [rows.get(l, EnergyComb.zero()) for l in labels]
-    pivot_row_of: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next(
-            (i for i in range(r, len(labels)) if matrix[i][col] != 0), None
-        )
+    n = len(quotas)
+    for r in range(n):
+        pivot = next((i for i in range(r, len(labels)) if r in matrix[i]), None)
         if pivot is None:
             raise LimitStructureError("pairing quotas are linearly dependent")
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
         rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / matrix[r][col]
-        matrix[r] = [c * inv for c in matrix[r]]
-        rhs[r] = rhs[r].scale(inv)
-        for i in range(len(labels)):
-            if i != r and matrix[i][col] != 0:
-                f = matrix[i][col]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-                rhs[i] = rhs[i] - rhs[r].scale(f)
-        pivot_row_of.append(r)
-        r += 1
-    for i in range(r, len(labels)):
-        if not rhs[i].is_zero:
-            return None
-    return [rhs[pivot_row_of[j]] for j in range(n)]
+        piv = matrix[r][r]
+        if piv != 1:
+            inv = -1 if piv == -1 else 1 / Fraction(piv)
+            matrix[r] = {j: c * inv for j, c in matrix[r].items()}
+            rhs[r] = rhs[r].scale(inv)
+        row = matrix[r]
+        for i, target in enumerate(matrix):
+            f = target.get(r)
+            if f is None or i == r:
+                continue
+            for j, c in row.items():
+                v = target.get(j, 0) - f * c
+                if v:
+                    target[j] = v
+                else:
+                    del target[j]
+            rhs[i] = rhs[i] + rhs[r].scale(-f)
+    if any(not e.is_zero for e in rhs[n:]):
+        return None
+    return rhs[:n]
 
 
 def take_limit(s: ScalarSum) -> ScalarSum:

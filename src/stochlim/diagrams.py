@@ -8,8 +8,11 @@ whose partner is outside is a crossing vertex of the edge.  The enclosing
 edges and the crossings drive both the exact correlator and its limit.
 Positions are 1-based.
 
-The exact correlator needs all (N/2)! pairings (`enumerate_pairings`);
-the limit keeps only the non-crossing ones, which `non_crossing_pairings`
+Only the exact correlator of the Gaussian and temperature states needs
+all (N/2)! pairings (`enumerate_pairings`).  In the Fock state only the
+pairings in which every creation follows its annihilation survive, and
+`fock_pairings` generates those directly by a left-to-right scan; the
+limit keeps only the non-crossing ones, which `non_crossing_pairings`
 generates directly by the Catalan recursion, so the limit never meets a
 crossing diagram.  The counts are computed without enumeration.
 """
@@ -25,6 +28,7 @@ __all__ = [
     "Edge",
     "Diagram",
     "enumerate_pairings",
+    "fock_pairings",
     "non_crossing_pairings",
     "is_non_crossing",
     "count_non_crossing",
@@ -110,6 +114,33 @@ def enumerate_pairings(pattern: Sequence[int]) -> tuple[Diagram, ...]:
             left[c], left[a] = (e, None) if c < a else (None, e)
         out.append(Diagram(tuple(e for e in left if e is not None)))
     return tuple(out)
+
+
+def fock_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
+    """The diagrams in which every creation follows its annihilation,
+    generated directly by the scan behind `count_fock_surviving`: left to
+    right, each creation picks one of the annihilations still open.  The
+    same set as the members of `enumerate_pairings` with every
+    `edge.delta == 1`."""
+    pattern = tuple(pattern)
+    if not _balanced(pattern):
+        return
+    n = len(pattern)
+    # an edge's left end is its annihilation; every annihilation is paired
+    # on the current branch when a diagram is yielded, so no slot is stale
+    left: list[Edge | None] = [None] * (n + 1)
+
+    def scan(i: int, open_ann: tuple[int, ...]) -> Iterator[Diagram]:
+        if i == n:
+            yield Diagram(tuple(e for e in left if e is not None))
+        elif pattern[i] == -1:
+            yield from scan(i + 1, open_ann + (i + 1,))
+        else:
+            for j, a in enumerate(open_ann):
+                left[a] = Edge(i + 1, a)
+                yield from scan(i + 1, open_ann[:j] + open_ann[j + 1 :])
+
+    yield from scan(0, ())
 
 
 def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:

@@ -289,6 +289,7 @@ class Monomial:
         if rational != 1 or not (
             self.two_pi
             or self.lam
+            or self.quotas
             or self.osc
             or self.time_deltas
             or self.energy_deltas

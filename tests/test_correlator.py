@@ -6,10 +6,13 @@ from stochlim.correlator import (
     FOCK,
     GAUSSIAN,
     LimitStructureError,
+    _diagram_monomial,
+    apply_state,
     finite_lambda_correlator,
     limit_correlator,
     take_limit,
 )
+from stochlim.diagrams import count_fock_surviving, fock_pairings
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -20,7 +23,7 @@ from stochlim.scalars import (
     TimeDelta,
     q_factor,
 )
-from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
+from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import balanced_patterns, word_from_pattern
 
 HALF = Fraction(1, 2)
@@ -286,6 +289,72 @@ def test_take_limit_chained_quotas():
     )
 
 
+def test_take_limit_non_unit_pivot_stays_exact():
+    # a hand-built quota 2 t1 - t2: its pivot is 2, so F = w(k1)/2 exactly
+    t1, t2 = TimeLabel("t1"), TimeLabel("t2")
+    k1 = WaveLabel("k1")
+    quota = TimeComb.make([(t1, 2), (t2, -1)])
+    s = ScalarSum.of(
+        Monomial.build(
+            lam=-2,
+            quotas=[quota],
+            factors=[
+                OscExp(TimeComb.of(t1), omega(k1)),
+                OscExp(TimeComb.of(t2), -HALF * omega(k1)),
+            ],
+        )
+    )
+    limit = take_limit(s)
+    assert limit == ScalarSum.of(
+        Monomial.build(
+            two_pi=1, factors=[TimeDelta(quota), EnergyDelta(HALF * omega(k1))]
+        )
+    )
+    ((m, c),) = limit.terms
+    ((_, half),) = m.energy_deltas[0].terms
+    assert half == HALF and type(half) is Fraction
+    coefficients = [c] + [
+        x for comb in m.time_deltas + m.energy_deltas for _, x in comb.terms
+    ]
+    assert not any(isinstance(x, float) for x in coefficients)
+
+
+def test_take_limit_chained_quotas_negative_pivot():
+    # eliminating t1 - t2 and t1 - t4 leaves -1 as the pivot of t2 - t3
+    t1, t2, t3, t4 = (TimeLabel(f"t{i}") for i in (1, 2, 3, 4))
+    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
+    pairs = [(t1 - t2, omega(k1)), (t1 - t4, omega(k2)), (t2 - t3, omega(k3))]
+    s = ScalarSum.of(
+        Monomial.build(
+            lam=-6,
+            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
+            + [OscExp(t2 - t3, dot_p(k3))],
+        )
+    )
+    blocks = []
+    for t, e in pairs:
+        blocks += [TimeDelta(t), EnergyDelta(e)]
+    blocks[-1] = EnergyDelta(omega(k3) + dot_p(k3))
+    assert take_limit(s) == ScalarSum.of(Monomial.build(two_pi=3, factors=blocks))
+    bare = ScalarSum.of(
+        Monomial.build(
+            lam=-6,
+            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
+            + [OscExp(t1 - t3, dot_p(k3))],
+        )
+    )
+    # t1 - t3 = (t1 - t2) + (t2 - t3) lies in the quota span: absorbed
+    assert len(take_limit(bare).terms) == 1
+    killed = ScalarSum.of(
+        Monomial.build(
+            lam=-6,
+            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
+            + [OscExp(TimeComb.of(t3), dot_p(k3))],
+        )
+    )
+    assert take_limit(killed).is_zero
+
+
 def test_path_independence_small():
     for n in (2, 4, 6):
         for pattern in balanced_patterns(n):
@@ -341,3 +410,34 @@ def test_crossing_terms_match_non_crossing_counts():
             if is_non_crossing(d) and all(e.delta == 1 for e in d.edges)
         )
         assert len(limit_correlator(word, FOCK).terms) == fock_surviving
+
+
+def test_fock_sum_is_the_state_applied_to_every_pairing():
+    """In the Fock state only the vacuum pairings are built: `apply_state`
+    drops none of their terms, only turns each (N+1) into 1, and the sum
+    equals the state applied to the sum over every pairing."""
+    for n in (2, 4, 6, 8):
+        for pattern in balanced_patterns(n):
+            word = word_from_pattern(pattern)
+            vacuum = ScalarSum.from_iter(
+                _diagram_monomial(word, d) for d in fock_pairings(pattern)
+            )
+            assert all(o == 1 for m, _ in vacuum.terms for _, o in m.m_factors)
+            kept = apply_state(vacuum, FOCK)
+            assert len(kept.terms) == len(vacuum.terms) == count_fock_surviving(
+                pattern
+            )
+            assert kept == finite_lambda_correlator(word, FOCK)
+            assert kept == apply_state(finite_lambda_correlator(word, GAUSSIAN), FOCK)
+
+
+def test_fock_state_enumerates_no_pairing(monkeypatch):
+    # the 12-letter alternating word has 720 pairings and one vacuum pairing
+    from stochlim import correlator
+
+    def refuse(pattern):
+        raise AssertionError("the Fock state must not enumerate every pairing")
+
+    monkeypatch.setattr(correlator, "enumerate_pairings", refuse)
+    word = word_from_pattern((-1, 1) * 6)
+    assert len(finite_lambda_correlator(word, FOCK).terms) == 1

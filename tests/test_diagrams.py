@@ -8,6 +8,7 @@ from stochlim.diagrams import (
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
+    fock_pairings,
     is_non_crossing,
     non_crossing_pairings,
 )
@@ -99,6 +100,72 @@ def test_non_crossing_generator_matches_filter():
         assert len(set(direct)) == len(direct)
         assert set(direct) == set(filtered_non_crossing(pattern)), pattern
     assert list(non_crossing_pairings((-1, 1, 1))) == []
+
+
+def filtered_fock(pattern):
+    """Brute force: every pairing, then keep those whose creations all
+    follow their annihilations."""
+    return [
+        d for d in enumerate_pairings(pattern) if all(e.delta == 1 for e in d.edges)
+    ]
+
+
+def test_fock_generator_matches_filter():
+    sample = random.Random(12).sample(balanced_patterns(12), 40)
+    for pattern in balanced_up_to(10) + sample:
+        direct = list(fock_pairings(pattern))
+        assert len(set(direct)) == len(direct)
+        assert len(direct) == count_fock_surviving(pattern), pattern
+        assert set(direct) == set(filtered_fock(pattern)), pattern
+    assert list(fock_pairings((-1, 1, 1))) == []
+    assert list(fock_pairings((-1, -1, 1))) == []
+    assert list(fock_pairings((1, -1))) == []
+
+
+def crossing_histogram(diagrams):
+    """Coefficients of sum q^cr over the diagrams, cr the number of
+    crossing pairs of edges: each pair gives each of its edges one
+    crossing position."""
+    hist = [0]
+    for d in diagrams:
+        cr = sum(len(crossings) for _, crossings in d.spans())
+        assert cr % 2 == 0
+        hist += [0] * (cr // 2 + 1 - len(hist))
+        hist[cr // 2] += 1
+    return hist
+
+
+def q_integer_product(pattern):
+    """Coefficients of the product over creations of [m]_q = 1 + q + ...
+    + q^(m-1), m the number of annihilators open at that creation."""
+    poly, open_ann = [1], 0
+    for eps in pattern:
+        if eps == -1:
+            open_ann += 1
+            continue
+        out = [0] * (len(poly) + open_ann - 1)
+        for i, c in enumerate(poly):
+            for j in range(open_ann):
+                out[i + j] += c
+        poly, open_ann = out, open_ann - 1
+    return poly
+
+
+def test_fock_crossings_are_q_integers():
+    """The q-Fock moment: sum over the vacuum pairings of q^cr is the
+    product of q-integers of the open annihilators at each creation."""
+    for pattern in balanced_up_to(10):
+        if count_fock_surviving(pattern):
+            hist = crossing_histogram(fock_pairings(pattern))
+            assert hist == q_integer_product(pattern), pattern
+
+
+def test_fock_crossings_sum_to_touchard_riordan():
+    total = [0] * 7
+    for pattern in balanced_patterns(8):
+        for i, c in enumerate(crossing_histogram(fock_pairings(pattern))):
+            total[i] += c
+    assert total == [14, 28, 28, 20, 10, 4, 1]
 
 
 def test_span_scan_matches_interval_definitions():

@@ -220,6 +220,14 @@ def test_render_deterministic():
     )
 
 
+def test_render_omits_unit_rational_beside_quotas():
+    # a quota is a factor: a rational of 1 is left out, as everywhere else
+    quota_only = ScalarSum.of(Monomial.build(quotas=[T1 - T2]))
+    assert quota_only.render() == "pair(t1 - t2)"
+    assert quota_only.scale(2).render() == "2 * pair(t1 - t2)"
+    assert ScalarSum.unit().render() == "1"
+
+
 def test_labels_with_equal_natural_parts_do_not_merge():
     a = Monomial.build(factors=[MFactor(WaveLabel("k01"), 0)])
     b = Monomial.build(factors=[MFactor(WaveLabel("k1"), 0)])
