@@ -439,6 +439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines, payload, code = run(job)
     except (JobError, PatternError, ValueError) as err:
         parser.exit(2, f"error: {err}\n")
+    except quadmod.QuadratureError as err:  # a failing check, not a usage error
+        parser.exit(1, f"error: {err}\n")
     if job.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -9,6 +9,7 @@ import pytest
 
 import stochlim
 
+from stochlim import quadrature
 from stochlim.cli import main, make_parser
 from stochlim.correlator import FOCK, finite_lambda_correlator, temperature
 from stochlim.oracle import Assignment, numeric_eval
@@ -233,6 +234,20 @@ def test_quadrature_csv(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "lambda,realPart,imagPart,absError"
     assert len(lines) == 5
+
+
+def test_quadrature_failure_exits_1_with_one_line(monkeypatch, capsys):
+    def fail(lam, test_fn="gaussian"):
+        raise quadrature.QuadratureError("quadrature did not converge", 0j, 1.0)
+
+    monkeypatch.setattr(quadrature, "oscillation_quadrature", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "quadrature"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: quadrature did not converge")
+    assert captured.err.count("\n") == 1
 
 
 def test_parser_has_documented_flags():
@@ -649,6 +664,18 @@ def test_import_does_not_load_scipy():
     code = "import sys, stochlim.cli; assert 'scipy' not in sys.modules"
     src = Path(stochlim.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
+def test_quadrature_runs_without_scipy():
+    # scipy blocked: any import of it raises ImportError
+    code = (
+        "import sys; sys.modules['scipy'] = None; from stochlim.cli import main; "
+        "sys.exit(main(['--mode', 'quadrature', '--json']))"
+    )
+    src = Path(stochlim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["converging"] is True
 
 
 @pytest.mark.parametrize(

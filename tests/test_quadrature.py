@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+from stochlim import quadrature
 from stochlim.quadrature import (
+    DEFAULT_SWEEP,
+    QuadratureError,
     QuadratureResult,
     oscillation_quadrature,
     quadrature_sweep,
@@ -15,11 +18,30 @@ def closed_form_gaussian(lam):
     return 2 * math.pi / math.sqrt(1 + lam**4)
 
 
+def sech_reduction(lam, h=0.05, reach=60.0):
+    # the Fourier transform of sech(t) is pi sech(pi w / 2), so the t-integral
+    # leaves I(lam) = integral pi sech(lam^2 y) sech(pi y / 2) dy, a 1D sum here
+    g = lambda y: math.pi / (math.cosh(lam * lam * y) * math.cosh(math.pi * y / 2))
+    return h * (g(0.0) + 2 * sum(g(k * h) for k in range(1, int(reach / h) + 1)))
+
+
 def test_gaussian_matches_closed_form():
-    for lam in (0.5, 0.2):
+    for lam in DEFAULT_SWEEP:
         result = oscillation_quadrature(lam)
-        assert abs(result.value.real - closed_form_gaussian(lam)) < 1e-7
-        assert abs(result.value.imag) < 1e-9
+        true_error = abs(result.value - closed_form_gaussian(lam))
+        assert true_error < 1e-10, lam
+        assert result.est_error >= true_error, lam
+
+
+def test_non_convergence_raises(monkeypatch):
+    # 1/(1 + t^2 + x^2) has not decayed by the end of the t-walk
+    monkeypatch.setitem(quadrature.TEST_FUNCTIONS, "slow", lambda t, x: 1 / (1 + t * t + x * x))
+    with pytest.raises(QuadratureError, match="does not decay"):
+        oscillation_quadrature(0.3, "slow")
+    # no halving allowed: the first y-walk reaches its alias bound
+    monkeypatch.setattr(quadrature, "_HALVINGS", 0)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        oscillation_quadrature(0.3)
 
 
 def test_errors_decrease_along_sweep():
@@ -39,6 +61,8 @@ def test_zero_function():
 def test_sech_converges_towards_target():
     coarse = oscillation_quadrature(0.5, "sech")
     fine = oscillation_quadrature(0.2, "sech")
+    assert abs(coarse.value - sech_reduction(0.5)) < 1e-9
+    assert abs(fine.value - sech_reduction(0.2)) < 1e-9
     assert fine.abs_error < coarse.abs_error
     assert abs(fine.target - 2 * math.pi) < 1e-12
 
