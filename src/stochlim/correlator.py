@@ -3,10 +3,10 @@
 The exact N-point correlator is a sum over pair partitions.  Every edge
 contributes a 1/lam^2 pairing exponent whose energy carries the edge's
 orientation and the momentum shifts inherited from enclosing edges;
-crossing edges leave extra single-time exponents behind.  Which edges
-enclose an edge and where it is crossed is read from the diagram's span
-scan (`Diagram.spans`) in one per-edge pass (`_edges`), shared by the
-exact sum and the direct limit.  In the limit
+crossing edges leave extra single-time exponents behind.  The exact sum
+reads both from each diagram's span scan (`_edges`); the direct limit has
+no crossings and makes each edge's block once per set of enclosing edges
+in the Catalan walk (`non_crossing_blocks`).  In the limit
 lam -> 0 each pairing exponent turns into 2pi * dT * dE while any
 oscillation that cannot be matched to a pairing quota suppresses its
 whole term, which is why only non-crossing diagrams survive.
@@ -17,13 +17,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .diagrams import (
     Diagram,
     Edge,
     enumerate_pairings,
     fock_pairings,
-    non_crossing_pairings,
+    non_crossing_blocks,
 )
 from .scalars import (
     DeltaK,
@@ -33,8 +34,9 @@ from .scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
+    wave_representatives,
 )
-from .symbols import EnergyComb, TimeComb, dot, dot_p, omega
+from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
 from .words import Letter, OperatorWord
 
 __all__ = [
@@ -92,20 +94,24 @@ def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter) -> list:
     return [MFactor(cre.wave, (edge.delta + 1) // 2), DeltaK(cre.wave, ann.wave)]
 
 
+def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
+    """w(k) + (delta/2) k.k + k.p of the edge's wave k = wave(edge), plus
+    the momentum shift of every enclosing edge, made as one combination."""
+    k = wave(edge)
+    bare = [omega(k), Fraction(edge.delta, 2) * dot(k, k), dot_p(k)]
+    shifts = [o.delta * dot(wave(o), k) for o in enclosing]
+    return EnergyComb.sum_of(bare + shifts)
+
+
 def _edges(word: OperatorWord, diagram: Diagram):
     """Per edge of the diagram, from its span scan: the edge, its creation
-    and annihilation letters, its energy (w(k) + (delta/2) k.k + k.p of the
-    creation's k, plus the momentum shift of every enclosing edge, made as
-    one combination) and its crossing positions."""
+    and annihilation letters, its energy and its crossing positions."""
     letters = word.letters
+    wave = lambda e: letters[e.creation - 1].wave
     for edge, (enclosing, crossings) in zip(diagram.edges, diagram.spans()):
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
-        k = cre.wave
-        bare = [omega(k), Fraction(edge.delta, 2) * dot(k, k), dot_p(k)]
-        shifts = [o.delta * dot(letters[o.creation - 1].wave, k) for o in enclosing]
-        energy = EnergyComb.sum_of(bare + shifts)
-        yield edge, cre, ann, energy, crossings
+        yield edge, cre, ann, _edge_energy(wave, edge, enclosing), crossings
 
 
 def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
@@ -217,15 +223,29 @@ def take_limit(s: ScalarSum) -> ScalarSum:
 
 
 def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
-    """Direct limit construction: non-crossing diagrams only, generated
-    directly, each edge a 2pi * dT * dE * occupation * momentum-delta block."""
+    """Direct limit construction: non-crossing diagrams only, each edge a
+    2pi * dT * dE * occupation * momentum-delta block, made once per edge
+    and enclosing edges and shared by every diagram that holds it there."""
     if not word.balanced:
         return ScalarSum.zero()
-    terms = []
-    for diagram in non_crossing_pairings(word.pattern):
-        factors = []
-        for edge, cre, ann, energy, _ in _edges(word, diagram):
-            factors += [TimeDelta(cre.time - ann.time), EnergyDelta(energy)]
-            factors += _occupation_and_delta(edge, cre, ann)
-        terms.append(Monomial.build(two_pi=len(diagram.edges), factors=factors))
+    letters = word.letters
+
+    @cache
+    def wave(e: Edge) -> WaveLabel:
+        # the creation's wave as the edge's momentum delta unifies it; no other
+        # delta of a diagram touches it, so once per edge, not per diagram
+        k = letters[e.creation - 1].wave
+        return wave_representatives([(k, letters[e.annihilation - 1].wave)]).get(k, k)
+
+    def block(edge: Edge, enclosing) -> list:
+        cre = letters[edge.creation - 1]
+        ann = letters[edge.annihilation - 1]
+        time = TimeDelta((cre.time - ann.time).normalized())
+        energy = EnergyDelta(_edge_energy(wave, edge, enclosing))
+        return [time, energy] + _occupation_and_delta(edge, cre, ann)
+
+    terms = [
+        Monomial.build(two_pi=len(blocks), factors=[f for b in blocks for f in b])
+        for blocks in non_crossing_blocks(word.pattern, block)
+    ]
     return apply_state(ScalarSum.from_iter(terms), state)

@@ -4,23 +4,22 @@ A diagram matches every creation position with an annihilation position;
 edges are drawn as arcs above the word.  Its geometry is read from one
 scan of each edge's span (`Diagram.spans`): a position strictly inside
 an edge whose partner is inside too belongs to an edge it encloses, one
-whose partner is outside is a crossing vertex of the edge.  The enclosing
-edges and the crossings drive both the exact correlator and its limit.
-Positions are 1-based.
+whose partner is outside is a crossing vertex of the edge.  The exact
+correlator reads both; `is_non_crossing` reads the crossings.  Positions
+are 1-based.
 
 Only the exact correlator of the Gaussian and temperature states needs
 all (N/2)! pairings (`enumerate_pairings`).  In the Fock state only the
 pairings in which every creation follows its annihilation survive, and
-`fock_pairings` generates those directly by a left-to-right scan; the
-limit keeps only the non-crossing ones, which `non_crossing_pairings`
-generates directly by the Catalan recursion, so the limit never meets a
-crossing diagram.  The counts are computed without enumeration.
+`fock_pairings` generates those directly by a left-to-right scan.  The
+limit keeps the non-crossing ones, from one Catalan recursion that carries
+each edge's enclosing edges and needs no span scan (`non_crossing_blocks`);
+`non_crossing_pairings` and `count_non_crossing` are made from it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -29,6 +28,7 @@ __all__ = [
     "Diagram",
     "enumerate_pairings",
     "fock_pairings",
+    "non_crossing_blocks",
     "non_crossing_pairings",
     "is_non_crossing",
     "count_non_crossing",
@@ -116,6 +116,18 @@ def enumerate_pairings(pattern: Sequence[int]) -> tuple[Diagram, ...]:
     return tuple(out)
 
 
+def _fock_scan(pattern, i, open_ann, left) -> Iterator[Diagram]:
+    if i == len(pattern):
+        yield Diagram(tuple(e for e in left if e is not None))
+    elif pattern[i] == -1:
+        yield from _fock_scan(pattern, i + 1, open_ann + (i + 1,), left)
+    else:
+        for j, a in enumerate(open_ann):
+            left[a] = Edge(i + 1, a)
+            rest = open_ann[:j] + open_ann[j + 1 :]
+            yield from _fock_scan(pattern, i + 1, rest, left)
+
+
 def fock_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
     """The diagrams in which every creation follows its annihilation,
     generated directly by the scan behind `count_fock_surviving`: left to
@@ -125,22 +137,9 @@ def fock_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
     pattern = tuple(pattern)
     if not _balanced(pattern):
         return
-    n = len(pattern)
     # an edge's left end is its annihilation; every annihilation is paired
     # on the current branch when a diagram is yielded, so no slot is stale
-    left: list[Edge | None] = [None] * (n + 1)
-
-    def scan(i: int, open_ann: tuple[int, ...]) -> Iterator[Diagram]:
-        if i == n:
-            yield Diagram(tuple(e for e in left if e is not None))
-        elif pattern[i] == -1:
-            yield from scan(i + 1, open_ann + (i + 1,))
-        else:
-            for j, a in enumerate(open_ann):
-                left[a] = Edge(i + 1, a)
-                yield from scan(i + 1, open_ann[:j] + open_ann[j + 1 :])
-
-    yield from scan(0, ())
+    yield from _fock_scan(pattern, 0, (), [None] * (len(pattern) + 1))
 
 
 def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:
@@ -154,29 +153,43 @@ def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:
         depth += pattern[j]
 
 
-def non_crossing_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
-    """The non-crossing diagrams of a pattern, generated directly: the
-    first letter pairs with a partner whose inside is balanced, then the
-    inside and the outside are paired on their own (Catalan recursion).
-    The same set as the non-crossing members of `enumerate_pairings`."""
+def _blocks(pattern, lo, hi, enclosing, block, memo) -> list[tuple]:
+    """Per non-crossing pairing of pattern[lo:hi] inside the edges
+    `enclosing`, its edges' blocks by left end.  The memo is passed in, so
+    nothing is left for the cyclic collector."""
+    key = lo, enclosing  # hi is the innermost enclosing edge's right end
+    out = memo.get(key)
+    if out is None:
+        out = [()] if lo == hi else []
+        for j in _partners(pattern, lo, hi):
+            edge = Edge(j + 1, lo + 1) if pattern[j] == 1 else Edge(lo + 1, j + 1)
+            first = (block(edge, enclosing),)
+            outside = _blocks(pattern, j + 1, hi, enclosing, block, memo)
+            for inside in _blocks(pattern, lo + 1, j, enclosing + (edge,), block, memo):
+                out += [first + inside + rest for rest in outside]
+        memo[key] = out
+    return out
+
+
+def non_crossing_blocks(pattern: Sequence[int], block) -> list[tuple]:
+    """The non-crossing pairings of a pattern as tuples of per-edge blocks,
+    edges by left end, by the Catalan recursion: the first letter pairs with
+    a partner whose inside is balanced, then the inside and the outside are
+    paired on their own.  `block(edge, enclosing)` is called once per edge
+    and tuple of the edges enclosing it, outermost first, and its value is
+    shared by every pairing that holds the edge there."""
     pattern = tuple(pattern)
     if not _balanced(pattern):
-        return
+        return []
+    return _blocks(pattern, 0, len(pattern), (), block, {})
 
-    @cache
-    def edges(lo: int, hi: int) -> list[tuple[Edge, ...]]:
-        if lo == hi:
-            return [()]
-        out = []
-        for j in _partners(pattern, lo, hi):
-            first = Edge(j + 1, lo + 1) if pattern[j] == 1 else Edge(lo + 1, j + 1)
-            for inside in edges(lo + 1, j):
-                for outside in edges(j + 1, hi):
-                    out.append((first,) + inside + outside)
-        return out
 
-    for e in edges(0, len(pattern)):
-        yield Diagram(e)
+def non_crossing_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
+    """The non-crossing diagrams of a pattern, generated directly by
+    `non_crossing_blocks`.  The same set as the non-crossing members of
+    `enumerate_pairings`."""
+    for edges in non_crossing_blocks(pattern, lambda edge, enclosing: edge):
+        yield Diagram(edges)
 
 
 def is_non_crossing(d: Diagram) -> bool:
@@ -184,20 +197,8 @@ def is_non_crossing(d: Diagram) -> bool:
 
 
 def count_non_crossing(pattern: Sequence[int]) -> int:
-    """The number of non-crossing pairings, by the Catalan recursion."""
-    pattern = tuple(pattern)
-    if not _balanced(pattern):
-        return 0
-
-    @cache
-    def count(lo: int, hi: int) -> int:
-        if lo == hi:
-            return 1
-        return sum(
-            count(lo + 1, j) * count(j + 1, hi) for j in _partners(pattern, lo, hi)
-        )
-
-    return count(0, len(pattern))
+    """The number of non-crossing pairings, from `non_crossing_blocks`."""
+    return len(non_crossing_blocks(pattern, lambda edge, enclosing: None))
 
 
 def count_fock_surviving(pattern: Sequence[int]) -> int:

@@ -65,6 +65,22 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
     ]
 
 
+def _walk(options, i: int, stack: tuple, factors: list, parts: list) -> None:
+    """One step of `free_correlator`'s walk; module level, so a call frees
+    its work without the cyclic collector."""
+    n = len(options)
+    if i == n:
+        parts.append(Monomial.build(two_pi=n // 2, factors=factors))
+        return
+    opener, closer = options[i]
+    if len(stack) < n - i - 1:
+        _walk(options, i + 1, stack + (opener,), factors, parts)
+    if stack and stack[-1].species == closer.species:
+        below = stack[:-1]
+        more = _contract(stack[-1], closer, below)
+        _walk(options, i + 1, below, factors + more, parts)
+
+
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Fock expectation of the master-field word mapped from the given
     creation/annihilation word.
@@ -79,23 +95,10 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """
     if not word.balanced:
         return ScalarSum.zero()
-    n = len(word.letters)
     # per letter: its opener (dag False) and its closer (dag True)
     options = [sorted(master_letters(l), key=lambda m: m.dag) for l in word.letters]
     parts: list[Monomial] = []
-
-    def walk(i: int, stack: tuple[MasterLetter, ...], factors: list) -> None:
-        if i == n:
-            parts.append(Monomial.build(two_pi=n // 2, factors=factors))
-            return
-        opener, closer = options[i]
-        if len(stack) < n - i - 1:
-            walk(i + 1, stack + (opener,), factors)
-        if stack and stack[-1].species == closer.species:
-            below = stack[:-1]
-            walk(i + 1, below, factors + _contract(stack[-1], closer, below))
-
-    walk(0, (), [])
+    _walk(options, 0, (), [], parts)
     return apply_state(ScalarSum.from_iter(parts), state)
 
 

@@ -321,6 +321,8 @@ class ScalarSum(_Comb):
     """Canonical sum of (monomial, rational) terms: merged, zero terms
     dropped, sorted by monomial."""
 
+    __slots__ = ()
+
     @classmethod
     def of(cls, *monomials: Monomial) -> "ScalarSum":
         return cls.from_iter(monomials)

@@ -111,9 +111,24 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
 class _Comb:
     """Exact linear combination of basis objects with a `sort_key` (labels,
     energy bases, the monomials of `scalars.ScalarSum`): terms merged, zero
-    coefficients dropped, sorted by basis; empty is zero."""
+    coefficients dropped, sorted by basis; empty is zero.  A slots class
+    (subclasses declare empty `__slots__`) whose `sort_key` is made once."""
 
+    __slots__ = ("terms", "sort_key")
     terms: tuple
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot: sort_key, made at its first use and
+        # kept; a copy or a pickle carries the terms and makes it again
+        if name != "sort_key":
+            raise AttributeError(f"{type(self).__name__!r} has no attribute {name!r}")
+        # an int c sorts like (c, 1), so integer and rational terms order alike
+        key = tuple((b.sort_key, c.numerator, c.denominator) for b, c in self.terms)
+        object.__setattr__(self, "sort_key", key)
+        return key
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
 
     @classmethod
     def make(cls, items: Iterable[tuple]):
@@ -173,13 +188,6 @@ class _Comb:
             return -self
         return self
 
-    @property
-    def sort_key(self) -> tuple:
-        # an int c sorts like (c, 1), so integer and rational terms order alike
-        return tuple(
-            (b.sort_key, c.numerator, c.denominator) for b, c in self.terms
-        )
-
     def render(self) -> str:
         parts = []
         for b, c in self.terms:
@@ -194,13 +202,17 @@ class _Comb:
 class TimeComb(_Comb):
     """Integer combination of time labels."""
 
+    __slots__ = ()
+
     @classmethod
     def of(cls, label: TimeLabel, coeff: int = 1) -> "TimeComb":
         return cls.make([(label, coeff)])
 
     @classmethod
     def diff(cls, a: TimeLabel, b: TimeLabel) -> "TimeComb":
-        return cls.make([(a, 1), (b, -1)])
+        """a - b, its two terms put in label order without a merge."""
+        terms = ((a, 1), (b, -1)) if a.sort_key < b.sort_key else ((b, -1), (a, 1))
+        return cls(terms if a is not b else ())
 
 
 _W, _DOT, _KP = 0, 1, 2
@@ -279,9 +291,11 @@ class EnergyComb(_Comb):
     dot(a, b) and dot(b, a) are the same term.
     """
 
+    __slots__ = ()
+
     def __rmul__(self, c) -> "EnergyComb":
-        # an int stays an int: int and Fraction compare, hash and render alike
-        return self.scale(c if type(c) is int else Fraction(c))
+        # an int or a Fraction is kept: the two compare, hash and render alike
+        return self.scale(c if type(c) in (int, Fraction) else Fraction(c))
 
     def subst_waves(self, rep: Mapping[WaveLabel, WaveLabel]) -> "EnergyComb":
         """Every wave label that `rep` maps replaced by its image; self, not

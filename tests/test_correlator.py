@@ -11,8 +11,14 @@ from stochlim.correlator import (
     finite_lambda_correlator,
     limit_correlator,
     take_limit,
+    temperature,
 )
-from stochlim.diagrams import count_fock_surviving, fock_pairings
+from stochlim.diagrams import (
+    Diagram,
+    count_fock_surviving,
+    fock_pairings,
+    non_crossing_pairings,
+)
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -441,3 +447,136 @@ def test_fock_state_enumerates_no_pairing(monkeypatch):
     monkeypatch.setattr(correlator, "enumerate_pairings", refuse)
     word = word_from_pattern((-1, 1) * 6)
     assert len(finite_lambda_correlator(word, FOCK).terms) == 1
+
+
+CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
+
+
+def _cycle_paths():
+    from stochlim.diagrams import (
+        count_non_crossing,
+        enumerate_pairings,
+        non_crossing_pairings,
+    )
+    from stochlim.masterfield import check_free_equivalence, free_correlator
+    from stochlim.oracle import doubled_normal_order, qdef_normal_order
+
+    return {
+        "free_correlator": lambda w, p: free_correlator(w, GAUSSIAN),
+        "limit_correlator": lambda w, p: limit_correlator(w, GAUSSIAN),
+        "limit_correlator-fock": lambda w, p: limit_correlator(w, FOCK),
+        "check_free_equivalence": lambda w, p: check_free_equivalence(w, GAUSSIAN),
+        "non_crossing_pairings": lambda w, p: list(non_crossing_pairings(p)),
+        "count_non_crossing": lambda w, p: count_non_crossing(p),
+        "enumerate_pairings": lambda w, p: enumerate_pairings(p),
+        "fock_pairings": lambda w, p: list(fock_pairings(p)),
+        "finite_lambda_correlator-fock": lambda w, p: finite_lambda_correlator(w, FOCK),
+        "finite_lambda_correlator-gaussian": lambda w, p: finite_lambda_correlator(
+            w, GAUSSIAN
+        ),
+        "take_limit": lambda w, p: take_limit(finite_lambda_correlator(w, GAUSSIAN)),
+        "qdef_normal_order": lambda w, p: qdef_normal_order(w),
+        "doubled_normal_order": lambda w, p: doubled_normal_order(w, GAUSSIAN),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(_cycle_paths()))
+def test_paths_leave_nothing_to_the_cyclic_collector(path):
+    """Every call frees its own work by reference counting: with the
+    collector off, a call leaves no unreachable object behind."""
+    import gc
+
+    from stochlim.words import parse_pattern
+
+    pattern = parse_pattern(CYCLE_WORD)
+    word = word_from_pattern(pattern)
+    run = _cycle_paths()[path]
+    gc.collect()
+    gc.disable()
+    try:
+        run(word, pattern)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def whole_diagram_limit(word, state):
+    """The limit built diagram by diagram: every non-crossing diagram, its
+    span scan for each edge's enclosing edges, and one block per edge
+    whose energy is summed here term by term."""
+    letters = word.letters
+    terms = []
+    for d in non_crossing_pairings(word.pattern):
+        factors = []
+        for edge, (enclosing, crossings) in zip(d.edges, d.spans()):
+            assert crossings == []
+            cre = letters[edge.creation - 1]
+            ann = letters[edge.annihilation - 1]
+            k = cre.wave
+            energy = omega(k) + Fraction(edge.delta, 2) * dot(k, k) + dot_p(k)
+            for o in enclosing:
+                energy = energy + o.delta * dot(letters[o.creation - 1].wave, k)
+            factors += [
+                TimeDelta(cre.time - ann.time),
+                EnergyDelta(energy),
+                MFactor(k, (edge.delta + 1) // 2),
+                DeltaK(k, ann.wave),
+            ]
+        terms.append(Monomial.build(two_pi=len(d.edges), factors=factors))
+    return apply_state(ScalarSum.from_iter(terms), state)
+
+
+def test_limit_walk_matches_whole_diagrams():
+    states = (FOCK, GAUSSIAN, temperature(1.0))
+    for n in range(2, 11, 2):
+        for pattern in balanced_patterns(n):
+            word = word_from_pattern(pattern)
+            for state in states:
+                assert limit_correlator(word, state) == whole_diagram_limit(
+                    word, state
+                ), (pattern, state.kind)
+
+
+def test_limit_walk_matches_whole_diagrams_at_fourteen_letters():
+    import random
+
+    for pattern in random.Random(14).sample(balanced_patterns(14), 40):
+        word = word_from_pattern(pattern)
+        expected = whole_diagram_limit(word, GAUSSIAN)
+        assert limit_correlator(word, GAUSSIAN) == expected, pattern
+
+
+def test_limit_walk_matches_whole_diagrams_on_relabelled_words():
+    from test_label_independence import relabelled_words
+
+    for word in relabelled_words():
+        for state in (FOCK, GAUSSIAN):
+            assert limit_correlator(word, state) == whole_diagram_limit(word, state)
+
+
+def test_limit_walk_makes_each_edge_energy_once(monkeypatch):
+    """On the 16-letter alternating word: no span scan, and one energy per
+    edge and tuple of edges enclosing it (outermost first)."""
+    from stochlim import correlator
+
+    word = word_from_pattern((-1, 1) * 8)
+    expected = {
+        (edge, tuple(enclosing))
+        for d in non_crossing_pairings(word.pattern)
+        for edge, (enclosing, _) in zip(d.edges, d.spans())
+    }
+    made = []
+    edge_energy = correlator._edge_energy
+
+    def counted(wave, edge, enclosing):
+        made.append((edge, tuple(enclosing)))
+        return edge_energy(wave, edge, enclosing)
+
+    def refuse(self):
+        raise AssertionError("the limit path must not scan spans")
+
+    monkeypatch.setattr(correlator, "_edge_energy", counted)
+    monkeypatch.setattr(Diagram, "spans", refuse)
+    assert len(limit_correlator(word, GAUSSIAN).terms) == 1430
+    assert len(made) == len(set(made)) == len(expected)
+    assert set(made) == expected

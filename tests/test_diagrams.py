@@ -1,15 +1,18 @@
 import math
 import random
+from functools import cache
 
 import pytest
 
 from stochlim.diagrams import (
+    Diagram,
     Edge,
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
     fock_pairings,
     is_non_crossing,
+    non_crossing_blocks,
     non_crossing_pairings,
 )
 from stochlim.words import balanced_patterns
@@ -100,6 +103,49 @@ def test_non_crossing_generator_matches_filter():
         assert len(set(direct)) == len(direct)
         assert set(direct) == set(filtered_non_crossing(pattern)), pattern
     assert list(non_crossing_pairings((-1, 1, 1))) == []
+
+
+def recursion_order(pattern):
+    """The non-crossing diagrams by a plain Catalan recursion over (lo, hi)
+    ranges, 0-based: the first letter pairs with every opposite letter
+    whose inside is balanced, in order, then inside times outside."""
+
+    @cache
+    def edges(lo, hi):
+        if lo == hi:
+            return [()]
+        out, depth = [], 0
+        for j in range(lo + 1, hi):
+            if depth == 0 and pattern[j] == -pattern[lo]:
+                first = Edge(j + 1, lo + 1) if pattern[j] == 1 else Edge(lo + 1, j + 1)
+                for inside in edges(lo + 1, j):
+                    for outside in edges(j + 1, hi):
+                        out.append((first,) + inside + outside)
+            depth += pattern[j]
+        return out
+
+    return [Diagram(e) for e in edges(0, len(pattern))]
+
+
+def test_non_crossing_generator_keeps_the_recursion_order():
+    for pattern in balanced_up_to(10):
+        assert list(non_crossing_pairings(pattern)) == recursion_order(pattern), pattern
+
+
+def test_walk_blocks_see_their_enclosing_edges():
+    """Each block is made once, for an edge and the edges enclosing it,
+    outermost first, as the span scan reads them."""
+    for pattern in balanced_up_to(10):
+        made = []
+        blocks = non_crossing_blocks(pattern, lambda e, enc: made.append((e, enc)) or e)
+        assert len(made) == len(set(made))
+        seen = set()
+        for d, edges in zip(non_crossing_pairings(pattern), blocks):
+            assert d.edges == edges
+            for e, (enclosing, _) in zip(d.edges, d.spans()):
+                seen.add((e, tuple(enclosing)))
+        assert seen == set(made), pattern
+    assert non_crossing_blocks((-1, 1, 1), lambda e, enc: e) == []
 
 
 def filtered_fock(pattern):

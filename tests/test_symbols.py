@@ -166,10 +166,56 @@ def test_copies_give_back_the_interned_symbols():
     assert value.terms
     for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert copied == value
-        for m, _ in copied.terms:
+        for (m, _), (original, _) in zip(copied.terms, value.terms):
+            assert m.sort_key == original.sort_key
+            for q, q0 in zip(m.quotas, original.quotas):
+                assert q.sort_key == q0.sort_key
             for label, energy in m.osc:
                 assert label is TimeLabel(label.name)
                 for basis in energy.support:
                     assert basis is basis_from_json(*basis_to_json(basis))
             for wave, _ in m.m_factors:
                 assert wave is WaveLabel(wave.name)
+
+
+def fresh_key(comb):
+    return tuple((b.sort_key, c.numerator, c.denominator) for b, c in comb.terms)
+
+
+def test_cached_sort_key_is_the_fresh_key():
+    k1, k2 = WaveLabel("k1"), WaveLabel("k2")
+    t9, t10 = TimeLabel("t9"), TimeLabel("t10")
+    combs = [
+        omega(k1) + 2 * dot(k1, k2) - dot_p(k2),
+        omega(k2) + Fraction(1, 2) * dot(k2, k2) - Fraction(3, 2) * dot_p(k1),
+        TimeComb.of(t10, 3) - TimeComb.of(t9),
+        EnergyComb.zero(),
+    ]
+    for comb in combs:
+        assert comb.sort_key == fresh_key(comb)
+        assert comb.sort_key is comb.sort_key
+        assert not hasattr(comb, "__dict__")
+        for copied in (copy.deepcopy(comb), pickle.loads(pickle.dumps(comb))):
+            assert copied == comb and type(copied) is type(comb)
+            assert copied.sort_key == comb.sort_key == fresh_key(copied)
+    with pytest.raises(AttributeError):
+        combs[0].no_such_attribute
+
+
+def test_time_diff_is_the_merged_difference():
+    t1, t2, t9, t10 = (TimeLabel(f"t{i}") for i in (1, 2, 9, 10))
+    for a, b in ((t1, t2), (t2, t1), (t9, t10), (t10, t9), (t10, t2)):
+        d = TimeComb.diff(a, b)
+        assert d == TimeComb.make([(a, 1), (b, -1)])
+        assert d.terms == TimeComb.make([(a, 1), (b, -1)]).terms
+        assert a - b == d
+    assert TimeComb.diff(t9, t10).terms == ((t9, 1), (t10, -1))
+    assert TimeComb.diff(t9, t9).is_zero and (t9 - t9) == TimeComb.zero()
+
+
+def test_scalar_times_energy_keeps_the_coefficient_type():
+    k = WaveLabel("k1")
+    (_, half), = (Fraction(1, 2) * dot(k, k)).terms
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    (_, two), = (2 * dot(k, k)).terms
+    assert two == 2 and type(two) is int
