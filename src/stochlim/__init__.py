@@ -20,7 +20,6 @@ from .diagrams import (
     enumerate_pairings,
     fock_pairings,
     is_non_crossing,
-    non_crossing_pairings,
 )
 from .masterfield import (
     EquivalenceReport,
@@ -29,14 +28,11 @@ from .masterfield import (
 )
 from .oracle import (
     Assignment,
-    BogoliubovCoeffs,
     UnassignedSymbolError,
-    bosonic_double_check,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
     random_assignment,
-    reorder_annihilators,
 )
 from .quadrature import (
     DEFAULT_SWEEP,
@@ -53,7 +49,6 @@ from .scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    q_factor,
 )
 from .symbols import (
     EnergyComb,

@@ -68,11 +68,11 @@ class JobSpec:
     mode: str
     word: Optional[OperatorWord]
     state: StateSpec
-    max_n: int = 6
-    numeric: Optional[Assignment] = None
-    seed: Optional[int] = None
-    as_json: bool = False
-    csv_path: Optional[str] = None
+    max_n: int
+    numeric: Optional[Assignment]
+    seed: Optional[int]
+    as_json: bool
+    csv_path: Optional[str]
 
 
 class JobError(ValueError):
@@ -362,7 +362,7 @@ def _quadrature(job: JobSpec, lines: list[str], payload: dict) -> int:
         ],
         "converging": converging,
     }
-    if job.csv_path:
+    if job.csv_path is not None:
         try:
             with open(job.csv_path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(rows) + "\n")

@@ -14,7 +14,7 @@ pairings in which every creation follows its annihilation survive, and
 `fock_pairings` generates those directly by a left-to-right scan.  The
 limit keeps the non-crossing ones, from one Catalan recursion that carries
 each edge's enclosing edges and needs no span scan (`non_crossing_blocks`);
-`non_crossing_pairings` and `count_non_crossing` are made from it too.
+`count_non_crossing` is made from it too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_pairings",
     "fock_pairings",
     "non_crossing_blocks",
-    "non_crossing_pairings",
     "is_non_crossing",
     "count_non_crossing",
     "count_fock_surviving",
@@ -182,14 +181,6 @@ def non_crossing_blocks(pattern: Sequence[int], block) -> list[tuple]:
     if not _balanced(pattern):
         return []
     return _blocks(pattern, 0, len(pattern), (), block, {})
-
-
-def non_crossing_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
-    """The non-crossing diagrams of a pattern, generated directly by
-    `non_crossing_blocks`.  The same set as the non-crossing members of
-    `enumerate_pairings`."""
-    for edges in non_crossing_blocks(pattern, lambda edge, enclosing: edge):
-        yield Diagram(edges)
 
 
 def is_non_crossing(d: Diagram) -> bool:

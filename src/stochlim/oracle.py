@@ -11,8 +11,8 @@ Three routes that never touch the diagram sum:
   two auxiliary Fock fields, a(k) -> u a1(k) + v a2+(k), peels the
   particle dressing off every letter and normal-orders the bare letters
   with plain canonical commutation relations, each contracted pair
-  weighted from the Bogoliubov table `BogoliubovCoeffs`: |u|^2 = N+1
-  for species 1, |v|^2 = N for species 2.
+  weighted from the Bogoliubov table `_OFFSET`: |u|^2 = N+1 for
+  species 1, |v|^2 = N for species 2.
 * numeric_eval, the one owner of symbol values, evaluates finite-coupling
   sums at concrete numbers so structurally different computations can be
   compared to double precision.
@@ -43,7 +43,6 @@ from .scalars import (
 from .symbols import (
     EnergyComb,
     TimeComb,
-    TimeLabel,
     WaveLabel,
     basis_from_json,
     basis_to_json,
@@ -57,15 +56,11 @@ from .words import (
     MasterLetter,
     OperatorWord,
     expand_master_word,
-    master_letters,
     normal_order,
 )
 
 __all__ = [
-    "BogoliubovCoeffs",
-    "bosonic_double_check",
     "qdef_normal_order",
-    "reorder_annihilators",
     "doubled_normal_order",
     "numeric_eval",
     "Assignment",
@@ -128,27 +123,6 @@ def qdef_normal_order(word: OperatorWord) -> ScalarSum:
     return ScalarSum.from_iter(Monomial.build(lam=lam, factors=f) for f in done)
 
 
-def reorder_annihilators(
-    word: OperatorWord, i: int
-) -> tuple[OperatorWord, Monomial]:
-    """Swap the annihilators at positions i, i+1 (0-based); the returned
-    factor exp((i/lam^2)(t-t') k.k') times the swapped word's correlator
-    equals the original word's correlator."""
-    letters = word.letters
-    if i < 0 or i + 1 >= len(letters):
-        raise ValueError("position out of range")
-    first, second = letters[i], letters[i + 1]
-    if first.eps != -1 or second.eps != -1:
-        raise ValueError("both letters must be annihilators")
-    swapped = OperatorWord.build(
-        letters[:i] + (second, first) + letters[i + 2 :]
-    )
-    factor = Monomial.build(
-        factors=[OscExp(first.time - second.time, dot(first.wave, second.wave))]
-    )
-    return swapped, factor
-
-
 def _dress(word: OperatorWord) -> list[OscExp]:
     """Peel the particle dressing off every letter: its oscillation factor
     conjugated through exp(i kappa q), kappa = sum eps*k over the letters to
@@ -171,57 +145,9 @@ def _ccr_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
     return branches
 
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    """|u|^2 and |v|^2 as linear forms a + b*nu in a formal occupation nu.
-
-    Numeric coefficients use nu_coeff = 0; the symbolic occupation N(k)
-    is (0, 1).  The mixing a(k) -> u a1(k) + v a2+(k) preserves the
-    commutator exactly when u2 - v2 = 1.
-    """
-
-    u2: tuple[Fraction, Fraction]
-    v2: tuple[Fraction, Fraction]
-
-    @classmethod
-    def from_occupation(cls, v2=(0, 1)) -> "BogoliubovCoeffs":
-        v2 = (Fraction(v2[0]), Fraction(v2[1]))
-        return cls(u2=(v2[0] + 1, v2[1]), v2=v2)
-
-    @property
-    def normalized(self) -> bool:
-        return self.u2[0] - self.v2[0] == 1 and self.u2[1] == self.v2[1]
-
-    def pair_weight(self, species: int) -> tuple[Fraction, Fraction]:
-        """Weight of a contracted pair: |u|^2 for species 1 (a a+ keeps
-        u a1 * u a1+), |v|^2 for species 2 (a+ a keeps v a2 * v a2+)."""
-        return self.u2 if species == 1 else self.v2
-
-
-def bosonic_double_check(coeffs: BogoliubovCoeffs) -> bool:
-    """Verify the bosonic mixing reproduces a mean-zero Gaussian state:
-    <a+ a> = |v|^2 d(k-k'), <a a+> = (|v|^2 + 1) d(k-k'), <a a> = <a+ a+> = 0,
-    under the exact normalization |u|^2 - |v|^2 = 1.  Read through the
-    species map: in the double Fock vacuum only an annihilator followed by
-    a creator of its own species survives, at most one species a pair."""
-    a, a_dag = (Letter(eps, TimeLabel("t"), WaveLabel("k")) for eps in (-1, 1))
-
-    def weight(left: Letter, right: Letter):
-        for l, r in zip(master_letters(left), master_letters(right)):
-            if not l.dag and r.dag:
-                return coeffs.pair_weight(l.species)
-        return (0, 0)
-
-    return (
-        coeffs.normalized
-        and weight(a, a_dag) == (coeffs.v2[0] + 1, coeffs.v2[1])
-        and weight(a_dag, a) == coeffs.v2
-        and weight(a, a) == (0, 0)
-        and weight(a_dag, a_dag) == (0, 0)
-    )
-
-
-_BOGOLIUBOV = BogoliubovCoeffs.from_occupation()  # symbolic N(k): |u|^2 = N+1, |v|^2 = N
+# the weight of a contracted pair is N(k) + offset: |u|^2 = N+1 for species 1
+# (a a+ keeps u a1 * u a1+), |v|^2 = N for species 2 (a+ a keeps v a2 * v a2+)
+_OFFSET = {1: 1, 2: 0}
 
 
 def _doubled_term(dressing: list[OscExp], pairs: tuple) -> Monomial:
@@ -229,8 +155,7 @@ def _doubled_term(dressing: list[OscExp], pairs: tuple) -> Monomial:
     pair d(k-k'), its weight from the Bogoliubov table and a pairing quota."""
     factors: list = list(dressing)
     for ann, cre in pairs:
-        offset, _ = _BOGOLIUBOV.pair_weight(ann.species)  # the weight is N(k) + offset
-        factors += [DeltaK(ann.wave, cre.wave), MFactor(ann.wave, int(offset))]
+        factors += [DeltaK(ann.wave, cre.wave), MFactor(ann.wave, _OFFSET[ann.species])]
     quotas = [ann.time - cre.time for ann, cre in pairs]
     return Monomial.build(lam=-2 * len(pairs), factors=factors, quotas=quotas)
 

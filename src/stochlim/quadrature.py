@@ -8,6 +8,7 @@ error falls like exp(-c/h): a sum of step h beats its half on every other point,
 step 2h, by far.  Their differences (the y-sum's, plus the s-sums' summed over y) make
 est_error at no extra evaluation; h_s and h_y are halved until it is small.  The s-sum
 has period 2pi/h_s in y: a y-walk that would pass the alias bound pi/h_s halves h_s.
+The sweep integrates the Gaussian exp(-(t^2 + x^2)/2); another f is passed as a callable.
 """
 
 from __future__ import annotations
@@ -17,20 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["TEST_FUNCTIONS", "QuadratureResult", "QuadratureError", "oscillation_quadrature",
+__all__ = ["QuadratureResult", "QuadratureError", "oscillation_quadrature",
            "quadrature_sweep", "sweep_csv_rows", "DEFAULT_SWEEP"]
 
-def _sech_profile(t: float, x: float) -> float:
-    if abs(t) > 700.0 or abs(x) > 700.0:
-        return 0.0
-    return 1.0 / (math.cosh(t) * math.cosh(x))
+def _gaussian(t: float, x: float) -> float:
+    return math.exp(-(t * t + x * x) / 2.0)
 
-
-TEST_FUNCTIONS: dict[str, Callable[[float, float], float]] = {
-    "gaussian": lambda t, x: math.exp(-(t * t + x * x) / 2.0),
-    "sech": _sech_profile,
-    "zero": lambda t, x: 0.0,
-}
 
 DEFAULT_SWEEP: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
 
@@ -77,13 +70,12 @@ def _trapezoid(term, h: float, reach: float) -> tuple[complex, complex] | None:
     return (h * fine, 2 * h * coarse) if quiet == _RUN else None
 
 
-def oscillation_quadrature(lam: float, test_fn: str = "gaussian") -> QuadratureResult:
-    """Evaluate I(lam) for a named test function by the nested trapezoidal rule."""
+def oscillation_quadrature(
+    lam: float, f: Callable[[float, float], float] = _gaussian
+) -> QuadratureResult:
+    """Evaluate I(lam) for the integrand f(t, x) by the nested trapezoidal rule."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if test_fn not in TEST_FUNCTIONS:
-        raise ValueError(f"unknown test function {test_fn!r}")
-    f = TEST_FUNCTIONS[test_fn]
     h_s = h_y = _H0
     value, est_error = complex("nan"), math.inf
     for _ in range(_HALVINGS + 1):
@@ -109,10 +101,8 @@ def oscillation_quadrature(lam: float, test_fn: str = "gaussian") -> QuadratureR
     raise QuadratureError("quadrature did not converge", value, est_error)
 
 
-def quadrature_sweep(
-    lams: Sequence[float] = DEFAULT_SWEEP, test_fn: str = "gaussian"
-) -> list[QuadratureResult]:
-    return [oscillation_quadrature(lam, test_fn) for lam in lams]
+def quadrature_sweep(lams: Sequence[float] = DEFAULT_SWEEP) -> list[QuadratureResult]:
+    return [oscillation_quadrature(lam) for lam in lams]
 
 
 def sweep_csv_rows(results: Sequence[QuadratureResult]) -> list[str]:

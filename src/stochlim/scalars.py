@@ -61,7 +61,6 @@ __all__ = [
     "Monomial",
     "ScalarSum",
     "wave_representatives",
-    "q_factor",
 ]
 
 
@@ -105,11 +104,6 @@ class MFactor:
 
 
 Factor = Union[OscExp, DeltaK, TimeDelta, EnergyDelta, MFactor]
-
-
-def q_factor(time: TimeComb, energy: EnergyComb, pairing: bool = False) -> OscExp:
-    """The oscillating exponent exp(-(i/lam^2) * time * energy)."""
-    return OscExp(time, -energy, pairing)
 
 
 def _pair_key(p: tuple[WaveLabel, WaveLabel]) -> tuple:
@@ -324,17 +318,9 @@ class ScalarSum(_Comb):
     __slots__ = ()
 
     @classmethod
-    def of(cls, *monomials: Monomial) -> "ScalarSum":
-        return cls.from_iter(monomials)
-
-    @classmethod
     def from_iter(cls, monomials: Iterable[Monomial]) -> "ScalarSum":
         """The sum of the monomials, each with coefficient 1."""
         return cls.make((m, 1) for m in monomials)
-
-    @classmethod
-    def unit(cls) -> "ScalarSum":
-        return cls.of(Monomial.build())
 
     def __mul__(self, other: "ScalarSum") -> "ScalarSum":
         if not isinstance(other, ScalarSum):

@@ -155,12 +155,6 @@ class _Comb:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, basis):
-        for b, c in self.terms:
-            if b == basis:
-                return c
-        return 0
-
     @property
     def support(self) -> tuple:
         return tuple(b for b, _ in self.terms)

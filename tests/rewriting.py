@@ -54,7 +54,7 @@ def reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
     def go(ls: tuple[MasterLetter, ...], collected: tuple) -> None:
         if not ls:
-            outcomes.add(ScalarSum.of(Monomial.build(two_pi=two_pi, factors=collected)))
+            outcomes.add(ScalarSum.from_iter([Monomial.build(two_pi=two_pi, factors=collected)]))
             return
         sites = [
             i for i in range(len(ls) - 1) if not ls[i].dag and ls[i + 1].dag

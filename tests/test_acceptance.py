@@ -18,14 +18,10 @@ from stochlim.correlator import (
 from stochlim.diagrams import count_non_crossing, enumerate_pairings
 from stochlim.masterfield import check_free_equivalence
 from stochlim.oracle import (
-    _BOGOLIUBOV,
-    BogoliubovCoeffs,
-    bosonic_double_check,
     doubled_normal_order,
     numeric_eval,
     qdef_normal_order,
     random_assignment,
-    reorder_annihilators,
 )
 from stochlim.quadrature import quadrature_sweep
 from stochlim.scalars import (
@@ -35,10 +31,9 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    q_factor,
 )
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
-from stochlim.words import balanced_patterns, word_from_pattern
+from stochlim.words import OperatorWord, balanced_patterns, word_from_pattern
 
 HALF = Fraction(1, 2)
 
@@ -61,28 +56,28 @@ def four_point_expected():
     rainbow = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t2 - t3, e2 + dot(k1, k2), pairing=True),
+            OscExp(t2 - t3, -(e2 + dot(k1, k2)), pairing=True),
             DeltaK(k2, k3),
-            q_factor(t1 - t4, e1, pairing=True),
+            OscExp(t1 - t4, -e1, pairing=True),
             DeltaK(k1, k4),
         ],
     )
     crossing = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t1 - t3, e1, pairing=True),
+            OscExp(t1 - t3, -e1, pairing=True),
             DeltaK(k1, k3),
-            q_factor(t2 - t4, e2, pairing=True),
+            OscExp(t2 - t4, -e2, pairing=True),
             DeltaK(k2, k4),
-            q_factor(t2 - t3, dot(k2, k3)),
+            OscExp(t2 - t3, -dot(k2, k3)),
         ],
     )
-    return ScalarSum.of(rainbow, crossing)
+    return ScalarSum.from_iter([rainbow, crossing])
 
 
 def four_point_limit_expected():
     (t1, t2, t3, t4), (k1, k2, k3, k4) = labels(4)
-    return ScalarSum.of(
+    return ScalarSum.from_iter([
         Monomial.build(
             two_pi=2,
             factors=[
@@ -96,7 +91,7 @@ def four_point_limit_expected():
                 DeltaK(k1, k4),
             ],
         )
-    )
+    ])
 
 
 def test_c01_four_point_reproduction():
@@ -121,9 +116,10 @@ def test_c02_four_point_limit():
 def test_c03_permutation_coherence():
     word = four_point_word()
     (t1, t2, t3, t4), (k1, k2, k3, k4) = labels(4)
-    swapped, factor = reorder_annihilators(word, 0)
+    first, second, *rest = word.letters
+    swapped = OperatorWord.build((second, first, *rest))
     # the inverse deformation exponent exp(+(i/lam^2)(t1-t2) k1.k2)
-    assert factor == Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
+    factor = Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
     # the swapped correlator, written by hand: the diagram that crossed
     # before now nests (with the k1(p+k2) shift) and vice versa
     e1 = omega(k1) + HALF * dot(k1, k1) + dot_p(k1)
@@ -131,26 +127,26 @@ def test_c03_permutation_coherence():
     nested = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t1 - t3, e1 + dot(k2, k1), pairing=True),
+            OscExp(t1 - t3, -(e1 + dot(k2, k1)), pairing=True),
             DeltaK(k1, k3),
-            q_factor(t2 - t4, e2, pairing=True),
+            OscExp(t2 - t4, -e2, pairing=True),
             DeltaK(k2, k4),
         ],
     )
     crossed = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t2 - t3, e2, pairing=True),
+            OscExp(t2 - t3, -e2, pairing=True),
             DeltaK(k2, k3),
-            q_factor(t1 - t4, e1, pairing=True),
+            OscExp(t1 - t4, -e1, pairing=True),
             DeltaK(k1, k4),
-            q_factor(t1 - t3, dot(k1, k3)),
+            OscExp(t1 - t3, -dot(k1, k3)),
         ],
     )
-    swapped_expected = ScalarSum.of(nested, crossed)
+    swapped_expected = ScalarSum.from_iter([nested, crossed])
     assert qdef_normal_order(swapped) == swapped_expected
     # multiplying back by the exchange factor restores the original word
-    product = qdef_normal_order(swapped) * ScalarSum.of(factor)
+    product = qdef_normal_order(swapped) * ScalarSum.from_iter([factor])
     assert product == qdef_normal_order(word)
     # and the limit forgets the permutation entirely
     assert take_limit(product) == four_point_limit_expected()
@@ -254,18 +250,18 @@ def test_c09_oscillation_quadrature():
 
 
 def test_c10_bosonic_double():
-    symbolic = BogoliubovCoeffs.from_occupation()
-    assert symbolic.normalized
-    assert bosonic_double_check(symbolic)
-    assert bosonic_double_check(BogoliubovCoeffs.from_occupation(v2=(0, 0)))
-    assert not bosonic_double_check(
-        BogoliubovCoeffs(u2=(Fraction(2), Fraction(0)), v2=(Fraction(2), Fraction(0)))
-    )
-    # the doubled oracle weighs its pairs with this table: a a+ pairs through
-    # species 1, |u|^2 = N+1, and a+ a through species 2, |v|^2 = N
-    assert _BOGOLIUBOV == symbolic
-    for pattern, species in (([-1, 1], 1), ([1, -1], 2)):
-        ((term, _),) = doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).terms
-        ((_, offset),) = term.m_factors
-        assert (offset, 1) == _BOGOLIUBOV.pair_weight(species)
+    # the doubled oracle weighs a a+ through species 1, |u|^2 = N+1, and
+    # a+ a through species 2, |v|^2 = N; a a and a+ a+ have no pairing
+    k1 = WaveLabel("k1")
+    offsets = []
+    for pattern, weight in (([-1, 1], "(N(k1)+1)"), ([1, -1], "N(k1)")):
+        ((term, rational),) = doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).terms
+        ((wave, offset),) = term.m_factors
+        assert rational == 1 and wave == k1
+        assert term.render().endswith(f"dk(k1,k2) * {weight}")
+        offsets.append(offset)
+    # the mixing keeps the commutator: |u|^2 - |v|^2 = 1
+    assert offsets[0] - offsets[1] == 1
+    for pattern in ([-1, -1], [1, 1]):
+        assert doubled_normal_order(word_from_pattern(pattern), GAUSSIAN).is_zero
     print("\nACCEPTANCE 10 PASS bosonic temperature double")

@@ -237,7 +237,7 @@ def test_quadrature_csv(tmp_path, capsys):
 
 
 def test_quadrature_failure_exits_1_with_one_line(monkeypatch, capsys):
-    def fail(lam, test_fn="gaussian"):
+    def fail(lam):
         raise quadrature.QuadratureError("quadrature did not converge", 0j, 1.0)
 
     monkeypatch.setattr(quadrature, "oscillation_quadrature", fail)
@@ -330,6 +330,20 @@ INPUT_ERRORS = [
     pytest.param(
         ["--pattern", "a a+", "--numeric", "{dir}/missing.json"], {}, "cannot read numeric file",
         id="missing-numeric-file",
+    ),
+    # modes that evaluate nothing still read the numeric file
+    *(
+        pytest.param(
+            [*argv, "--numeric", "{dir}/missing.json"],
+            {},
+            "error: cannot read numeric file",
+            id=f"missing-numeric-file-{argv[1]}",
+        )
+        for argv in (
+            ["--mode", "check-free", "--max-n", "2"],
+            ["--mode", "diagrams", "--pattern", "a a+"],
+            ["--mode", "quadrature"],
+        )
     ),
     pytest.param(["--job", "{dir}/missing.json"], {}, "cannot read job file", id="missing-job-file"),
     # a file given as a string is written as it stands, not as JSON
@@ -537,7 +551,11 @@ INPUT_ERRORS = [
             "cannot write csv file",
             id=f"csv-{name}",
         )
-        for name, path in (("missing-directory", "{dir}/no/such/x.csv"), ("directory", "{dir}"))
+        for name, path in (
+            ("missing-directory", "{dir}/no/such/x.csv"),
+            ("directory", "{dir}"),
+            ("empty", ""),
+        )
     ),
     pytest.param(
         ["--mode", "diagrams"], {}, "mode diagrams needs --pattern", id="diagrams-without-pattern"

@@ -17,7 +17,7 @@ from stochlim.diagrams import (
     Diagram,
     count_fock_surviving,
     fock_pairings,
-    non_crossing_pairings,
+    non_crossing_blocks,
 )
 from stochlim.scalars import (
     DeltaK,
@@ -27,7 +27,6 @@ from stochlim.scalars import (
     OscExp,
     ScalarSum,
     TimeDelta,
-    q_factor,
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import balanced_patterns, word_from_pattern
@@ -57,7 +56,7 @@ def absorption_pairing():
 
 def test_pairing_factor_absorption_edge():
     word = word_from_pattern([-1, 1])
-    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.of(absorption_pairing())
+    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.from_iter([absorption_pairing()])
 
 
 def test_pairing_factor_emission_edge():
@@ -72,13 +71,13 @@ def test_pairing_factor_emission_edge():
             DeltaK(k1, k2),
         ],
     )
-    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.of(expected)
+    assert finite_lambda_correlator(word, GAUSSIAN) == ScalarSum.from_iter([expected])
 
 
 def test_two_point_correlators():
     word = word_from_pattern([-1, 1])
     result = finite_lambda_correlator(word, GAUSSIAN)
-    assert result == ScalarSum.of(absorption_pairing())
+    assert result == ScalarSum.from_iter([absorption_pairing()])
     # Fock keeps the N+1 edge as weight one
     fock = finite_lambda_correlator(word, FOCK)
     assert len(fock.terms) == 1 and fock.terms[0][0].m_factors == ()
@@ -102,23 +101,23 @@ def four_point_golden():
     rainbow = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t2 - t3, e2 + dot(k1, k2), pairing=True),
+            OscExp(t2 - t3, -(e2 + dot(k1, k2)), pairing=True),
             DeltaK(k2, k3),
-            q_factor(t1 - t4, e1, pairing=True),
+            OscExp(t1 - t4, -e1, pairing=True),
             DeltaK(k1, k4),
         ],
     )
     crossing = Monomial.build(
         lam=-4,
         factors=[
-            q_factor(t1 - t3, e1, pairing=True),
+            OscExp(t1 - t3, -e1, pairing=True),
             DeltaK(k1, k3),
-            q_factor(t2 - t4, e2, pairing=True),
+            OscExp(t2 - t4, -e2, pairing=True),
             DeltaK(k2, k4),
-            q_factor(t2 - t3, dot(k2, k3)),
+            OscExp(t2 - t3, -dot(k2, k3)),
         ],
     )
-    return word, ScalarSum.of(rainbow, crossing)
+    return word, ScalarSum.from_iter([rainbow, crossing])
 
 
 def test_four_point_reproduction():
@@ -130,7 +129,7 @@ def test_four_point_limit_keeps_rainbow():
     word, _ = four_point_golden()
     (t1, t2, t3, t4), (k1, k2, k3, k4) = labels(4)
     limit = take_limit(finite_lambda_correlator(word, FOCK))
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             two_pi=2,
             factors=[
@@ -144,7 +143,7 @@ def test_four_point_limit_keeps_rainbow():
                 DeltaK(k1, k4),
             ],
         )
-    )
+    ])
     assert limit == expected
     assert limit == limit_correlator(word, FOCK)
 
@@ -152,7 +151,7 @@ def test_four_point_limit_keeps_rainbow():
 def test_limit_two_point():
     word = word_from_pattern([-1, 1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             two_pi=1,
             factors=[
@@ -162,7 +161,7 @@ def test_limit_two_point():
                 DeltaK(k1, k2),
             ],
         )
-    )
+    ])
     assert limit_correlator(word, GAUSSIAN) == expected
 
 
@@ -198,7 +197,7 @@ def test_limit_alternating_gaussian():
             DeltaK(k2, k3),
         ],
     )
-    expected = ScalarSum.of(disjoint, nested)
+    expected = ScalarSum.from_iter([disjoint, nested])
     assert limit_correlator(word, GAUSSIAN) == expected
     # the Fock state kills the N-weighted nested term
     assert len(limit_correlator(word, FOCK).terms) == 1
@@ -207,15 +206,15 @@ def test_limit_alternating_gaussian():
 def test_take_limit_rules():
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1 = WaveLabel("k1")
-    paired = ScalarSum.of(
+    paired = ScalarSum.from_iter([
         Monomial.build(lam=-2, factors=[OscExp(t1 - t2, omega(k1), pairing=True)])
-    )
-    assert take_limit(paired) == ScalarSum.of(
+    ])
+    assert take_limit(paired) == ScalarSum.from_iter([
         Monomial.build(two_pi=1, factors=[TimeDelta(t1 - t2), EnergyDelta(omega(k1))])
-    )
-    bare = ScalarSum.of(Monomial.build(factors=[OscExp(t1 - t2, omega(k1))]))
+    ])
+    bare = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t1 - t2, omega(k1))])])
     assert take_limit(bare).is_zero
-    shared = ScalarSum.of(
+    shared = ScalarSum.from_iter([
         Monomial.build(
             lam=-2,
             factors=[
@@ -223,13 +222,13 @@ def test_take_limit_rules():
                 OscExp(t1 - t2, dot_p(k1)),
             ],
         )
-    )
-    assert take_limit(shared) == ScalarSum.of(
+    ])
+    assert take_limit(shared) == ScalarSum.from_iter([
         Monomial.build(
             two_pi=1,
             factors=[TimeDelta(t1 - t2), EnergyDelta(omega(k1) + dot_p(k1))],
         )
-    )
+    ])
 
 
 def test_take_limit_structural_errors():
@@ -237,11 +236,11 @@ def test_take_limit_structural_errors():
     k1 = WaveLabel("k1")
     with pytest.raises(LimitStructureError):
         take_limit(
-            ScalarSum.of(Monomial.build(lam=-2, factors=[OscExp(t1 - t2, omega(k1))]))
+            ScalarSum.from_iter([Monomial.build(lam=-2, factors=[OscExp(t1 - t2, omega(k1))])])
         )
     with pytest.raises(LimitStructureError):
         take_limit(
-            ScalarSum.of(
+            ScalarSum.from_iter([
                 Monomial.build(
                     lam=-4,
                     factors=[
@@ -249,11 +248,11 @@ def test_take_limit_structural_errors():
                         OscExp(t1 - t2, dot_p(k1), pairing=True),
                     ],
                 )
-            )
+            ])
         )
     with pytest.raises(LimitStructureError):
         take_limit(
-            ScalarSum.of(
+            ScalarSum.from_iter([
                 Monomial.build(
                     lam=-2,
                     factors=[
@@ -261,11 +260,11 @@ def test_take_limit_structural_errors():
                         OscExp(t1 - t2, -omega(k1)),
                     ],
                 )
-            )
+            ])
         )
     with pytest.raises(LimitStructureError):
         take_limit(
-            ScalarSum.of(Monomial.build(two_pi=1, factors=[TimeDelta(t1 - t2)]))
+            ScalarSum.from_iter([Monomial.build(two_pi=1, factors=[TimeDelta(t1 - t2)])])
         )
 
 
@@ -273,7 +272,7 @@ def test_take_limit_chained_quotas():
     # hand-built sums may share time labels between quotas
     t1, t2, t3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    s = ScalarSum.of(
+    s = ScalarSum.from_iter([
         Monomial.build(
             lam=-4,
             factors=[
@@ -281,8 +280,8 @@ def test_take_limit_chained_quotas():
                 OscExp(t2 - t3, omega(k2), pairing=True),
             ],
         )
-    )
-    assert take_limit(s) == ScalarSum.of(
+    ])
+    assert take_limit(s) == ScalarSum.from_iter([
         Monomial.build(
             two_pi=2,
             factors=[
@@ -292,7 +291,7 @@ def test_take_limit_chained_quotas():
                 EnergyDelta(omega(k2)),
             ],
         )
-    )
+    ])
 
 
 def test_take_limit_non_unit_pivot_stays_exact():
@@ -300,7 +299,7 @@ def test_take_limit_non_unit_pivot_stays_exact():
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1 = WaveLabel("k1")
     quota = TimeComb.make([(t1, 2), (t2, -1)])
-    s = ScalarSum.of(
+    s = ScalarSum.from_iter([
         Monomial.build(
             lam=-2,
             quotas=[quota],
@@ -309,13 +308,13 @@ def test_take_limit_non_unit_pivot_stays_exact():
                 OscExp(TimeComb.of(t2), -HALF * omega(k1)),
             ],
         )
-    )
+    ])
     limit = take_limit(s)
-    assert limit == ScalarSum.of(
+    assert limit == ScalarSum.from_iter([
         Monomial.build(
             two_pi=1, factors=[TimeDelta(quota), EnergyDelta(HALF * omega(k1))]
         )
-    )
+    ])
     ((m, c),) = limit.terms
     ((_, half),) = m.energy_deltas[0].terms
     assert half == HALF and type(half) is Fraction
@@ -330,34 +329,34 @@ def test_take_limit_chained_quotas_negative_pivot():
     t1, t2, t3, t4 = (TimeLabel(f"t{i}") for i in (1, 2, 3, 4))
     k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
     pairs = [(t1 - t2, omega(k1)), (t1 - t4, omega(k2)), (t2 - t3, omega(k3))]
-    s = ScalarSum.of(
+    s = ScalarSum.from_iter([
         Monomial.build(
             lam=-6,
             factors=[OscExp(t, e, pairing=True) for t, e in pairs]
             + [OscExp(t2 - t3, dot_p(k3))],
         )
-    )
+    ])
     blocks = []
     for t, e in pairs:
         blocks += [TimeDelta(t), EnergyDelta(e)]
     blocks[-1] = EnergyDelta(omega(k3) + dot_p(k3))
-    assert take_limit(s) == ScalarSum.of(Monomial.build(two_pi=3, factors=blocks))
-    bare = ScalarSum.of(
+    assert take_limit(s) == ScalarSum.from_iter([Monomial.build(two_pi=3, factors=blocks)])
+    bare = ScalarSum.from_iter([
         Monomial.build(
             lam=-6,
             factors=[OscExp(t, e, pairing=True) for t, e in pairs]
             + [OscExp(t1 - t3, dot_p(k3))],
         )
-    )
+    ])
     # t1 - t3 = (t1 - t2) + (t2 - t3) lies in the quota span: absorbed
     assert len(take_limit(bare).terms) == 1
-    killed = ScalarSum.of(
+    killed = ScalarSum.from_iter([
         Monomial.build(
             lam=-6,
             factors=[OscExp(t, e, pairing=True) for t, e in pairs]
             + [OscExp(TimeComb.of(t3), dot_p(k3))],
         )
-    )
+    ])
     assert take_limit(killed).is_zero
 
 
@@ -456,7 +455,6 @@ def _cycle_paths():
     from stochlim.diagrams import (
         count_non_crossing,
         enumerate_pairings,
-        non_crossing_pairings,
     )
     from stochlim.masterfield import check_free_equivalence, free_correlator
     from stochlim.oracle import doubled_normal_order, qdef_normal_order
@@ -466,7 +464,9 @@ def _cycle_paths():
         "limit_correlator": lambda w, p: limit_correlator(w, GAUSSIAN),
         "limit_correlator-fock": lambda w, p: limit_correlator(w, FOCK),
         "check_free_equivalence": lambda w, p: check_free_equivalence(w, GAUSSIAN),
-        "non_crossing_pairings": lambda w, p: list(non_crossing_pairings(p)),
+        "non_crossing_pairings": lambda w, p: [
+            Diagram(e) for e in non_crossing_blocks(p, lambda edge, enclosing: edge)
+        ],
         "count_non_crossing": lambda w, p: count_non_crossing(p),
         "enumerate_pairings": lambda w, p: enumerate_pairings(p),
         "fock_pairings": lambda w, p: list(fock_pairings(p)),
@@ -506,7 +506,8 @@ def whole_diagram_limit(word, state):
     whose energy is summed here term by term."""
     letters = word.letters
     terms = []
-    for d in non_crossing_pairings(word.pattern):
+    for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge):
+        d = Diagram(edges)
         factors = []
         for edge, (enclosing, crossings) in zip(d.edges, d.spans()):
             assert crossings == []
@@ -562,8 +563,8 @@ def test_limit_walk_makes_each_edge_energy_once(monkeypatch):
     word = word_from_pattern((-1, 1) * 8)
     expected = {
         (edge, tuple(enclosing))
-        for d in non_crossing_pairings(word.pattern)
-        for edge, (enclosing, _) in zip(d.edges, d.spans())
+        for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge)
+        for edge, (enclosing, _) in zip(edges, Diagram(edges).spans())
     }
     made = []
     edge_energy = correlator._edge_energy

@@ -13,7 +13,6 @@ from stochlim.diagrams import (
     fock_pairings,
     is_non_crossing,
     non_crossing_blocks,
-    non_crossing_pairings,
 )
 from stochlim.words import balanced_patterns
 
@@ -99,10 +98,9 @@ def test_counts_match_brute_force():
 def test_non_crossing_generator_matches_filter():
     sample = random.Random(12).sample(balanced_patterns(12), 40)
     for pattern in balanced_up_to(10) + sample:
-        direct = list(non_crossing_pairings(pattern))
+        direct = [Diagram(e) for e in non_crossing_blocks(pattern, lambda edge, enclosing: edge)]
         assert len(set(direct)) == len(direct)
         assert set(direct) == set(filtered_non_crossing(pattern)), pattern
-    assert list(non_crossing_pairings((-1, 1, 1))) == []
 
 
 def recursion_order(pattern):
@@ -129,7 +127,8 @@ def recursion_order(pattern):
 
 def test_non_crossing_generator_keeps_the_recursion_order():
     for pattern in balanced_up_to(10):
-        assert list(non_crossing_pairings(pattern)) == recursion_order(pattern), pattern
+        blocks = non_crossing_blocks(pattern, lambda edge, enclosing: edge)
+        assert [Diagram(e) for e in blocks] == recursion_order(pattern), pattern
 
 
 def test_walk_blocks_see_their_enclosing_edges():
@@ -140,9 +139,8 @@ def test_walk_blocks_see_their_enclosing_edges():
         blocks = non_crossing_blocks(pattern, lambda e, enc: made.append((e, enc)) or e)
         assert len(made) == len(set(made))
         seen = set()
-        for d, edges in zip(non_crossing_pairings(pattern), blocks):
-            assert d.edges == edges
-            for e, (enclosing, _) in zip(d.edges, d.spans()):
+        for edges in blocks:
+            for e, (enclosing, _) in zip(edges, Diagram(edges).spans()):
                 seen.add((e, tuple(enclosing)))
         assert seen == set(made), pattern
     assert non_crossing_blocks((-1, 1, 1), lambda e, enc: e) == []

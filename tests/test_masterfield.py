@@ -7,7 +7,7 @@ from stochlim.cli import main
 from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
 from stochlim.diagrams import count_non_crossing
 from stochlim.masterfield import check_free_equivalence, free_correlator
-from stochlim.oracle import BogoliubovCoeffs, _ccr_step, bosonic_double_check
+from stochlim.oracle import _ccr_step
 from stochlim.scalars import (
     DeltaK,
     EnergyDelta,
@@ -61,7 +61,7 @@ def labels(n):
 def test_two_point_absorption_channel():
     word = word_from_pattern([-1, 1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             two_pi=1,
             factors=[
@@ -71,14 +71,14 @@ def test_two_point_absorption_channel():
                 DeltaK(k1, k2),
             ],
         )
-    )
+    ])
     assert free_correlator(word, GAUSSIAN) == expected
 
 
 def test_two_point_emission_channel():
     word = word_from_pattern([1, -1])
     (t1, t2), (k1, k2) = labels(2)
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             two_pi=1,
             factors=[
@@ -88,7 +88,7 @@ def test_two_point_emission_channel():
                 DeltaK(k2, k1),
             ],
         )
-    )
+    ])
     assert free_correlator(word, GAUSSIAN) == expected
     # only the occupation-weighted channel contributes, so Fock kills it
     assert free_correlator(word, FOCK).is_zero
@@ -259,24 +259,3 @@ def test_check_free_json_lists_the_differing_terms(monkeypatch, capsys):
     assert entries["a+ a"] == {"pattern": "a+ a", "equal": True}
     assert result["mismatches"] == 3
 
-
-def test_bosonic_double_symbolic_occupation():
-    coeffs = BogoliubovCoeffs.from_occupation()
-    assert coeffs.normalized
-    assert bosonic_double_check(coeffs)
-
-
-def test_bosonic_double_fock_reduction():
-    coeffs = BogoliubovCoeffs.from_occupation(v2=(0, 0))
-    assert bosonic_double_check(coeffs)
-    assert coeffs.u2 == (1, 0)
-
-
-def test_bosonic_double_numeric():
-    coeffs = BogoliubovCoeffs.from_occupation(v2=(Fraction(3, 4), 0))
-    assert bosonic_double_check(coeffs)
-
-
-def test_bosonic_double_rejects_unnormalized():
-    bad = BogoliubovCoeffs(u2=(Fraction(2), Fraction(0)), v2=(Fraction(2), Fraction(0)))
-    assert not bosonic_double_check(bad)

@@ -22,7 +22,6 @@ from stochlim.oracle import (
     numeric_eval,
     qdef_normal_order,
     random_assignment,
-    reorder_annihilators,
 )
 from stochlim.scalars import (
     DeltaK,
@@ -30,7 +29,6 @@ from stochlim.scalars import (
     Monomial,
     OscExp,
     ScalarSum,
-    q_factor,
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import (
@@ -50,19 +48,19 @@ def test_qdef_two_point():
     word = word_from_pattern([-1, 1])
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             lam=-2,
             factors=[
-                q_factor(
+                OscExp(
                     t1 - t2,
-                    omega(k1) + HALF * dot(k1, k1) + dot_p(k1),
+                    -(omega(k1) + HALF * dot(k1, k1) + dot_p(k1)),
                     pairing=True,
                 ),
                 DeltaK(k1, k2),
             ],
         )
-    )
+    ])
     assert qdef_normal_order(word) == expected
 
 
@@ -162,31 +160,29 @@ def test_qdef_step_lowers_length_and_inversions():
 
 
 def test_reorder_annihilators_factor():
+    # the two annihilators of a1 a2 a+ a+ swap against exp((i/lam^2)(t1-t2) k1.k2),
+    # and swapping back cancels the factor exactly
     word = word_from_pattern([-1, -1, 1, 1])
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    swapped, factor = reorder_annihilators(word, 0)
-    assert swapped.letters[0].time == t2 and swapped.letters[1].time == t1
-    assert factor == Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
-    # swapping back cancels the factor exactly
-    back, factor_back = reorder_annihilators(swapped, 0)
-    assert back == word
-    assert ScalarSum.of(factor) * ScalarSum.of(factor_back) == ScalarSum.unit()
-
-
-def test_reorder_annihilators_validation():
-    word = word_from_pattern([-1, 1])
-    with pytest.raises(ValueError):
-        reorder_annihilators(word, 0)
-    with pytest.raises(ValueError):
-        reorder_annihilators(word, 5)
+    first, second, *rest = word.letters
+    swapped = OperatorWord.build((second, first, *rest))
+    factor = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])])
+    back = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t2 - t1, dot(k2, k1))])])
+    assert factor * back == ScalarSum.from_iter([Monomial.build()])
+    assert qdef_normal_order(swapped) * factor == qdef_normal_order(word)
+    assert qdef_normal_order(word) * back == qdef_normal_order(swapped)
 
 
 def test_exchange_coherence():
     word = word_from_pattern([-1, -1, 1, 1])
-    swapped, factor = reorder_annihilators(word, 0)
+    t1, t2 = TimeLabel("t1"), TimeLabel("t2")
+    k1, k2 = WaveLabel("k1"), WaveLabel("k2")
+    first, second, *rest = word.letters
+    swapped = OperatorWord.build((second, first, *rest))
+    factor = Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
     direct = qdef_normal_order(word)
-    via_swap = qdef_normal_order(swapped) * ScalarSum.of(factor)
+    via_swap = qdef_normal_order(swapped) * ScalarSum.from_iter([factor])
     assert direct == via_swap
     assert take_limit(direct) == take_limit(via_swap)
 
@@ -195,7 +191,7 @@ def test_doubled_two_point_emission():
     word = word_from_pattern([1, -1])
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    expected = ScalarSum.of(
+    expected = ScalarSum.from_iter([
         Monomial.build(
             lam=-2,
             factors=[
@@ -208,7 +204,7 @@ def test_doubled_two_point_emission():
                 DeltaK(k1, k2),
             ],
         )
-    )
+    ])
     assert doubled_normal_order(word, GAUSSIAN) == expected
 
 
@@ -242,11 +238,11 @@ def test_doubled_rejects_fock():
 
 
 def test_numeric_eval_unit_and_pi():
-    assert numeric_eval(ScalarSum.unit(), Assignment(lam=0.5)) == 1 + 0j
+    assert numeric_eval(ScalarSum.from_iter([Monomial.build()]), Assignment(lam=0.5)) == 1 + 0j
     # T*E = pi*lam^2 makes the exponent exp(i pi) = -1
     t1, t2 = TimeLabel("t1"), TimeLabel("t2")
     k1 = WaveLabel("k1")
-    s = ScalarSum.of(Monomial.build(factors=[OscExp(t1 - t2, omega(k1))]))
+    s = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t1 - t2, omega(k1))])])
     import math
 
     lam = 0.7
@@ -303,9 +299,9 @@ def test_temperature_assignment_occupation():
 
 def _k9_k10_phase() -> ScalarSum:
     k9, k10 = WaveLabel("k9"), WaveLabel("k10")
-    return ScalarSum.of(
+    return ScalarSum.from_iter([
         Monomial.build(factors=[OscExp(TimeComb.of(TimeLabel("t1")), dot(k9, k10))])
-    )
+    ])
 
 
 def test_random_assignment_orders_dot_labels_naturally():
