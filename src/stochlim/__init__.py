@@ -18,7 +18,6 @@ from .diagrams import (
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
-    fock_pairings,
     is_non_crossing,
 )
 from .masterfield import (

@@ -4,10 +4,10 @@ The exact N-point correlator is a sum over pair partitions.  Every edge
 contributes a 1/lam^2 pairing exponent whose energy carries the edge's
 orientation and the momentum shifts inherited from enclosing edges;
 crossing edges leave extra single-time exponents behind.  The exact sum
-reads both from each diagram's span scan (`_edges`); the direct limit has
-no crossings and makes each edge's block once per set of enclosing edges
-in the Catalan walk (`non_crossing_blocks`).  In the limit
-lam -> 0 each pairing exponent turns into 2pi * dT * dE while any
+reads both from each diagram's span scan (`_diagram_monomial`); the
+direct limit has no crossings and makes each edge's block once per set
+of enclosing edges in the Catalan walk (`non_crossing_blocks`).  In the
+limit lam -> 0 each pairing exponent turns into 2pi * dT * dE while any
 oscillation that cannot be matched to a pairing quota suppresses its
 whole term, which is why only non-crossing diagrams survive.
 """
@@ -23,7 +23,6 @@ from .diagrams import (
     Diagram,
     Edge,
     enumerate_pairings,
-    fock_pairings,
     non_crossing_blocks,
 )
 from .scalars import (
@@ -103,26 +102,21 @@ def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
     return EnergyComb.sum_of(bare + shifts)
 
 
-def _edges(word: OperatorWord, diagram: Diagram):
-    """Per edge of the diagram, from its span scan: the edge, its creation
-    and annihilation letters, its energy and its crossing positions."""
+def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
+    """From the diagram's span scan: the pairing exponent of every edge,
+    its energy shifted by the enclosing edges, and one single-time exponent
+    per crossing vertex of an edge."""
     letters = word.letters
     wave = lambda e: letters[e.creation - 1].wave
+    factors = []
     for edge, (enclosing, crossings) in zip(diagram.edges, diagram.spans()):
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
-        yield edge, cre, ann, _edge_energy(wave, edge, enclosing), crossings
-
-
-def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
-    """The pairing exponents of every edge, and one single-time exponent
-    per crossing vertex of an edge."""
-    factors = []
-    for edge, cre, ann, energy, crossings in _edges(word, diagram):
+        energy = _edge_energy(wave, edge, enclosing)
         factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
         factors += _occupation_and_delta(edge, cre, ann)
         for pos in crossings:
-            vertex = word.letters[pos - 1]
+            vertex = letters[pos - 1]
             factors.append(
                 OscExp(
                     TimeComb.of(vertex.time),
@@ -134,11 +128,11 @@ def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Exact correlator at finite coupling: sum over all pair partitions,
-    in the Fock state over those it keeps (`fock_pairings`)."""
+    in the Fock state over those it keeps (`fock=True`)."""
     if not word.balanced:
         return ScalarSum.zero()
-    pairings = fock_pairings if state.kind == "fock" else enumerate_pairings
-    terms = [_diagram_monomial(word, d) for d in pairings(word.pattern)]
+    pairings = enumerate_pairings(word.pattern, fock=state.kind == "fock")
+    terms = [_diagram_monomial(word, d) for d in pairings]
     return apply_state(ScalarSum.from_iter(terms), state)
 
 

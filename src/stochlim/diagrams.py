@@ -8,10 +8,10 @@ whose partner is outside is a crossing vertex of the edge.  The exact
 correlator reads both; `is_non_crossing` reads the crossings.  Positions
 are 1-based.
 
-Only the exact correlator of the Gaussian and temperature states needs
-all (N/2)! pairings (`enumerate_pairings`).  In the Fock state only the
-pairings in which every creation follows its annihilation survive, and
-`fock_pairings` generates those directly by a left-to-right scan.  The
+The exact correlator sums over pairings made by one recursion
+(`enumerate_pairings`): all (N/2)! of them in the Gaussian and
+temperature states, and with `fock=True` only those in which every
+creation follows its annihilation, the ones the Fock vacuum keeps.  The
 limit keeps the non-crossing ones, from one Catalan recursion that carries
 each edge's enclosing edges and needs no span scan (`non_crossing_blocks`);
 `count_non_crossing` is made from it too.
@@ -20,14 +20,12 @@ each edge's enclosing edges and needs no span scan (`non_crossing_blocks`);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
 __all__ = [
     "Edge",
     "Diagram",
     "enumerate_pairings",
-    "fock_pairings",
     "non_crossing_blocks",
     "is_non_crossing",
     "count_non_crossing",
@@ -94,51 +92,35 @@ def _balanced(pattern: Sequence[int]) -> bool:
     return pattern.count(1) == pattern.count(-1)
 
 
-def enumerate_pairings(pattern: Sequence[int]) -> tuple[Diagram, ...]:
+def _assign(creations, i, free, edge, left, out, fock) -> None:
+    if i == len(creations):
+        out.append(Diagram(tuple(e for e in left if e is not None)))
+        return
+    c = creations[i]
+    for j, a in enumerate(free):
+        if fock and a > c:
+            break
+        e = edge[c, a]
+        left[c], left[a] = (e, None) if c < a else (None, e)
+        _assign(creations, i + 1, free[:j] + free[j + 1 :], edge, left, out, fock)
+
+
+def enumerate_pairings(pattern: Sequence[int], fock: bool = False) -> tuple[Diagram, ...]:
     """All matchings of creations with annihilations, in lexicographic order
-    of the assignment vector taken in ascending creation order.  Unbalanced
-    patterns have no pairings."""
+    of the assignment vector taken in ascending creation order; with `fock`
+    only those in which every creation follows its annihilation, in the same
+    order.  Unbalanced patterns have no pairings."""
     creations = [i + 1 for i, eps in enumerate(pattern) if eps == 1]
     annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
     if len(creations) != len(annihilations):
         return ()
     edge = {(c, a): Edge(c, a) for c in creations for a in annihilations}
-    # every position is written for every diagram: its edge when it is
+    # every position is written on every full branch: its edge when it is
     # the edge's left end, else None; the edges then come out by left end
     left = [None] * (len(pattern) + 1)
-    out = []
-    for assignment in permutations(annihilations):
-        for c, a in zip(creations, assignment):
-            e = edge[c, a]
-            left[c], left[a] = (e, None) if c < a else (None, e)
-        out.append(Diagram(tuple(e for e in left if e is not None)))
+    out: list[Diagram] = []
+    _assign(creations, 0, tuple(annihilations), edge, left, out, fock)
     return tuple(out)
-
-
-def _fock_scan(pattern, i, open_ann, left) -> Iterator[Diagram]:
-    if i == len(pattern):
-        yield Diagram(tuple(e for e in left if e is not None))
-    elif pattern[i] == -1:
-        yield from _fock_scan(pattern, i + 1, open_ann + (i + 1,), left)
-    else:
-        for j, a in enumerate(open_ann):
-            left[a] = Edge(i + 1, a)
-            rest = open_ann[:j] + open_ann[j + 1 :]
-            yield from _fock_scan(pattern, i + 1, rest, left)
-
-
-def fock_pairings(pattern: Sequence[int]) -> Iterator[Diagram]:
-    """The diagrams in which every creation follows its annihilation,
-    generated directly by the scan behind `count_fock_surviving`: left to
-    right, each creation picks one of the annihilations still open.  The
-    same set as the members of `enumerate_pairings` with every
-    `edge.delta == 1`."""
-    pattern = tuple(pattern)
-    if not _balanced(pattern):
-        return
-    # an edge's left end is its annihilation; every annihilation is paired
-    # on the current branch when a diagram is yielded, so no slot is stale
-    yield from _fock_scan(pattern, 0, (), [None] * (len(pattern) + 1))
 
 
 def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:

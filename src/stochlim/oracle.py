@@ -205,7 +205,7 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
     symbol is looked up in one table made from the assignment, and a symbol
     without a value raises UnassignedSymbolError.  Momentum deltas are
     label-equality indicators, already applied because every monomial is
-    built unified; limit factors are rejected."""
+    built unified; limit factors and values that are not finite are rejected."""
     if assign.lam <= 0:
         raise ValueError("lam must be positive")
     # keyed by basis symbol through the JSON form, which puts a dot pair in label order
@@ -216,7 +216,6 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
     for m, rational in s.terms:
         if m.time_deltas or m.energy_deltas:
             raise ValueError("numeric evaluation handles finite-coupling sums only")
-        value = float(rational) * (2 * math.pi) ** m.two_pi * assign.lam**m.lam
         phase = 0.0
         for label, energy in m.osc:
             if label.name not in assign.times:
@@ -226,12 +225,18 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
             except KeyError as err:
                 raise UnassignedSymbolError(err.args[0].render()) from None
             phase += assign.times[label.name] * e_val
-        out = value * cmath.exp(1j * phase / assign.lam**2)
+        try:
+            value = float(rational) * (2 * math.pi) ** m.two_pi * assign.lam**m.lam
+            out = value * cmath.exp(1j * phase / assign.lam**2)
+        except OverflowError:  # a power of lam; the total then reads nan
+            out = math.nan
         for wave, offset in m.m_factors:
             if wave.name not in assign.occupation:
                 raise UnassignedSymbolError(f"N({wave.name})")
             out *= assign.occupation[wave.name] + offset
         total += out
+    if not cmath.isfinite(total):
+        raise ValueError("numeric value is not a finite number")
     return total
 
 

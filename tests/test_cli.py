@@ -324,6 +324,15 @@ def _letter_without(key: str) -> dict:
     return letter
 
 
+# every symbol of "a a+" at ordinary values
+_NUMBERS = {
+    "lambda": 0.5,
+    "times": {"t1": 0.1, "t2": 0.2},
+    "omega": {"k1": 1.0},
+    "dot": {"k1,k1": 1.0},
+    "dotP": {"k1": 0.5},
+}
+
 # argv with {dir} standing for the test's directory, the JSON contents
 # of the files to write there, and a fragment of the one-line message
 INPUT_ERRORS = [
@@ -394,6 +403,23 @@ INPUT_ERRORS = [
         {"n.json": {"lambda": 0.5, "dot": {"k1": 0.3}}},
         "dot key 'k1' is not two labels",
         id="numeric-dot-key-without-comma",
+    ),
+    # finite numbers whose value is not: lam**-2 or lam**2 overflows, or the phase is inf - inf
+    *(
+        pytest.param(
+            ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+            {"n.json": numbers},
+            "numeric value is not a finite number",
+            id=f"numeric-{name}",
+        )
+        for name, numbers in (
+            ("lambda-tiny", {**_NUMBERS, "lambda": 1e-200}),
+            ("lambda-huge", {**_NUMBERS, "lambda": 1e300}),
+            (
+                "phase-overflow",
+                {**_NUMBERS, "times": {"t1": 1e308, "t2": -1e308}, "omega": {"k1": 1e308}},
+            ),
+        )
     ),
     *(
         pytest.param(

@@ -16,7 +16,7 @@ from stochlim.correlator import (
 from stochlim.diagrams import (
     Diagram,
     count_fock_surviving,
-    fock_pairings,
+    enumerate_pairings,
     non_crossing_blocks,
 )
 from stochlim.scalars import (
@@ -398,11 +398,7 @@ def test_limit_factor_counts():
 
 
 def test_crossing_terms_match_non_crossing_counts():
-    from stochlim.diagrams import (
-        count_non_crossing,
-        enumerate_pairings,
-        is_non_crossing,
-    )
+    from stochlim.diagrams import count_non_crossing, is_non_crossing
 
     for pattern in balanced_patterns(6):
         word = word_from_pattern(pattern)
@@ -425,7 +421,7 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
             vacuum = ScalarSum.from_iter(
-                _diagram_monomial(word, d) for d in fock_pairings(pattern)
+                _diagram_monomial(word, d) for d in enumerate_pairings(pattern, fock=True)
             )
             assert all(o == 1 for m, _ in vacuum.terms for _, o in m.m_factors)
             kept = apply_state(vacuum, FOCK)
@@ -437,25 +433,29 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
 
 
 def test_fock_state_enumerates_no_pairing(monkeypatch):
-    # the 12-letter alternating word has 720 pairings and one vacuum pairing
+    """The Fock state asks for the vacuum pairings only: the 12-letter
+    alternating word has 720 pairings and one vacuum pairing."""
     from stochlim import correlator
 
-    def refuse(pattern):
-        raise AssertionError("the Fock state must not enumerate every pairing")
+    made = []
 
-    monkeypatch.setattr(correlator, "enumerate_pairings", refuse)
+    def counted(pattern, fock=False):
+        diagrams = enumerate_pairings(pattern, fock=fock)
+        made.append((fock, len(diagrams)))
+        return diagrams
+
+    monkeypatch.setattr(correlator, "enumerate_pairings", counted)
     word = word_from_pattern((-1, 1) * 6)
     assert len(finite_lambda_correlator(word, FOCK).terms) == 1
+    assert made == [(True, 1)]
+    assert len(enumerate_pairings(word.pattern)) == 720
 
 
 CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
 
 
 def _cycle_paths():
-    from stochlim.diagrams import (
-        count_non_crossing,
-        enumerate_pairings,
-    )
+    from stochlim.diagrams import count_non_crossing
     from stochlim.masterfield import check_free_equivalence, free_correlator
     from stochlim.oracle import doubled_normal_order, qdef_normal_order
 
@@ -469,7 +469,7 @@ def _cycle_paths():
         ],
         "count_non_crossing": lambda w, p: count_non_crossing(p),
         "enumerate_pairings": lambda w, p: enumerate_pairings(p),
-        "fock_pairings": lambda w, p: list(fock_pairings(p)),
+        "enumerate_pairings-fock": lambda w, p: enumerate_pairings(p, fock=True),
         "finite_lambda_correlator-fock": lambda w, p: finite_lambda_correlator(w, FOCK),
         "finite_lambda_correlator-gaussian": lambda w, p: finite_lambda_correlator(
             w, GAUSSIAN

@@ -1,6 +1,7 @@
 import math
 import random
 from functools import cache
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +11,6 @@ from stochlim.diagrams import (
     count_fock_surviving,
     count_non_crossing,
     enumerate_pairings,
-    fock_pairings,
     is_non_crossing,
     non_crossing_blocks,
 )
@@ -50,6 +50,26 @@ def test_four_point_pair():
 def test_unbalanced_empty():
     assert enumerate_pairings((-1, 1, 1)) == ()
     assert enumerate_pairings((-1,)) == ()
+
+
+def permutation_order(pattern):
+    """Brute force: the diagrams of every permutation of the annihilations
+    in lexicographic order, paired in ascending creation order."""
+    creations = [i + 1 for i, eps in enumerate(pattern) if eps == 1]
+    annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
+    return [
+        Diagram(tuple(sorted(map(Edge, creations, perm), key=lambda e: e.a)))
+        for perm in permutations(annihilations)
+    ]
+
+
+def test_pairings_keep_the_permutation_order():
+    """The Fock pairings are the in-order subsequence of all pairings."""
+    for pattern in balanced_up_to(10):
+        every = permutation_order(pattern)
+        assert list(enumerate_pairings(pattern)) == every, pattern
+        fock = [d for d in every if all(e.delta == 1 for e in d.edges)]
+        assert list(enumerate_pairings(pattern, fock=True)) == fock, pattern
 
 
 def test_alternating_four_point():
@@ -157,13 +177,13 @@ def filtered_fock(pattern):
 def test_fock_generator_matches_filter():
     sample = random.Random(12).sample(balanced_patterns(12), 40)
     for pattern in balanced_up_to(10) + sample:
-        direct = list(fock_pairings(pattern))
+        direct = enumerate_pairings(pattern, fock=True)
         assert len(set(direct)) == len(direct)
         assert len(direct) == count_fock_surviving(pattern), pattern
         assert set(direct) == set(filtered_fock(pattern)), pattern
-    assert list(fock_pairings((-1, 1, 1))) == []
-    assert list(fock_pairings((-1, -1, 1))) == []
-    assert list(fock_pairings((1, -1))) == []
+    assert enumerate_pairings((-1, 1, 1), fock=True) == ()
+    assert enumerate_pairings((-1, -1, 1), fock=True) == ()
+    assert enumerate_pairings((1, -1), fock=True) == ()
 
 
 def crossing_histogram(diagrams):
@@ -200,14 +220,14 @@ def test_fock_crossings_are_q_integers():
     product of q-integers of the open annihilators at each creation."""
     for pattern in balanced_up_to(10):
         if count_fock_surviving(pattern):
-            hist = crossing_histogram(fock_pairings(pattern))
+            hist = crossing_histogram(enumerate_pairings(pattern, fock=True))
             assert hist == q_integer_product(pattern), pattern
 
 
 def test_fock_crossings_sum_to_touchard_riordan():
     total = [0] * 7
     for pattern in balanced_patterns(8):
-        for i, c in enumerate(crossing_histogram(fock_pairings(pattern))):
+        for i, c in enumerate(crossing_histogram(enumerate_pairings(pattern, fock=True))):
             total[i] += c
     assert total == [14, 28, 28, 20, 10, 4, 1]
 
