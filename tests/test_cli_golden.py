@@ -32,6 +32,7 @@ PATTERNS = [
     "a a+ a a a+ a+ a a+",
     "a a a a+ a+ a a+ a+",
     "a a+ a+",
+    "a a a+ a a+ a+ a a a+ a+",
 ]
 
 STATES = {
