@@ -13,7 +13,6 @@ from .correlator import (
     temperature,
 )
 from .diagrams import (
-    Diagram,
     Edge,
     count_fock_surviving,
     count_non_crossing,

@@ -294,12 +294,18 @@ def _sums(evaluate: Callable, fock_dual: Optional[Callable] = None) -> Callable:
 
 def _diagrams(job: JobSpec, lines: list[str], payload: dict) -> int:
     pattern = job.word.pattern
-    diagrams = enumerate_pairings(pattern)
+    pairings = enumerate_pairings(pattern)
     result = {
-        "pairings": len(diagrams),
+        "pairings": len(pairings),
         "nonCrossing": count_non_crossing(pattern),
         "fockSurviving": count_fock_surviving(pattern),
-        "diagrams": [{"edges": str(d), "nonCrossing": is_non_crossing(d)} for d in diagrams],
+        "diagrams": [
+            {
+                "edges": "".join(f"({e.creation},{e.annihilation})" for e in edges),
+                "nonCrossing": is_non_crossing(edges),
+            }
+            for edges in pairings
+        ],
     }
     lines.append(f"pairings: {result['pairings']}")
     lines.append(f"non-crossing: {result['nonCrossing']}")

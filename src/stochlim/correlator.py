@@ -4,12 +4,14 @@ The exact N-point correlator is a sum over pair partitions.  Every edge
 contributes a 1/lam^2 pairing exponent whose energy carries the edge's
 orientation and the momentum shifts inherited from enclosing edges;
 crossing edges leave extra single-time exponents behind.  The exact sum
-reads both from each diagram's span scan (`_diagram_monomial`); the
-direct limit has no crossings and makes each edge's block once per set
-of enclosing edges in the Catalan walk (`non_crossing_blocks`).  In the
-limit lam -> 0 each pairing exponent turns into 2pi * dT * dE while any
-oscillation that cannot be matched to a pairing quota suppresses its
-whole term, which is why only non-crossing diagrams survive.
+reads both from each pairing's edges taken pairwise (`_diagram_monomial`);
+the direct limit has no crossings and makes each edge's block once per set
+of enclosing edges in the Catalan walk (`non_crossing_blocks`).  Both
+write energies in the waves that the edges' momentum deltas unify
+(`_edge_waves`).  In the limit lam -> 0 each pairing exponent turns into
+2pi * dT * dE while any oscillation that cannot be matched to a pairing
+quota suppresses its whole term, which is why only non-crossing diagrams
+survive.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .diagrams import (
-    Diagram,
-    Edge,
-    enumerate_pairings,
-    non_crossing_blocks,
-)
+from .diagrams import Edge, enumerate_pairings, non_crossing_blocks
 from .scalars import (
     DeltaK,
     EnergyDelta,
@@ -93,6 +90,19 @@ def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter) -> list:
     return [MFactor(cre.wave, (edge.delta + 1) // 2), DeltaK(cre.wave, ann.wave)]
 
 
+def _edge_waves(letters):
+    """Per edge, cached: the creation's wave as the edge's momentum delta
+    unifies it.  No other delta of a pairing touches it, so once per edge,
+    not per pairing."""
+
+    @cache
+    def wave(e: Edge) -> WaveLabel:
+        k = letters[e.creation - 1].wave
+        return wave_representatives([(k, letters[e.annihilation - 1].wave)]).get(k, k)
+
+    return wave
+
+
 def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
     """w(k) + (delta/2) k.k + k.p of the edge's wave k = wave(edge), plus
     the momentum shift of every enclosing edge, made as one combination."""
@@ -102,28 +112,30 @@ def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
     return EnergyComb.sum_of(bare + shifts)
 
 
-def _diagram_monomial(word: OperatorWord, diagram: Diagram) -> Monomial:
-    """From the diagram's span scan: the pairing exponent of every edge,
-    its energy shifted by the enclosing edges, and one single-time exponent
-    per crossing vertex of an edge."""
+def _diagram_monomial(word: OperatorWord, edges: tuple, wave) -> Monomial:
+    """From the edges, by left end, taken pairwise: the pairing exponent of
+    every edge, its energy shifted by the edges enclosing it, and one
+    single-time exponent per crossing vertex of an edge."""
     letters = word.letters
-    wave = lambda e: letters[e.creation - 1].wave
     factors = []
-    for edge, (enclosing, crossings) in zip(diagram.edges, diagram.spans()):
-        cre = letters[edge.creation - 1]
-        ann = letters[edge.annihilation - 1]
-        energy = _edge_energy(wave, edge, enclosing)
+    for i, f in enumerate(edges):
+        enclosing = []
+        for e in edges[:i]:  # by left end, so e.a < f.a
+            if f.b < e.b:  # e encloses f
+                enclosing.append(e)
+            elif f.a < e.b:  # e and f cross: e has the vertex f.a, f has e.b
+                dot_ef = dot(wave(e), wave(f))
+                for pos, edge in ((f.a, e), (e.b, f)):
+                    vertex = letters[pos - 1]
+                    factors.append(
+                        OscExp(TimeComb.of(vertex.time), (vertex.eps * edge.delta) * dot_ef)
+                    )
+        cre = letters[f.creation - 1]
+        ann = letters[f.annihilation - 1]
+        energy = _edge_energy(wave, f, enclosing)
         factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
-        factors += _occupation_and_delta(edge, cre, ann)
-        for pos in crossings:
-            vertex = letters[pos - 1]
-            factors.append(
-                OscExp(
-                    TimeComb.of(vertex.time),
-                    (vertex.eps * edge.delta) * dot(vertex.wave, cre.wave),
-                )
-            )
-    return Monomial.build(lam=-2 * len(diagram.edges), factors=factors)
+        factors += _occupation_and_delta(f, cre, ann)
+    return Monomial.build(lam=-2 * len(edges), factors=factors)
 
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -132,7 +144,8 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if not word.balanced:
         return ScalarSum.zero()
     pairings = enumerate_pairings(word.pattern, fock=state.kind == "fock")
-    terms = [_diagram_monomial(word, d) for d in pairings]
+    wave = _edge_waves(word.letters)
+    terms = [_diagram_monomial(word, edges, wave) for edges in pairings]
     return apply_state(ScalarSum.from_iter(terms), state)
 
 
@@ -223,13 +236,7 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if not word.balanced:
         return ScalarSum.zero()
     letters = word.letters
-
-    @cache
-    def wave(e: Edge) -> WaveLabel:
-        # the creation's wave as the edge's momentum delta unifies it; no other
-        # delta of a diagram touches it, so once per edge, not per diagram
-        k = letters[e.creation - 1].wave
-        return wave_representatives([(k, letters[e.annihilation - 1].wave)]).get(k, k)
+    wave = _edge_waves(letters)
 
     def block(edge: Edge, enclosing) -> list:
         cre = letters[edge.creation - 1]

@@ -1,30 +1,30 @@
 """Pair partitions of balanced operator patterns.
 
-A diagram matches every creation position with an annihilation position;
-edges are drawn as arcs above the word.  Its geometry is read from one
-scan of each edge's span (`Diagram.spans`): a position strictly inside
-an edge whose partner is inside too belongs to an edge it encloses, one
-whose partner is outside is a crossing vertex of the edge.  The exact
-correlator reads both; `is_non_crossing` reads the crossings.  Positions
-are 1-based.
+A pairing matches every creation position with an annihilation position;
+edges are drawn as arcs above the word, and a pairing is the tuple of its
+edges ordered by left end.  Its geometry is read pairwise from the edge
+ends: e encloses f when e.a < f.a < f.b < e.b, and e and f cross when
+e.a < f.a < e.b < f.b, which gives e the crossing vertex f.a and f the
+crossing vertex e.b.  The exact correlator reads both; `is_non_crossing`
+reads the crossings.  Positions are 1-based.
 
 The exact correlator sums over pairings made by one recursion
 (`enumerate_pairings`): all (N/2)! of them in the Gaussian and
 temperature states, and with `fock=True` only those in which every
 creation follows its annihilation, the ones the Fock vacuum keeps.  The
 limit keeps the non-crossing ones, from one Catalan recursion that carries
-each edge's enclosing edges and needs no span scan (`non_crossing_blocks`);
-`count_non_crossing` is made from it too.
+each edge's enclosing edges (`non_crossing_blocks`); `count_non_crossing`
+is made from it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
 __all__ = [
     "Edge",
-    "Diagram",
     "enumerate_pairings",
     "non_crossing_blocks",
     "is_non_crossing",
@@ -58,43 +58,13 @@ class Edge:
         return 1 if self.creation > self.annihilation else -1
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """Edges numbered by their left vertices, covering every position once."""
-
-    edges: tuple[Edge, ...]
-
-    def spans(self) -> list[tuple[list[Edge], list[int]]]:
-        """Per edge, in order: the edges enclosing it and its crossing
-        positions, from one scan of every edge's span."""
-        partner = {}
-        for e in self.edges:
-            partner[e.a], partner[e.b] = e.b, e.a
-        # keyed by an edge's left end: the edges enclosing it
-        enclosing: dict[int, list[Edge]] = {e.a: [] for e in self.edges}
-        out = []
-        for e in self.edges:
-            crossings = []
-            for p in range(e.a + 1, e.b):
-                q = partner[p]
-                if not e.a < q < e.b:
-                    crossings.append(p)
-                elif p < q:
-                    enclosing[p].append(e)
-            out.append((enclosing[e.a], crossings))
-        return out
-
-    def __str__(self) -> str:
-        return "".join(f"({e.creation},{e.annihilation})" for e in self.edges)
-
-
 def _balanced(pattern: Sequence[int]) -> bool:
     return pattern.count(1) == pattern.count(-1)
 
 
 def _assign(creations, i, free, edge, left, out, fock) -> None:
     if i == len(creations):
-        out.append(Diagram(tuple(e for e in left if e is not None)))
+        out.append(tuple(e for e in left if e is not None))
         return
     c = creations[i]
     for j, a in enumerate(free):
@@ -105,11 +75,12 @@ def _assign(creations, i, free, edge, left, out, fock) -> None:
         _assign(creations, i + 1, free[:j] + free[j + 1 :], edge, left, out, fock)
 
 
-def enumerate_pairings(pattern: Sequence[int], fock: bool = False) -> tuple[Diagram, ...]:
+def enumerate_pairings(pattern: Sequence[int], fock: bool = False) -> tuple[tuple, ...]:
     """All matchings of creations with annihilations, in lexicographic order
     of the assignment vector taken in ascending creation order; with `fock`
     only those in which every creation follows its annihilation, in the same
-    order.  Unbalanced patterns have no pairings."""
+    order.  Each is the tuple of its edges by left end.  Unbalanced patterns
+    have no pairings."""
     creations = [i + 1 for i, eps in enumerate(pattern) if eps == 1]
     annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
     if len(creations) != len(annihilations):
@@ -118,7 +89,7 @@ def enumerate_pairings(pattern: Sequence[int], fock: bool = False) -> tuple[Diag
     # every position is written on every full branch: its edge when it is
     # the edge's left end, else None; the edges then come out by left end
     left = [None] * (len(pattern) + 1)
-    out: list[Diagram] = []
+    out: list[tuple[Edge, ...]] = []
     _assign(creations, 0, tuple(annihilations), edge, left, out, fock)
     return tuple(out)
 
@@ -165,8 +136,10 @@ def non_crossing_blocks(pattern: Sequence[int], block) -> list[tuple]:
     return _blocks(pattern, 0, len(pattern), (), block, {})
 
 
-def is_non_crossing(d: Diagram) -> bool:
-    return not any(crossings for _, crossings in d.spans())
+def is_non_crossing(edges: Sequence[Edge]) -> bool:
+    """No two edges, ordered by left end, cross: e.a < f.a < e.b < f.b
+    holds for no e before f."""
+    return not any(e.a < f.a < e.b < f.b for e, f in combinations(edges, 2))
 
 
 def count_non_crossing(pattern: Sequence[int]) -> int:

@@ -24,9 +24,9 @@ load-bearing part of this module:
   their original labels.
 
 Canonical order and unification are owned by one constructor,
-Monomial._canonical: build, products, the limit and JSON parsing all
-hand it fields, and it substitutes representatives and sorts the fields
-by the label key of `symbols`.  Monomial.build only checks factors and
+Monomial._canonical: build, the limit and JSON parsing all hand it
+fields, and it substitutes representatives and sorts the fields by the
+label key of `symbols`.  Monomial.build only checks factors and
 converts them to fields.
 
 The imaginary unit never appears in coefficients; it lives only in the
@@ -36,7 +36,6 @@ evaluator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -248,20 +247,6 @@ class Monomial:
             m_factors=mfs,
         )
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return Monomial._canonical(
-            self.two_pi + other.two_pi,
-            self.lam + other.lam,
-            quotas=self.quotas + other.quotas,
-            osc=self.osc + other.osc,
-            time_deltas=self.time_deltas + other.time_deltas,
-            energy_deltas=self.energy_deltas + other.energy_deltas,
-            delta_k=self.delta_k + other.delta_k,
-            m_factors=self.m_factors + other.m_factors,
-        )
-
     @property
     def sort_key(self) -> tuple:
         """The monomial's place in the order of a sum's terms."""
@@ -321,13 +306,6 @@ class ScalarSum(_Comb):
     def from_iter(cls, monomials: Iterable[Monomial]) -> "ScalarSum":
         """The sum of the monomials, each with coefficient 1."""
         return cls.make((m, 1) for m in monomials)
-
-    def __mul__(self, other: "ScalarSum") -> "ScalarSum":
-        if not isinstance(other, ScalarSum):
-            return NotImplemented
-        return ScalarSum.make(
-            (a * b, c * d) for (a, c), (b, d) in itertools.product(self.terms, other.terms)
-        )
 
     def render(self) -> str:
         if not self.terms:

@@ -1,7 +1,9 @@
 """Rewriting helpers the tests share: the full species expansion, the
-free path's rewrite step, and two drivers that `words.normal_order` does
-not offer, a site chooser and every reduction order."""
+free path's rewrite step, two drivers that `words.normal_order` does not
+offer, a site chooser and every reduction order, and products with a
+monomial through the canonical kernel."""
 
+from dataclasses import fields
 from itertools import product
 
 from stochlim.masterfield import _contract
@@ -71,3 +73,17 @@ def reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
     go(tuple(letters), ())
     return outcomes
+
+
+def times(a: Monomial, b: Monomial) -> Monomial:
+    """a * b: the powers of 2pi and lam added and every factor field joined,
+    then unified and sorted by `Monomial._canonical`, whose parameters
+    follow the order of the monomial's fields."""
+    return Monomial._canonical(
+        *(getattr(a, f.name) + getattr(b, f.name) for f in fields(Monomial))
+    )
+
+
+def sum_times(s: ScalarSum, m: Monomial) -> ScalarSum:
+    """Every term of s times the monomial m."""
+    return ScalarSum.make((times(a, m), c) for a, c in s.terms)

@@ -35,6 +35,8 @@ from stochlim.scalars import (
 from stochlim.symbols import TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import OperatorWord, balanced_patterns, word_from_pattern
 
+from rewriting import sum_times
+
 HALF = Fraction(1, 2)
 
 
@@ -146,7 +148,7 @@ def test_c03_permutation_coherence():
     swapped_expected = ScalarSum.from_iter([nested, crossed])
     assert qdef_normal_order(swapped) == swapped_expected
     # multiplying back by the exchange factor restores the original word
-    product = qdef_normal_order(swapped) * ScalarSum.from_iter([factor])
+    product = sum_times(qdef_normal_order(swapped), factor)
     assert product == qdef_normal_order(word)
     # and the limit forgets the permutation entirely
     assert take_limit(product) == four_point_limit_expected()

@@ -7,6 +7,7 @@ from stochlim.correlator import (
     GAUSSIAN,
     LimitStructureError,
     _diagram_monomial,
+    _edge_waves,
     apply_state,
     finite_lambda_correlator,
     limit_correlator,
@@ -14,7 +15,6 @@ from stochlim.correlator import (
     temperature,
 )
 from stochlim.diagrams import (
-    Diagram,
     count_fock_surviving,
     enumerate_pairings,
     non_crossing_blocks,
@@ -408,7 +408,7 @@ def test_crossing_terms_match_non_crossing_counts():
         fock_surviving = sum(
             1
             for d in enumerate_pairings(pattern)
-            if is_non_crossing(d) and all(e.delta == 1 for e in d.edges)
+            if is_non_crossing(d) and all(e.delta == 1 for e in d)
         )
         assert len(limit_correlator(word, FOCK).terms) == fock_surviving
 
@@ -420,8 +420,10 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
     for n in (2, 4, 6, 8):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
+            wave = _edge_waves(word.letters)
             vacuum = ScalarSum.from_iter(
-                _diagram_monomial(word, d) for d in enumerate_pairings(pattern, fock=True)
+                _diagram_monomial(word, d, wave)
+                for d in enumerate_pairings(pattern, fock=True)
             )
             assert all(o == 1 for m, _ in vacuum.terms for _, o in m.m_factors)
             kept = apply_state(vacuum, FOCK)
@@ -464,9 +466,9 @@ def _cycle_paths():
         "limit_correlator": lambda w, p: limit_correlator(w, GAUSSIAN),
         "limit_correlator-fock": lambda w, p: limit_correlator(w, FOCK),
         "check_free_equivalence": lambda w, p: check_free_equivalence(w, GAUSSIAN),
-        "non_crossing_pairings": lambda w, p: [
-            Diagram(e) for e in non_crossing_blocks(p, lambda edge, enclosing: edge)
-        ],
+        "non_crossing_pairings": lambda w, p: non_crossing_blocks(
+            p, lambda edge, enclosing: edge
+        ),
         "count_non_crossing": lambda w, p: count_non_crossing(p),
         "enumerate_pairings": lambda w, p: enumerate_pairings(p),
         "enumerate_pairings-fock": lambda w, p: enumerate_pairings(p, fock=True),
@@ -501,16 +503,15 @@ def test_paths_leave_nothing_to_the_cyclic_collector(path):
 
 
 def whole_diagram_limit(word, state):
-    """The limit built diagram by diagram: every non-crossing diagram, its
-    span scan for each edge's enclosing edges, and one block per edge
-    whose energy is summed here term by term."""
+    """The limit built diagram by diagram: every non-crossing pairing, each
+    edge's enclosing edges by the interval definition, and one block per
+    edge whose energy is summed here term by term."""
     letters = word.letters
     terms = []
     for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge):
-        d = Diagram(edges)
         factors = []
-        for edge, (enclosing, crossings) in zip(d.edges, d.spans()):
-            assert crossings == []
+        for edge in edges:
+            enclosing = [o for o in edges if o.a < edge.a < edge.b < o.b]
             cre = letters[edge.creation - 1]
             ann = letters[edge.annihilation - 1]
             k = cre.wave
@@ -523,7 +524,7 @@ def whole_diagram_limit(word, state):
                 MFactor(k, (edge.delta + 1) // 2),
                 DeltaK(k, ann.wave),
             ]
-        terms.append(Monomial.build(two_pi=len(d.edges), factors=factors))
+        terms.append(Monomial.build(two_pi=len(edges), factors=factors))
     return apply_state(ScalarSum.from_iter(terms), state)
 
 
@@ -556,15 +557,15 @@ def test_limit_walk_matches_whole_diagrams_on_relabelled_words():
 
 
 def test_limit_walk_makes_each_edge_energy_once(monkeypatch):
-    """On the 16-letter alternating word: no span scan, and one energy per
-    edge and tuple of edges enclosing it (outermost first)."""
+    """On the 16-letter alternating word: one energy per edge and tuple of
+    edges enclosing it (outermost first)."""
     from stochlim import correlator
 
     word = word_from_pattern((-1, 1) * 8)
     expected = {
-        (edge, tuple(enclosing))
+        (edge, tuple(o for o in edges if o.a < edge.a < edge.b < o.b))
         for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge)
-        for edge, (enclosing, _) in zip(edges, Diagram(edges).spans())
+        for edge in edges
     }
     made = []
     edge_energy = correlator._edge_energy
@@ -573,11 +574,7 @@ def test_limit_walk_makes_each_edge_energy_once(monkeypatch):
         made.append((edge, tuple(enclosing)))
         return edge_energy(wave, edge, enclosing)
 
-    def refuse(self):
-        raise AssertionError("the limit path must not scan spans")
-
     monkeypatch.setattr(correlator, "_edge_energy", counted)
-    monkeypatch.setattr(Diagram, "spans", refuse)
     assert len(limit_correlator(word, GAUSSIAN).terms) == 1430
     assert len(made) == len(set(made)) == len(expected)
     assert set(made) == expected

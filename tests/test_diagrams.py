@@ -1,12 +1,11 @@
 import math
 import random
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from stochlim.diagrams import (
-    Diagram,
     Edge,
     count_fock_surviving,
     count_non_crossing,
@@ -14,7 +13,7 @@ from stochlim.diagrams import (
     is_non_crossing,
     non_crossing_blocks,
 )
-from stochlim.words import balanced_patterns
+from stochlim.words import balanced_patterns, normal_order, word_from_pattern
 
 
 def catalan(n):
@@ -33,7 +32,7 @@ def balanced_up_to(n):
 def test_two_point():
     diagrams = enumerate_pairings((-1, 1))
     assert len(diagrams) == 1
-    assert diagrams[0].edges == (Edge(2, 1),)
+    assert diagrams[0] == (Edge(2, 1),)
     assert is_non_crossing(diagrams[0])
 
 
@@ -41,8 +40,8 @@ def test_four_point_pair():
     diagrams = enumerate_pairings((-1, -1, 1, 1))
     assert len(diagrams) == 2
     # lexicographic over the annihilation assignment in creation order
-    assert str(diagrams[0]) == "(3,1)(4,2)"
-    assert str(diagrams[1]) == "(4,1)(3,2)"
+    assert diagrams[0] == (Edge(3, 1), Edge(4, 2))
+    assert diagrams[1] == (Edge(4, 1), Edge(3, 2))
     assert not is_non_crossing(diagrams[0])
     assert is_non_crossing(diagrams[1])
 
@@ -53,12 +52,12 @@ def test_unbalanced_empty():
 
 
 def permutation_order(pattern):
-    """Brute force: the diagrams of every permutation of the annihilations
+    """Brute force: the pairings of every permutation of the annihilations
     in lexicographic order, paired in ascending creation order."""
     creations = [i + 1 for i, eps in enumerate(pattern) if eps == 1]
     annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
     return [
-        Diagram(tuple(sorted(map(Edge, creations, perm), key=lambda e: e.a)))
+        tuple(sorted(map(Edge, creations, perm), key=lambda e: e.a))
         for perm in permutations(annihilations)
     ]
 
@@ -68,7 +67,7 @@ def test_pairings_keep_the_permutation_order():
     for pattern in balanced_up_to(10):
         every = permutation_order(pattern)
         assert list(enumerate_pairings(pattern)) == every, pattern
-        fock = [d for d in every if all(e.delta == 1 for e in d.edges)]
+        fock = [d for d in every if all(e.delta == 1 for e in d)]
         assert list(enumerate_pairings(pattern, fock=True)) == fock, pattern
 
 
@@ -111,20 +110,20 @@ def test_counts_match_brute_force():
         diagrams = enumerate_pairings(pattern)
         assert count_non_crossing(pattern) == sum(map(is_non_crossing, diagrams))
         assert count_fock_surviving(pattern) == sum(
-            1 for d in diagrams if all(e.delta == 1 for e in d.edges)
+            1 for d in diagrams if all(e.delta == 1 for e in d)
         ), pattern
 
 
 def test_non_crossing_generator_matches_filter():
     sample = random.Random(12).sample(balanced_patterns(12), 40)
     for pattern in balanced_up_to(10) + sample:
-        direct = [Diagram(e) for e in non_crossing_blocks(pattern, lambda edge, enclosing: edge)]
+        direct = non_crossing_blocks(pattern, lambda edge, enclosing: edge)
         assert len(set(direct)) == len(direct)
         assert set(direct) == set(filtered_non_crossing(pattern)), pattern
 
 
 def recursion_order(pattern):
-    """The non-crossing diagrams by a plain Catalan recursion over (lo, hi)
+    """The non-crossing pairings by a plain Catalan recursion over (lo, hi)
     ranges, 0-based: the first letter pairs with every opposite letter
     whose inside is balanced, in order, then inside times outside."""
 
@@ -142,26 +141,26 @@ def recursion_order(pattern):
             depth += pattern[j]
         return out
 
-    return [Diagram(e) for e in edges(0, len(pattern))]
+    return edges(0, len(pattern))
 
 
 def test_non_crossing_generator_keeps_the_recursion_order():
     for pattern in balanced_up_to(10):
         blocks = non_crossing_blocks(pattern, lambda edge, enclosing: edge)
-        assert [Diagram(e) for e in blocks] == recursion_order(pattern), pattern
+        assert blocks == recursion_order(pattern), pattern
 
 
 def test_walk_blocks_see_their_enclosing_edges():
-    """Each block is made once, for an edge and the edges enclosing it,
-    outermost first, as the span scan reads them."""
+    """Each block is made once, for an edge and the edges enclosing it by
+    the interval definition, outermost first."""
     for pattern in balanced_up_to(10):
         made = []
         blocks = non_crossing_blocks(pattern, lambda e, enc: made.append((e, enc)) or e)
         assert len(made) == len(set(made))
         seen = set()
         for edges in blocks:
-            for e, (enclosing, _) in zip(edges, Diagram(edges).spans()):
-                seen.add((e, tuple(enclosing)))
+            for f in edges:
+                seen.add((f, tuple(e for e in edges if e.a < f.a < f.b < e.b)))
         assert seen == set(made), pattern
     assert non_crossing_blocks((-1, 1, 1), lambda e, enc: e) == []
 
@@ -170,7 +169,7 @@ def filtered_fock(pattern):
     """Brute force: every pairing, then keep those whose creations all
     follow their annihilations."""
     return [
-        d for d in enumerate_pairings(pattern) if all(e.delta == 1 for e in d.edges)
+        d for d in enumerate_pairings(pattern) if all(e.delta == 1 for e in d)
     ]
 
 
@@ -186,17 +185,21 @@ def test_fock_generator_matches_filter():
     assert enumerate_pairings((1, -1), fock=True) == ()
 
 
-def crossing_histogram(diagrams):
-    """Coefficients of sum q^cr over the diagrams, cr the number of
-    crossing pairs of edges: each pair gives each of its edges one
-    crossing position."""
+def histogram(counts):
+    """hist[c] is how many of the counts equal c."""
     hist = [0]
-    for d in diagrams:
-        cr = sum(len(crossings) for _, crossings in d.spans())
-        assert cr % 2 == 0
-        hist += [0] * (cr // 2 + 1 - len(hist))
-        hist[cr // 2] += 1
+    for c in counts:
+        hist += [0] * (c + 1 - len(hist))
+        hist[c] += 1
     return hist
+
+
+def crossing_histogram(pairings):
+    """Coefficients of sum q^cr over the pairings, cr the number of pairs
+    of edges e, f with e.a < f.a < e.b < f.b."""
+    return histogram(
+        sum(e.a < f.a < e.b < f.b for e, f in combinations(d, 2)) for d in pairings
+    )
 
 
 def q_integer_product(pattern):
@@ -232,28 +235,32 @@ def test_fock_crossings_sum_to_touchard_riordan():
     assert total == [14, 28, 28, 20, 10, 4, 1]
 
 
-def test_span_scan_matches_interval_definitions():
-    """Every diagram of every balanced pattern up to N=8: the scan's
-    enclosing edges and crossing positions are the interval definitions,
-    and a diagram is non-crossing when no edge has a crossing position."""
+def _q_step(letters, i, collected):
+    """a a+ = q a+ a + 1 at site i for `words.normal_order`: the swap
+    branch records one q, the contraction branch none."""
+    swapped = letters[:i] + (letters[i + 1], letters[i]) + letters[i + 2 :]
+    contracted = letters[:i] + letters[i + 2 :]
+    return ((collected + ("q",), swapped), (collected, contracted))
+
+
+def test_q_rewriting_counts_crossings():
+    """The q-Fock moment on the rewriting side: normal ordering by
+    a a+ = q a+ a + 1 leaves one branch per vacuum pairing, with one q per
+    crossing pair of its edges."""
+    for pattern in balanced_up_to(12):
+        branches = normal_order(word_from_pattern(pattern).letters, _q_step)
+        expected = crossing_histogram(enumerate_pairings(pattern, fock=True))
+        assert histogram(map(len, branches)) == expected, pattern
+
+
+def test_is_non_crossing_matches_brute_force():
+    """Every pairing of every balanced pattern up to N=8: non-crossing when
+    no edge has exactly one end of another edge inside it."""
     for pattern in balanced_up_to(8):
         for d in enumerate_pairings(pattern):
-            spans = d.spans()
-            assert len(spans) == len(d.edges)
-            crossing = False
-            for e, (enclosing, crossings) in zip(d.edges, spans):
-                assert sorted(enclosing, key=lambda l: l.a) == [
-                    l for l in d.edges if l.a < e.a < e.b < l.b
-                ], (d, e)
-                inside = [
-                    p
-                    for l in d.edges
-                    if (e.a < l.a < e.b) != (e.a < l.b < e.b)
-                    for p in (l.a, l.b)
-                    if e.a < p < e.b
-                ]
-                assert crossings == sorted(inside), (d, e)
-                crossing = crossing or bool(inside)
+            crossing = any(
+                sum(e.a < p < e.b for p in (f.a, f.b)) == 1 for e in d for f in d
+            )
             assert is_non_crossing(d) == (not crossing), d
 
 

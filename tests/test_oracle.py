@@ -39,7 +39,7 @@ from stochlim.words import (
     word_from_pattern,
 )
 
-from rewriting import _free_step, normal_order_at, species_product
+from rewriting import _free_step, normal_order_at, species_product, sum_times, times
 
 HALF = Fraction(1, 2)
 
@@ -167,11 +167,11 @@ def test_reorder_annihilators_factor():
     k1, k2 = WaveLabel("k1"), WaveLabel("k2")
     first, second, *rest = word.letters
     swapped = OperatorWord.build((second, first, *rest))
-    factor = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])])
-    back = ScalarSum.from_iter([Monomial.build(factors=[OscExp(t2 - t1, dot(k2, k1))])])
-    assert factor * back == ScalarSum.from_iter([Monomial.build()])
-    assert qdef_normal_order(swapped) * factor == qdef_normal_order(word)
-    assert qdef_normal_order(word) * back == qdef_normal_order(swapped)
+    factor = Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
+    back = Monomial.build(factors=[OscExp(t2 - t1, dot(k2, k1))])
+    assert times(factor, back) == Monomial.build()
+    assert sum_times(qdef_normal_order(swapped), factor) == qdef_normal_order(word)
+    assert sum_times(qdef_normal_order(word), back) == qdef_normal_order(swapped)
 
 
 def test_exchange_coherence():
@@ -182,7 +182,7 @@ def test_exchange_coherence():
     swapped = OperatorWord.build((second, first, *rest))
     factor = Monomial.build(factors=[OscExp(t1 - t2, dot(k1, k2))])
     direct = qdef_normal_order(word)
-    via_swap = qdef_normal_order(swapped) * ScalarSum.from_iter([factor])
+    via_swap = sum_times(qdef_normal_order(swapped), factor)
     assert direct == via_swap
     assert take_limit(direct) == take_limit(via_swap)
 

@@ -1,6 +1,5 @@
 import functools
 import json
-import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +20,8 @@ from stochlim.scalars import (
 from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import word_from_pattern
 
+from rewriting import times
+
 T1, T2, T3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
 K1, K2, K3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
 
@@ -30,23 +31,25 @@ def osc_sum(*factors, **kw):
 
 
 def test_merge_exponents_with_equal_time():
-    a = osc_sum(OscExp(T1 - T2, omega(K1)))
-    b = osc_sum(OscExp(T1 - T2, dot_p(K1)))
+    a = OscExp(T1 - T2, omega(K1))
+    b = OscExp(T1 - T2, dot_p(K1))
     merged = osc_sum(OscExp(T1 - T2, omega(K1) + dot_p(K1)))
-    assert a * b == merged
-    # and multiplies the coefficients
-    assert a.scale(Fraction(1, 3)) * b.scale(Fraction(-3, 2)) == merged.scale(Fraction(-1, 2))
+    assert osc_sum(a, b) == merged
+    # and the product of the two built monomials merges them alike
+    product = times(Monomial.build(factors=[a]), Monomial.build(factors=[b]))
+    assert ScalarSum.from_iter([product]) == merged
 
 
 def test_zero_annihilates():
     a = osc_sum(OscExp(T1 - T2, omega(K1)))
-    assert (a * ScalarSum.zero()).is_zero
+    assert a.scale(0).is_zero
+    assert ScalarSum.make([(a.terms[0][0], 0)]).is_zero
 
 
 def test_exponent_cancellation_gives_unit():
-    a = osc_sum(OscExp(T1 - T2, omega(K1)))
-    b = osc_sum(OscExp(T1 - T2, -omega(K1)))
-    assert a * b == ScalarSum.from_iter([Monomial.build()])
+    a = OscExp(T1 - T2, omega(K1))
+    b = OscExp(T1 - T2, -omega(K1))
+    assert osc_sum(a, b) == ScalarSum.from_iter([Monomial.build()])
 
 
 def test_factored_forms_compare_equal():
@@ -122,10 +125,9 @@ def _random_term(rng):
 def test_multiply_associative_commutative():
     rng = random.Random(5)
     for _ in range(60):
-        a, b, c = (_random_term(rng) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        a, b, c = (_random_term(rng).terms[0][0] for _ in range(3))
+        assert times(a, b) == times(b, a)
+        assert times(times(a, b), c) == times(a, times(b, c))
 
 
 def test_momentum_delta_substitution():
@@ -161,8 +163,10 @@ def test_momentum_delta_can_cancel_rows():
 
 def test_product_unifies_across_operands():
     # the delta of one factor identifies a label in the other's exponent
-    s = osc_sum(OscExp(T1 - T2, dot(K2, K3))) * osc_sum(DeltaK(K1, K2))
-    assert s == osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3)))
+    a = Monomial.build(factors=[OscExp(T1 - T2, dot(K2, K3))])
+    b = Monomial.build(factors=[DeltaK(K1, K2)])
+    unified = Monomial.build(factors=[DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3))])
+    assert times(a, b) == unified
 
 
 def test_delta_factor_validation():
@@ -300,4 +304,4 @@ def test_each_oscillation_row_is_merged_once(monkeypatch):
         ("t1", "w(k1) + k1.k1 + k1.p"),
         ("t2", "w(k1)"),
     ]
-    assert m == functools.reduce(operator.mul, (Monomial.build(factors=[f]) for f in factors))
+    assert m == functools.reduce(times, (Monomial.build(factors=[f]) for f in factors))
