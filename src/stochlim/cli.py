@@ -15,7 +15,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import quadrature as quadmod
@@ -63,8 +62,7 @@ JOB_KEYS = ("schemaVersion", "mode", "state", "beta", "pattern", "maxN")
 STATES = ("fock", "gaussian", "temperature")
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     mode: str
     word: Optional[OperatorWord]
     state: StateSpec

@@ -16,10 +16,9 @@ survive.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .diagrams import Edge, enumerate_pairings, non_crossing_blocks
 from .scalars import (
@@ -48,19 +47,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """Gaussian field state: Fock vacuum, symbolic occupation N(k), or a
-    temperature state (beta only matters to the numeric harness)."""
-
+class _StateFields(NamedTuple):
     kind: str
     beta: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("fock", "gaussian", "temperature"):
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind == "temperature" and (self.beta is None or self.beta <= 0):
+
+class StateSpec(_StateFields):
+    """Gaussian field state: Fock vacuum, symbolic occupation N(k), or a
+    temperature state (beta only matters to the numeric harness).  A
+    NamedTuple whose constructor checks the kind and beta."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, beta: float | None = None) -> "StateSpec":
+        if kind not in ("fock", "gaussian", "temperature"):
+            raise ValueError(f"unknown state kind {kind!r}")
+        if kind == "temperature" and (beta is None or beta <= 0):
             raise ValueError("temperature state needs beta > 0")
+        return super().__new__(cls, kind, beta)
 
 
 FOCK = StateSpec("fock")
@@ -80,7 +84,7 @@ def apply_state(s: ScalarSum, state: StateSpec) -> ScalarSum:
     if state.kind != "fock":
         return s
     return ScalarSum.make(
-        (dataclasses.replace(m, m_factors=()), c)
+        (m._replace(m_factors=()), c)
         for m, c in s.terms
         if all(off == 1 for _, off in m.m_factors)
     )

@@ -19,9 +19,8 @@ is made from it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Edge",
@@ -33,16 +32,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     creation: int
     annihilation: int
 
-    def __post_init__(self) -> None:
-        if self.creation == self.annihilation:
+
+class Edge(_EdgeFields):
+    """The positions of an edge's creation and annihilation; a NamedTuple
+    whose constructor checks them."""
+
+    __slots__ = ()
+
+    def __new__(cls, creation: int, annihilation: int) -> "Edge":
+        if creation == annihilation:
             raise ValueError("edge endpoints must differ")
-        if self.creation < 1 or self.annihilation < 1:
+        if creation < 1 or annihilation < 1:
             raise ValueError("positions are 1-based")
+        return super().__new__(cls, creation, annihilation)
 
     @property
     def a(self) -> int:

@@ -18,8 +18,8 @@ stays independent of the engine it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .correlator import StateSpec, apply_state, limit_correlator
 from .scalars import (
@@ -65,20 +65,24 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
     ]
 
 
-def _walk(options, i: int, stack: tuple, factors: list, parts: list) -> None:
-    """One step of `free_correlator`'s walk; module level, so a call frees
-    its work without the cyclic collector."""
+def _walk(options, i: int, stack: tuple, factors: list, parts: list, memo: dict) -> None:
+    """One step of `free_correlator`'s walk.  A contraction is made once per
+    (stack, closer) and kept in the memo, which is passed in; module level,
+    so a call frees its work without the cyclic collector."""
     n = len(options)
     if i == n:
         parts.append(Monomial.build(two_pi=n // 2, factors=factors))
         return
     opener, closer = options[i]
     if len(stack) < n - i - 1:
-        _walk(options, i + 1, stack + (opener,), factors, parts)
+        _walk(options, i + 1, stack + (opener,), factors, parts, memo)
     if stack and stack[-1].species == closer.species:
         below = stack[:-1]
-        more = _contract(stack[-1], closer, below)
-        _walk(options, i + 1, below, factors + more, parts)
+        key = stack, closer
+        more = memo.get(key)
+        if more is None:
+            more = memo[key] = _contract(stack[-1], closer, below)
+        _walk(options, i + 1, below, factors + more, parts, memo)
 
 
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -90,20 +94,20 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     letters standing left of a closer are exactly the open stack, so a
     closer contracts with the top of the stack, and only with one of its
     own species; a prefix with more letters open than remain is dropped.
-    Branches that share a prefix share its contractions, and each
-    finished branch builds its monomial once.
+    Each contraction is made once per open stack and closer and shared by
+    every branch that reaches it, and each finished branch builds its
+    monomial once.
     """
     if not word.balanced:
         return ScalarSum.zero()
     # per letter: its opener (dag False) and its closer (dag True)
     options = [sorted(master_letters(l), key=lambda m: m.dag) for l in word.letters]
     parts: list[Monomial] = []
-    _walk(options, 0, (), [], parts)
+    _walk(options, 0, (), [], parts, {})
     return apply_state(ScalarSum.from_iter(parts), state)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equal: bool
     only_diagram: tuple[str, ...]
     only_free: tuple[str, ...]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -186,18 +185,28 @@ def _assert_shift_vanishes(result: ScalarSum, word: OperatorWord) -> None:
         assert all(v == 0 for v in net.values()), "pending momentum shift survived"
 
 
-@dataclass
 class Assignment:
     """Concrete numbers for a finite-coupling expression, keyed by label
     names (after delta unification); a dot value is keyed by its two names
-    in either order."""
+    in either order.  Each table not given is a new empty dict."""
 
-    lam: float
-    times: dict[str, float] = field(default_factory=dict)
-    omega: dict[str, float] = field(default_factory=dict)
-    dot: dict[tuple[str, str], float] = field(default_factory=dict)
-    dot_p: dict[str, float] = field(default_factory=dict)
-    occupation: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("lam", "times", "omega", "dot", "dot_p", "occupation")
+
+    def __init__(
+        self,
+        lam: float,
+        times: dict[str, float] | None = None,
+        omega: dict[str, float] | None = None,
+        dot: dict[tuple[str, str], float] | None = None,
+        dot_p: dict[str, float] | None = None,
+        occupation: dict[str, float] | None = None,
+    ) -> None:
+        self.lam = lam
+        self.times = {} if times is None else times
+        self.omega = {} if omega is None else omega
+        self.dot = {} if dot is None else dot
+        self.dot_p = {} if dot_p is None else dot_p
+        self.occupation = {} if occupation is None else occupation
 
 
 def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = ["QuadratureResult", "QuadratureError", "oscillation_quadrature",
            "quadrature_sweep", "sweep_csv_rows", "DEFAULT_SWEEP"]
@@ -42,8 +41,7 @@ class QuadratureError(RuntimeError):
         self.est_error = est_error
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     lam: float
     value: complex
     est_error: float

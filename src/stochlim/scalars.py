@@ -36,10 +36,9 @@ evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .symbols import (
     EnergyComb,
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OscExp:
+class OscExp(NamedTuple):
     """exp((i/lam^2) * time * energy); pairing=True attaches a 1/lam^2 quota."""
 
     time: TimeComb
@@ -72,30 +70,26 @@ class OscExp:
     pairing: bool = False
 
 
-@dataclass(frozen=True)
-class DeltaK:
+class DeltaK(NamedTuple):
     """Momentum delta d(k - k'), symmetric in its two labels."""
 
     left: WaveLabel
     right: WaveLabel
 
 
-@dataclass(frozen=True)
-class TimeDelta:
+class TimeDelta(NamedTuple):
     """d(T) for a time combination T; a limit object."""
 
     time: TimeComb
 
 
-@dataclass(frozen=True)
-class EnergyDelta:
+class EnergyDelta(NamedTuple):
     """d(E) for an energy combination E, operator valued in p; a limit object."""
 
     energy: EnergyComb
 
 
-@dataclass(frozen=True)
-class MFactor:
+class MFactor(NamedTuple):
     """Occupation factor N(k) + offset with offset 0 or 1."""
 
     wave: WaveLabel
@@ -119,10 +113,10 @@ def _nonzero_delta(c: "TimeComb | EnergyComb", kind: str):
     return c.normalized()
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """One canonical product of factors, without a coefficient: a sum
-    pairs each monomial with its rational.
+    pairs each monomial with its rational.  A NamedTuple, so it compares
+    and hashes as the tuple of its fields.
 
     Do not call the constructor directly: Monomial.build validates factors,
     and every field is sorted by Monomial._canonical.

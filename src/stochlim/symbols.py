@@ -23,7 +23,6 @@ modules that build on this one, sorts by that key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -107,15 +106,32 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
     return out
 
 
-@dataclass(frozen=True)
 class _Comb:
     """Exact linear combination of basis objects with a `sort_key` (labels,
     energy bases, the monomials of `scalars.ScalarSum`): terms merged, zero
     coefficients dropped, sorted by basis; empty is zero.  A slots class
-    (subclasses declare empty `__slots__`) whose `sort_key` is made once."""
+    (subclasses declare empty `__slots__`) that cannot be changed, equal to
+    a combination of its own class with the same terms, whose `sort_key` is
+    made once."""
 
     __slots__ = ("terms", "sort_key")
-    terms: tuple
+
+    def __init__(self, terms: tuple) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # TimeComb.zero() and EnergyComb.zero() have the same terms, ()
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     def __getattr__(self, name: str):
         # called only for an unset slot: sort_key, made at its first use and
@@ -137,7 +153,8 @@ class _Comb:
         nothing keeps its coefficient object."""
         acc: dict = {}
         for basis, c in items:
-            acc[basis] = acc[basis] + c if basis in acc else c
+            prev = acc.get(basis)
+            acc[basis] = c if prev is None else prev + c
         kept = [(b, c) for b, c in acc.items() if c]
         kept.sort(key=lambda bc: bc[0].sort_key)
         return cls(tuple(kept))
@@ -224,21 +241,24 @@ def basis_from_json(kind: str, names) -> "_EBasis":
     return _basis(_KINDS_BY_NAME[kind], tuple(WaveLabel(n) for n in names))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _EBasis:
     """An energy basis symbol, one object per (kind, waves), made only by
     `_basis`, so it hashes and compares by identity; `sort_key`, its place
-    in basis order, is made once, as a label's is.  `subst` maps its waves,
-    returning self when none is mapped."""
+    in basis order, is made once, as a label's is.  A slots class that
+    cannot be changed.  `subst` maps its waves, returning self when none is
+    mapped."""
 
-    kind: int
-    waves: tuple[WaveLabel, ...]
-    sort_key: tuple = field(init=False, repr=False)
+    __slots__ = ("kind", "waves", "sort_key")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sort_key", (self.kind, tuple(w.sort_key for w in self.waves))
-        )
+    def __init__(self, kind: int, waves: tuple[WaveLabel, ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "waves", waves)
+        object.__setattr__(self, "sort_key", (kind, tuple(w.sort_key for w in waves)))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"energy basis {self} cannot be changed")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return _basis, (self.kind, self.waves)
@@ -255,7 +275,7 @@ class _EBasis:
             return f"{self.waves[0].name}.{self.waves[1].name}"
         return f"{self.waves[0].name}.p"
 
-    __str__ = render
+    __str__ = __repr__ = render
 
 
 _BASES: dict[tuple, _EBasis] = {}

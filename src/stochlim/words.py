@@ -11,9 +11,8 @@ of open letters instead of expanding and rewriting it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .symbols import TimeLabel, WaveLabel
 
@@ -39,8 +38,7 @@ class PatternError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     eps: int  # -1 annihilation, +1 creation
     time: TimeLabel
     wave: WaveLabel
@@ -50,8 +48,7 @@ class Letter:
         return self.eps == 1
 
 
-@dataclass(frozen=True)
-class MasterLetter:
+class MasterLetter(NamedTuple):
     """A letter of one of two species: b_s (dag False) or b_s+ (dag True)."""
 
     species: int  # 1 or 2
@@ -60,9 +57,34 @@ class MasterLetter:
     wave: WaveLabel
 
 
-@dataclass(frozen=True)
 class OperatorWord:
-    letters: tuple[Letter, ...]
+    """The letters of a word.  A slots class that cannot be changed, equal
+    to a word with the same letters; not a tuple, so its length is the
+    number of letters."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...]) -> None:
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, *_):
+        raise AttributeError("an operator word cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __reduce__(self):
+        return OperatorWord, (self.letters,)
+
+    def __repr__(self) -> str:
+        return f"OperatorWord({self.letters!r})"
 
     @classmethod
     def build(cls, letters: Iterable[Letter]) -> "OperatorWord":

@@ -3,7 +3,6 @@ free path's rewrite step, two drivers that `words.normal_order` does not
 offer, a site chooser and every reduction order, and products with a
 monomial through the canonical kernel."""
 
-from dataclasses import fields
 from itertools import product
 
 from stochlim.masterfield import _contract
@@ -80,7 +79,7 @@ def times(a: Monomial, b: Monomial) -> Monomial:
     then unified and sorted by `Monomial._canonical`, whose parameters
     follow the order of the monomial's fields."""
     return Monomial._canonical(
-        *(getattr(a, f.name) + getattr(b, f.name) for f in fields(Monomial))
+        *(getattr(a, name) + getattr(b, name) for name in Monomial._fields)
     )
 
 

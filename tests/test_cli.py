@@ -710,6 +710,16 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
 
 
+def test_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a share of every job's start
+    code = (
+        "import sys, stochlim.cli; "
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules), sys.modules.keys()"
+    )
+    src = Path(stochlim.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
 def test_quadrature_runs_without_scipy():
     # scipy blocked: any import of it raises ImportError
     code = (

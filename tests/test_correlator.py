@@ -6,6 +6,7 @@ from stochlim.correlator import (
     FOCK,
     GAUSSIAN,
     LimitStructureError,
+    StateSpec,
     _diagram_monomial,
     _edge_waves,
     apply_state,
@@ -32,6 +33,20 @@ from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import balanced_patterns, word_from_pattern
 
 HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "args", [("bogus",), ("temperature",), ("temperature", 0.0)], ids=repr
+)
+def test_state_spec_rejects_bad_kind_and_beta(args):
+    with pytest.raises(ValueError):
+        StateSpec(*args)
+
+
+def test_state_spec_keeps_its_fields():
+    assert temperature(2.0) == StateSpec("temperature", 2.0)
+    assert temperature(2.0).beta == 2.0
+    assert (FOCK.kind, FOCK.beta) == ("fock", None)
 
 
 def labels(n):

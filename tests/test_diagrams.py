@@ -267,6 +267,8 @@ def test_is_non_crossing_matches_brute_force():
 def test_degenerate_edges_rejected():
     with pytest.raises(ValueError):
         Edge(2, 2)
+    with pytest.raises(ValueError):
+        Edge(0, 2)
 
 
 def test_edge_orientation():

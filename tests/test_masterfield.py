@@ -6,6 +6,7 @@ from itertools import product
 from stochlim.cli import main
 from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
 from stochlim.diagrams import count_non_crossing
+from stochlim import masterfield
 from stochlim.masterfield import check_free_equivalence, free_correlator
 from stochlim.oracle import _ccr_step
 from stochlim.scalars import (
@@ -259,3 +260,18 @@ def test_check_free_json_lists_the_differing_terms(monkeypatch, capsys):
     assert entries["a+ a"] == {"pattern": "a+ a", "equal": True}
     assert result["mismatches"] == 3
 
+
+
+def test_walk_makes_each_contraction_once(monkeypatch):
+    keys = []
+    contract = masterfield._contract
+
+    def counted(ann, cre, passed):
+        keys.append((ann, cre, tuple(passed)))
+        return contract(ann, cre, passed)
+
+    monkeypatch.setattr(masterfield, "_contract", counted)
+    word = word_from_pattern([-1, 1] * 8)
+    value = free_correlator(word, GAUSSIAN)
+    assert len(value.terms) == count_non_crossing(word.pattern) == 1430
+    assert len(keys) == len(set(keys)) == 502

@@ -1,0 +1,56 @@
+"""The value types keep what their users rely on: they cannot be changed,
+combinations of different classes never compare equal, and a word's
+length is its number of letters."""
+
+import copy
+import pickle
+
+import pytest
+
+from stochlim.correlator import GAUSSIAN, StateSpec, finite_lambda_correlator
+from stochlim.diagrams import Edge
+from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot
+from stochlim.words import Letter, balanced_patterns, word_from_pattern
+
+t1, t2, k1, k2 = TimeLabel("t1"), TimeLabel("t2"), WaveLabel("k1"), WaveLabel("k2")
+MONOMIAL = finite_lambda_correlator(word_from_pattern([-1, 1]), GAUSSIAN).terms[0][0]
+
+VALUES = {
+    "Letter": (Letter(-1, t1, k1), "eps"),
+    "Edge": (Edge(2, 1), "creation"),
+    "StateSpec": (StateSpec("gaussian"), "kind"),
+    "Monomial": (MONOMIAL, "lam"),
+    "OperatorWord": (word_from_pattern([-1, 1]), "letters"),
+    "TimeComb": (t1 - t2, "terms"),
+    "_EBasis": (dot(k1, k2).terms[0][0], "waves"),
+}
+
+
+@pytest.mark.parametrize("value, field", VALUES.values(), ids=VALUES.keys())
+def test_fields_cannot_be_assigned(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    assert getattr(value, field) is before
+
+
+def test_combinations_of_different_classes_differ():
+    assert TimeComb.zero() != EnergyComb.zero()
+    assert TimeComb.zero() == TimeComb.zero()
+    assert hash(TimeComb.zero()) == hash(TimeComb.zero())
+
+
+def test_word_length_is_its_letter_count():
+    for n in range(0, 9, 2):
+        for pattern in balanced_patterns(n) + [(1,) * (n + 1)]:
+            assert len(word_from_pattern(pattern)) == len(pattern)
+
+
+def test_words_compare_and_copy_by_their_letters():
+    word = word_from_pattern([-1, -1, 1, 1])
+    assert word == word_from_pattern([-1, -1, 1, 1]) != word_from_pattern([-1, 1, -1, 1])
+    assert hash(word) == hash(word_from_pattern([-1, -1, 1, 1]))
+    for copied in (copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert copied == word and copied.letters == word.letters
