@@ -21,6 +21,7 @@ from . import quadrature as quadmod
 from .correlator import (
     FOCK,
     GAUSSIAN,
+    STATE_KINDS,
     StateSpec,
     finite_lambda_correlator,
     limit_correlator,
@@ -59,7 +60,6 @@ __all__ = ["main", "entry", "JobSpec"]
 
 SCHEMA_VERSION = 1
 JOB_KEYS = ("schemaVersion", "mode", "state", "beta", "pattern", "maxN")
-STATES = ("fock", "gaussian", "temperature")
 
 
 class JobSpec(NamedTuple):
@@ -382,8 +382,8 @@ def _qdef(word: OperatorWord, state: StateSpec) -> ScalarSum:  # the Fock oracle
 
 class Mode(NamedTuple):
     report: Callable[[JobSpec, list[str], dict], int]  # appends lines and payload; the exit code
-    cap: int  # the most letters of its word; for check-free, the largest --max-n
-    states: tuple[str, ...] = STATES
+    cap: Optional[int] = None  # the most letters of its word; for check-free, the largest --max-n
+    states: tuple[str, ...] = STATE_KINDS
     needs_word: bool = True
 
 
@@ -401,7 +401,7 @@ MODES = {
     ),
     "check-free": Mode(_check_free, 16, needs_word=False),
     "diagrams": Mode(_diagrams, 12),
-    "quadrature": Mode(_quadrature, 12, needs_word=False),
+    "quadrature": Mode(_quadrature, needs_word=False),
 }
 
 
@@ -423,7 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="correlators of entangled operators and their weak-coupling limit",
     )
     p.add_argument("--pattern", help="whitespace tokens: 'a' annihilation, 'a+' creation")
-    p.add_argument("--state", choices=STATES, default="fock")
+    p.add_argument("--state", choices=STATE_KINDS, default="fock")
     p.add_argument("--beta", type=float, help="inverse temperature")
     p.add_argument("--mode", choices=list(MODES), default="finite")
     p.add_argument("--max-n", type=int, default=6, help="sweep bound for check-free")

@@ -3,10 +3,10 @@
 The exact N-point correlator is a sum over pair partitions.  Every edge
 contributes a 1/lam^2 pairing exponent whose energy carries the edge's
 orientation and the momentum shifts inherited from enclosing edges;
-crossing edges leave extra single-time exponents behind.  The exact sum
-reads both from each pairing's edges taken pairwise (`_diagram_monomial`);
-the direct limit has no crossings and makes each edge's block once per set
-of enclosing edges in the Catalan walk (`non_crossing_blocks`).  Both
+crossing edges leave extra single-time exponents behind.  Both sums make
+each edge's block once per tuple of straddling edges, which enclose or
+cross it, in one pairing recursion (`pairing_blocks`); the direct limit
+takes its non-crossing pairings, and the Fock state the vacuum's.  Both
 write energies in the waves that the edges' momentum deltas unify
 (`_edge_waves`).  In the limit lam -> 0 each pairing exponent turns into
 2pi * dT * dE while any oscillation that cannot be matched to a pairing
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .diagrams import Edge, enumerate_pairings, non_crossing_blocks
+from .diagrams import Edge, pairing_blocks
 from .scalars import (
     DeltaK,
     EnergyDelta,
@@ -35,6 +35,7 @@ from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
 from .words import Letter, OperatorWord
 
 __all__ = [
+    "STATE_KINDS",
     "StateSpec",
     "FOCK",
     "GAUSSIAN",
@@ -45,6 +46,9 @@ __all__ = [
     "limit_correlator",
     "apply_state",
 ]
+
+
+STATE_KINDS = ("fock", "gaussian", "temperature")
 
 
 class _StateFields(NamedTuple):
@@ -60,7 +64,7 @@ class StateSpec(_StateFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, beta: float | None = None) -> "StateSpec":
-        if kind not in ("fock", "gaussian", "temperature"):
+        if kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {kind!r}")
         if kind == "temperature" and (beta is None or beta <= 0):
             raise ValueError("temperature state needs beta > 0")
@@ -116,18 +120,22 @@ def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
     return EnergyComb.sum_of(bare + shifts)
 
 
-def _diagram_monomial(word: OperatorWord, edges: tuple, wave) -> Monomial:
-    """From the edges, by left end, taken pairwise: the pairing exponent of
-    every edge, its energy shifted by the edges enclosing it, and one
-    single-time exponent per crossing vertex of an edge."""
+def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
+    """Exact correlator at finite coupling: sum over all pair partitions,
+    in the Fock state over those it keeps (`fock`)."""
+    if not word.balanced:
+        return ScalarSum.zero()
     letters = word.letters
-    factors = []
-    for i, f in enumerate(edges):
-        enclosing = []
-        for e in edges[:i]:  # by left end, so e.a < f.a
+    wave = _edge_waves(letters)
+
+    def block(f: Edge, straddling) -> list:
+        """f's pairing exponent, shifted by the straddling edges enclosing
+        f, one exponent per crossing vertex, occupation and delta."""
+        factors, enclosing = [], []
+        for e in straddling:  # by left end, so e.a < f.a < e.b
             if f.b < e.b:  # e encloses f
                 enclosing.append(e)
-            elif f.a < e.b:  # e and f cross: e has the vertex f.a, f has e.b
+            else:  # e and f cross: e has the vertex f.a, f has e.b
                 dot_ef = dot(wave(e), wave(f))
                 for pos, edge in ((f.a, e), (e.b, f)):
                     vertex = letters[pos - 1]
@@ -138,18 +146,12 @@ def _diagram_monomial(word: OperatorWord, edges: tuple, wave) -> Monomial:
         ann = letters[f.annihilation - 1]
         energy = _edge_energy(wave, f, enclosing)
         factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
-        factors += _occupation_and_delta(f, cre, ann)
-    return Monomial.build(lam=-2 * len(edges), factors=factors)
+        return factors + _occupation_and_delta(f, cre, ann)
 
-
-def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
-    """Exact correlator at finite coupling: sum over all pair partitions,
-    in the Fock state over those it keeps (`fock=True`)."""
-    if not word.balanced:
-        return ScalarSum.zero()
-    pairings = enumerate_pairings(word.pattern, fock=state.kind == "fock")
-    wave = _edge_waves(word.letters)
-    terms = [_diagram_monomial(word, edges, wave) for edges in pairings]
+    terms = [
+        Monomial.build(lam=-2 * len(blocks), factors=[f for b in blocks for f in b])
+        for blocks in pairing_blocks(word.pattern, block, fock=state.kind == "fock")
+    ]
     return apply_state(ScalarSum.from_iter(terms), state)
 
 
@@ -251,6 +253,8 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
 
     terms = [
         Monomial.build(two_pi=len(blocks), factors=[f for b in blocks for f in b])
-        for blocks in non_crossing_blocks(word.pattern, block)
+        for blocks in pairing_blocks(
+            word.pattern, block, fock=state.kind == "fock", non_crossing=True
+        )
     ]
     return apply_state(ScalarSum.from_iter(terms), state)

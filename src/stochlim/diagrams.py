@@ -8,24 +8,27 @@ e.a < f.a < e.b < f.b, which gives e the crossing vertex f.a and f the
 crossing vertex e.b.  The exact correlator reads both; `is_non_crossing`
 reads the crossings.  Positions are 1-based.
 
-The exact correlator sums over pairings made by one recursion
-(`enumerate_pairings`): all (N/2)! of them in the Gaussian and
-temperature states, and with `fock=True` only those in which every
-creation follows its annihilation, the ones the Fock vacuum keeps.  The
-limit keeps the non-crossing ones, from one Catalan recursion that carries
-each edge's enclosing edges (`non_crossing_blocks`); `count_non_crossing`
-is made from it too.
+Both diagram sums come from one recursion (`pairing_blocks`): the
+leftmost unpaired position pairs with each later partner the rules allow,
+and each new edge is handed to the caller with its straddling edges, the
+earlier ones whose right end lies past its left end, which enclose it or
+cross it.  The exact correlator takes all (N/2)! pairings in the Gaussian
+and temperature states and with `fock` only those in which every creation
+follows its annihilation, the ones the Fock vacuum keeps; the limit takes
+the non-crossing ones (`non_crossing`), where every straddling edge
+encloses.  `enumerate_pairings` and `count_non_crossing` are made from it
+too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Edge",
+    "pairing_blocks",
     "enumerate_pairings",
-    "non_crossing_blocks",
     "is_non_crossing",
     "count_non_crossing",
     "count_fock_surviving",
@@ -68,78 +71,67 @@ def _balanced(pattern: Sequence[int]) -> bool:
     return pattern.count(1) == pattern.count(-1)
 
 
-def _assign(creations, i, free, edge, left, out, fock) -> None:
-    if i == len(creations):
-        out.append(tuple(e for e in left if e is not None))
-        return
-    c = creations[i]
-    for j, a in enumerate(free):
-        if fock and a > c:
-            break
-        e = edge[c, a]
-        left[c], left[a] = (e, None) if c < a else (None, e)
-        _assign(creations, i + 1, free[:j] + free[j + 1 :], edge, left, out, fock)
-
-
-def enumerate_pairings(pattern: Sequence[int], fock: bool = False) -> tuple[tuple, ...]:
-    """All matchings of creations with annihilations, in lexicographic order
-    of the assignment vector taken in ascending creation order; with `fock`
-    only those in which every creation follows its annihilation, in the same
-    order.  Each is the tuple of its edges by left end.  Unbalanced patterns
-    have no pairings."""
-    creations = [i + 1 for i, eps in enumerate(pattern) if eps == 1]
-    annihilations = [i + 1 for i, eps in enumerate(pattern) if eps == -1]
-    if len(creations) != len(annihilations):
-        return ()
-    edge = {(c, a): Edge(c, a) for c in creations for a in annihilations}
-    # every position is written on every full branch: its edge when it is
-    # the edge's left end, else None; the edges then come out by left end
-    left = [None] * (len(pattern) + 1)
-    out: list[tuple[Edge, ...]] = []
-    _assign(creations, 0, tuple(annihilations), edge, left, out, fock)
-    return tuple(out)
-
-
-def _partners(pattern: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """The j in (lo, hi) that position lo can pair with in a non-crossing
-    pairing of pattern[lo:hi]: opposite sign and a balanced inside.
-    Indices are 0-based."""
+def _pair(pattern, lo, straddling, block, fock, non_crossing, memo) -> list[tuple]:
+    """Per pairing of the unpaired positions, lo the leftmost of them, its
+    edges' blocks by left end.  `straddling` holds the earlier edges whose
+    right end lies past lo, by left end; the unpaired positions are those
+    from lo on at which none of them ends.  Indices are 0-based.  The memo
+    is passed in, so nothing is left for the cyclic collector."""
+    key = lo, straddling  # the unpaired positions follow from these two
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = memo[key] = [()] if lo == len(pattern) else []
+    if out or (fock and pattern[lo] == 1):  # a vacuum pairing opens with an annihilation
+        return out
+    ends = [e.b - 1 for e in straddling]  # the positions they have taken
+    # a non-crossing partner lies inside the innermost straddling edge
+    hi = ends[-1] if non_crossing and ends else len(pattern)
     depth = 0
     for j in range(lo + 1, hi):
-        if depth == 0 and pattern[j] == -pattern[lo]:
-            yield j
-        depth += pattern[j]
-
-
-def _blocks(pattern, lo, hi, enclosing, block, memo) -> list[tuple]:
-    """Per non-crossing pairing of pattern[lo:hi] inside the edges
-    `enclosing`, its edges' blocks by left end.  The memo is passed in, so
-    nothing is left for the cyclic collector."""
-    key = lo, enclosing  # hi is the innermost enclosing edge's right end
-    out = memo.get(key)
-    if out is None:
-        out = [()] if lo == hi else []
-        for j in _partners(pattern, lo, hi):
+        # non-crossing also needs a balanced inside: depth 0 at j
+        if pattern[j] == -pattern[lo] and j not in ends and not (non_crossing and depth):
             edge = Edge(j + 1, lo + 1) if pattern[j] == 1 else Edge(lo + 1, j + 1)
-            first = (block(edge, enclosing),)
-            outside = _blocks(pattern, j + 1, hi, enclosing, block, memo)
-            for inside in _blocks(pattern, lo + 1, j, enclosing + (edge,), block, memo):
-                out += [first + inside + rest for rest in outside]
-        memo[key] = out
+            nxt = lo + 1
+            while nxt in ends or nxt == j:
+                nxt += 1
+            later = tuple(e for e, end in zip(straddling, ends) if end > nxt)
+            if j > nxt:
+                later += (edge,)
+            rests = _pair(pattern, nxt, later, block, fock, non_crossing, memo)
+            if rests:  # a Fock branch can die; its edge then needs no block
+                first = (block(edge, straddling),)
+                out += [first + rest for rest in rests]
+        depth += pattern[j]
     return out
 
 
-def non_crossing_blocks(pattern: Sequence[int], block) -> list[tuple]:
-    """The non-crossing pairings of a pattern as tuples of per-edge blocks,
-    edges by left end, by the Catalan recursion: the first letter pairs with
-    a partner whose inside is balanced, then the inside and the outside are
-    paired on their own.  `block(edge, enclosing)` is called once per edge
-    and tuple of the edges enclosing it, outermost first, and its value is
-    shared by every pairing that holds the edge there."""
+def pairing_blocks(
+    pattern: Sequence[int], block, fock: bool = False, non_crossing: bool = False
+) -> list[tuple]:
+    """The pairings of a pattern as tuples of per-edge blocks, edges by left
+    end: the leftmost unpaired position pairs with each later unpaired
+    position of opposite sign that the rules allow.  With `fock` it must be
+    an annihilation (the Fock vacuum's pairings); with `non_crossing` the
+    partner lies inside the innermost straddling edge, with a balanced
+    inside.  `block(edge, straddling)` is called once per edge and tuple of
+    the earlier edges whose right end lies past the edge's left end,
+    outermost first, each enclosing or crossing it; its value is shared by
+    every pairing that holds the edge there."""
     pattern = tuple(pattern)
     if not _balanced(pattern):
         return []
-    return _blocks(pattern, 0, len(pattern), (), block, {})
+    return _pair(pattern, 0, (), block, fock, non_crossing, {})
+
+
+def enumerate_pairings(pattern: Sequence[int]) -> tuple[tuple, ...]:
+    """All matchings of creations with annihilations, in lexicographic order
+    of the assignment vector taken in ascending creation order.  Each is the
+    tuple of its edges by left end.  Unbalanced patterns have no pairings."""
+    pairings = pairing_blocks(pattern, lambda edge, straddling: edge)
+    # every pairing has the same creations, so its edges sorted by creation
+    # compare as its annihilations in ascending creation order
+    return tuple(sorted(pairings, key=sorted))
 
 
 def is_non_crossing(edges: Sequence[Edge]) -> bool:
@@ -149,8 +141,8 @@ def is_non_crossing(edges: Sequence[Edge]) -> bool:
 
 
 def count_non_crossing(pattern: Sequence[int]) -> int:
-    """The number of non-crossing pairings, from `non_crossing_blocks`."""
-    return len(non_crossing_blocks(pattern, lambda edge, enclosing: None))
+    """The number of non-crossing pairings, from `pairing_blocks`."""
+    return len(pairing_blocks(pattern, lambda edge, straddling: None, non_crossing=True))
 
 
 def count_fock_surviving(pattern: Sequence[int]) -> int:

@@ -7,8 +7,6 @@ from stochlim.correlator import (
     GAUSSIAN,
     LimitStructureError,
     StateSpec,
-    _diagram_monomial,
-    _edge_waves,
     apply_state,
     finite_lambda_correlator,
     limit_correlator,
@@ -18,7 +16,8 @@ from stochlim.correlator import (
 from stochlim.diagrams import (
     count_fock_surviving,
     enumerate_pairings,
-    non_crossing_blocks,
+    is_non_crossing,
+    pairing_blocks,
 )
 from stochlim.scalars import (
     DeltaK,
@@ -428,17 +427,49 @@ def test_crossing_terms_match_non_crossing_counts():
         assert len(limit_correlator(word, FOCK).terms) == fock_surviving
 
 
+def whole_diagram_monomial(word, edges):
+    """The exact monomial of one pairing, built diagram by diagram: every
+    edge's enclosing and crossing edges by the interval definitions, its
+    energy summed here term by term, and one single-time exponent per
+    crossing vertex."""
+    letters = word.letters
+    factors = []
+    for f in edges:
+        cre = letters[f.creation - 1]
+        ann = letters[f.annihilation - 1]
+        k = cre.wave
+        energy = omega(k) + Fraction(f.delta, 2) * dot(k, k) + dot_p(k)
+        for e in edges:
+            k_e = letters[e.creation - 1].wave
+            if e.a < f.a < f.b < e.b:
+                energy = energy + e.delta * dot(k_e, k)
+            elif e.a < f.a < e.b < f.b:  # e has the vertex f.a, f has e.b
+                for pos, edge in ((f.a, e), (e.b, f)):
+                    vertex = letters[pos - 1]
+                    coeff = vertex.eps * edge.delta
+                    factors.append(OscExp(TimeComb.of(vertex.time), coeff * dot(k_e, k)))
+        factors += [
+            OscExp(cre.time - ann.time, energy, pairing=True),
+            MFactor(k, (f.delta + 1) // 2),
+            DeltaK(k, ann.wave),
+        ]
+    return Monomial.build(lam=-2 * len(edges), factors=factors)
+
+
 def test_fock_sum_is_the_state_applied_to_every_pairing():
     """In the Fock state only the vacuum pairings are built: `apply_state`
     drops none of their terms, only turns each (N+1) into 1, and the sum
-    equals the state applied to the sum over every pairing."""
+    equals the state applied to the sum over every pairing, which is the
+    Gaussian sum."""
     for n in (2, 4, 6, 8):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
-            wave = _edge_waves(word.letters)
+            pairings = enumerate_pairings(pattern)
+            every = ScalarSum.from_iter(whole_diagram_monomial(word, d) for d in pairings)
             vacuum = ScalarSum.from_iter(
-                _diagram_monomial(word, d, wave)
-                for d in enumerate_pairings(pattern, fock=True)
+                whole_diagram_monomial(word, d)
+                for d in pairings
+                if all(e.delta == 1 for e in d)
             )
             assert all(o == 1 for m, _ in vacuum.terms for _, o in m.m_factors)
             kept = apply_state(vacuum, FOCK)
@@ -446,7 +477,8 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
                 pattern
             )
             assert kept == finite_lambda_correlator(word, FOCK)
-            assert kept == apply_state(finite_lambda_correlator(word, GAUSSIAN), FOCK)
+            assert every == finite_lambda_correlator(word, GAUSSIAN), pattern
+            assert kept == apply_state(every, FOCK)
 
 
 def test_fock_state_enumerates_no_pairing(monkeypatch):
@@ -456,16 +488,58 @@ def test_fock_state_enumerates_no_pairing(monkeypatch):
 
     made = []
 
-    def counted(pattern, fock=False):
-        diagrams = enumerate_pairings(pattern, fock=fock)
-        made.append((fock, len(diagrams)))
-        return diagrams
+    def counted(pattern, block, fock=False, non_crossing=False):
+        pairings = pairing_blocks(pattern, block, fock, non_crossing)
+        made.append((fock, non_crossing, len(pairings)))
+        return pairings
 
-    monkeypatch.setattr(correlator, "enumerate_pairings", counted)
+    monkeypatch.setattr(correlator, "pairing_blocks", counted)
     word = word_from_pattern((-1, 1) * 6)
     assert len(finite_lambda_correlator(word, FOCK).terms) == 1
-    assert made == [(True, 1)]
+    assert made == [(True, False, 1)]
     assert len(enumerate_pairings(word.pattern)) == 720
+
+
+@pytest.mark.parametrize("tokens,built", [((1, -1), 0), ((-1, 1), 1)])
+def test_fock_limit_builds_only_vacuum_diagrams(monkeypatch, tokens, built):
+    """On 16 letters: a+ a repeated has no vacuum pairing, a a+ repeated one;
+    each has 1430 non-crossing pairings."""
+    build = Monomial.build
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "build", counted)
+    word = word_from_pattern(tokens * 8)
+    assert len(limit_correlator(word, FOCK).terms) == built
+    assert len(made) == built
+
+
+def test_exact_sum_makes_each_edge_energy_once(monkeypatch):
+    """On the 12-letter alternating word in the Gaussian state: one energy
+    per edge and tuple of straddling edges, the earlier edges whose right
+    end lies past its left end, shifted by those of them that enclose it."""
+    from stochlim import correlator
+
+    word = word_from_pattern((-1, 1) * 6)
+    straddled = {
+        (f, tuple(e for e in edges if e.a < f.a < e.b))
+        for edges in enumerate_pairings(word.pattern)
+        for f in edges
+    }
+    made = []
+    edge_energy = correlator._edge_energy
+
+    def counted(wave, edge, enclosing):
+        made.append((edge, tuple(enclosing)))
+        return edge_energy(wave, edge, enclosing)
+
+    monkeypatch.setattr(correlator, "_edge_energy", counted)
+    assert len(finite_lambda_correlator(word, GAUSSIAN).terms) == 720
+    assert len(made) == len(straddled)
+    assert set(made) == {(f, tuple(e for e in s if f.b < e.b)) for f, s in straddled}
 
 
 CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
@@ -481,12 +555,14 @@ def _cycle_paths():
         "limit_correlator": lambda w, p: limit_correlator(w, GAUSSIAN),
         "limit_correlator-fock": lambda w, p: limit_correlator(w, FOCK),
         "check_free_equivalence": lambda w, p: check_free_equivalence(w, GAUSSIAN),
-        "non_crossing_pairings": lambda w, p: non_crossing_blocks(
-            p, lambda edge, enclosing: edge
+        "non_crossing_pairings": lambda w, p: pairing_blocks(
+            p, lambda edge, straddling: edge, non_crossing=True
         ),
         "count_non_crossing": lambda w, p: count_non_crossing(p),
         "enumerate_pairings": lambda w, p: enumerate_pairings(p),
-        "enumerate_pairings-fock": lambda w, p: enumerate_pairings(p, fock=True),
+        "pairing_blocks-fock": lambda w, p: pairing_blocks(
+            p, lambda edge, straddling: edge, fock=True
+        ),
         "finite_lambda_correlator-fock": lambda w, p: finite_lambda_correlator(w, FOCK),
         "finite_lambda_correlator-gaussian": lambda w, p: finite_lambda_correlator(
             w, GAUSSIAN
@@ -523,7 +599,7 @@ def whole_diagram_limit(word, state):
     edge whose energy is summed here term by term."""
     letters = word.letters
     terms = []
-    for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge):
+    for edges in filter(is_non_crossing, enumerate_pairings(word.pattern)):
         factors = []
         for edge in edges:
             enclosing = [o for o in edges if o.a < edge.a < edge.b < o.b]
@@ -579,7 +655,7 @@ def test_limit_walk_makes_each_edge_energy_once(monkeypatch):
     word = word_from_pattern((-1, 1) * 8)
     expected = {
         (edge, tuple(o for o in edges if o.a < edge.a < edge.b < o.b))
-        for edges in non_crossing_blocks(word.pattern, lambda edge, enclosing: edge)
+        for edges in filter(is_non_crossing, enumerate_pairings(word.pattern))
         for edge in edges
     }
     made = []

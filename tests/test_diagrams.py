@@ -11,7 +11,7 @@ from stochlim.diagrams import (
     count_non_crossing,
     enumerate_pairings,
     is_non_crossing,
-    non_crossing_blocks,
+    pairing_blocks,
 )
 from stochlim.words import balanced_patterns, normal_order, word_from_pattern
 
@@ -27,6 +27,14 @@ def filtered_non_crossing(pattern):
 
 def balanced_up_to(n):
     return [p for m in range(2, n + 1, 2) for p in balanced_patterns(m)]
+
+
+def non_crossing_edges(pattern):
+    return pairing_blocks(pattern, lambda edge, straddling: edge, non_crossing=True)
+
+
+def fock_edges(pattern):
+    return pairing_blocks(pattern, lambda edge, straddling: edge, fock=True)
 
 
 def test_two_point():
@@ -63,12 +71,63 @@ def permutation_order(pattern):
 
 
 def test_pairings_keep_the_permutation_order():
-    """The Fock pairings are the in-order subsequence of all pairings."""
     for pattern in balanced_up_to(10):
-        every = permutation_order(pattern)
-        assert list(enumerate_pairings(pattern)) == every, pattern
-        fock = [d for d in every if all(e.delta == 1 for e in d)]
-        assert list(enumerate_pairings(pattern, fock=True)) == fock, pattern
+        assert list(enumerate_pairings(pattern)) == permutation_order(pattern), pattern
+
+
+RULES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("fock,non_crossing", RULES)
+def test_pairing_blocks_match_brute_force(fock, non_crossing):
+    """Every rule combination gives the permutations' pairings that pass its
+    filters, each once, edges by left end; `block` is called once per edge
+    and tuple of its straddling edges, the earlier edges whose right end
+    lies past its left end, by left end."""
+    for pattern in balanced_up_to(10):
+        expected = [
+            d
+            for d in permutation_order(pattern)
+            if (not fock or all(e.delta == 1 for e in d))
+            and (not non_crossing or is_non_crossing(d))
+        ]
+        made = []
+
+        def block(edge, straddling):
+            made.append((edge, straddling))
+            return edge
+
+        direct = pairing_blocks(pattern, block, fock=fock, non_crossing=non_crossing)
+        assert len(set(direct)) == len(direct)
+        assert set(direct) == set(expected), pattern
+        assert all(list(d) == sorted(d, key=lambda e: e.a) for d in direct)
+        straddled = {
+            (f, tuple(e for e in d if e.a < f.a < e.b)) for d in expected for f in d
+        }
+        assert len(made) == len(set(made))
+        assert set(made) == straddled, pattern
+    assert pairing_blocks((-1, 1, 1), lambda e, s: e, fock, non_crossing) == []
+
+
+@pytest.mark.parametrize("non_crossing", [False, True])
+def test_pairing_walk_enters_no_dead_state(monkeypatch, non_crossing):
+    """Without `fock` every state the recursion enters has a pairing: a
+    non-crossing partner is taken only with a balanced inside."""
+    from stochlim import diagrams
+
+    pair = diagrams._pair
+    sizes = []
+
+    def recorded(*args):
+        out = pair(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(diagrams, "_pair", recorded)
+    for pattern in balanced_up_to(10):
+        sizes.clear()
+        pairing_blocks(pattern, lambda e, s: e, non_crossing=non_crossing)
+        assert sizes and all(sizes), pattern
 
 
 def test_alternating_four_point():
@@ -117,7 +176,7 @@ def test_counts_match_brute_force():
 def test_non_crossing_generator_matches_filter():
     sample = random.Random(12).sample(balanced_patterns(12), 40)
     for pattern in balanced_up_to(10) + sample:
-        direct = non_crossing_blocks(pattern, lambda edge, enclosing: edge)
+        direct = non_crossing_edges(pattern)
         assert len(set(direct)) == len(direct)
         assert set(direct) == set(filtered_non_crossing(pattern)), pattern
 
@@ -146,8 +205,7 @@ def recursion_order(pattern):
 
 def test_non_crossing_generator_keeps_the_recursion_order():
     for pattern in balanced_up_to(10):
-        blocks = non_crossing_blocks(pattern, lambda edge, enclosing: edge)
-        assert blocks == recursion_order(pattern), pattern
+        assert non_crossing_edges(pattern) == recursion_order(pattern), pattern
 
 
 def test_walk_blocks_see_their_enclosing_edges():
@@ -155,14 +213,13 @@ def test_walk_blocks_see_their_enclosing_edges():
     the interval definition, outermost first."""
     for pattern in balanced_up_to(10):
         made = []
-        blocks = non_crossing_blocks(pattern, lambda e, enc: made.append((e, enc)) or e)
+        pairing_blocks(pattern, lambda e, enc: made.append((e, enc)), non_crossing=True)
         assert len(made) == len(set(made))
         seen = set()
-        for edges in blocks:
+        for edges in filtered_non_crossing(pattern):
             for f in edges:
                 seen.add((f, tuple(e for e in edges if e.a < f.a < f.b < e.b)))
         assert seen == set(made), pattern
-    assert non_crossing_blocks((-1, 1, 1), lambda e, enc: e) == []
 
 
 def filtered_fock(pattern):
@@ -176,13 +233,13 @@ def filtered_fock(pattern):
 def test_fock_generator_matches_filter():
     sample = random.Random(12).sample(balanced_patterns(12), 40)
     for pattern in balanced_up_to(10) + sample:
-        direct = enumerate_pairings(pattern, fock=True)
+        direct = fock_edges(pattern)
         assert len(set(direct)) == len(direct)
         assert len(direct) == count_fock_surviving(pattern), pattern
         assert set(direct) == set(filtered_fock(pattern)), pattern
-    assert enumerate_pairings((-1, 1, 1), fock=True) == ()
-    assert enumerate_pairings((-1, -1, 1), fock=True) == ()
-    assert enumerate_pairings((1, -1), fock=True) == ()
+    assert fock_edges((-1, 1, 1)) == []
+    assert fock_edges((-1, -1, 1)) == []
+    assert fock_edges((1, -1)) == []
 
 
 def histogram(counts):
@@ -223,14 +280,14 @@ def test_fock_crossings_are_q_integers():
     product of q-integers of the open annihilators at each creation."""
     for pattern in balanced_up_to(10):
         if count_fock_surviving(pattern):
-            hist = crossing_histogram(enumerate_pairings(pattern, fock=True))
+            hist = crossing_histogram(fock_edges(pattern))
             assert hist == q_integer_product(pattern), pattern
 
 
 def test_fock_crossings_sum_to_touchard_riordan():
     total = [0] * 7
     for pattern in balanced_patterns(8):
-        for i, c in enumerate(crossing_histogram(enumerate_pairings(pattern, fock=True))):
+        for i, c in enumerate(crossing_histogram(fock_edges(pattern))):
             total[i] += c
     assert total == [14, 28, 28, 20, 10, 4, 1]
 
@@ -249,7 +306,7 @@ def test_q_rewriting_counts_crossings():
     crossing pair of its edges."""
     for pattern in balanced_up_to(12):
         branches = normal_order(word_from_pattern(pattern).letters, _q_step)
-        expected = crossing_histogram(enumerate_pairings(pattern, fock=True))
+        expected = crossing_histogram(fock_edges(pattern))
         assert histogram(map(len, branches)) == expected, pattern
 
 
