@@ -111,13 +111,28 @@ def _edge_waves(letters):
     return wave
 
 
-def _edge_energy(wave, edge: Edge, enclosing) -> EnergyComb:
-    """w(k) + (delta/2) k.k + k.p of the edge's wave k = wave(edge), plus
-    the momentum shift of every enclosing edge, made as one combination."""
-    k = wave(edge)
-    bare = [omega(k), Fraction(edge.delta, 2) * dot(k, k), dot_p(k)]
-    shifts = [o.delta * dot(wave(o), k) for o in enclosing]
-    return EnergyComb.sum_of(bare + shifts)
+def _bare_energies(wave):
+    """Per edge, cached for one call: its wave k = wave(edge) and its bare
+    energy w(k) + (delta/2) k.k + k.p, made once per edge, not once per
+    tuple of edges enclosing it."""
+
+    @cache
+    def bare(e: Edge) -> tuple[WaveLabel, EnergyComb]:
+        k = wave(e)
+        return k, EnergyComb.sum_of([omega(k), Fraction(e.delta, 2) * dot(k, k), dot_p(k)])
+
+    return bare
+
+
+def _edge_energy(bare, edge: Edge, enclosing) -> EnergyComb:
+    """The edge's bare energy plus the momentum shift of every enclosing
+    edge, made as one combination; the bare energy itself when no edge
+    encloses it."""
+    k, energy = bare(edge)
+    if not enclosing:
+        return energy
+    shifts = [o.delta * dot(bare(o)[0], k) for o in enclosing]
+    return EnergyComb.sum_of([energy] + shifts)
 
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -127,6 +142,7 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         return ScalarSum.zero()
     letters = word.letters
     wave = _edge_waves(letters)
+    bare = _bare_energies(wave)
 
     def block(f: Edge, straddling) -> list:
         """f's pairing exponent, shifted by the straddling edges enclosing
@@ -144,7 +160,7 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
                     )
         cre = letters[f.creation - 1]
         ann = letters[f.annihilation - 1]
-        energy = _edge_energy(wave, f, enclosing)
+        energy = _edge_energy(bare, f, enclosing)
         factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
         return factors + _occupation_and_delta(f, cre, ann)
 
@@ -243,12 +259,13 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         return ScalarSum.zero()
     letters = word.letters
     wave = _edge_waves(letters)
+    bare = _bare_energies(wave)
 
     def block(edge: Edge, enclosing) -> list:
         cre = letters[edge.creation - 1]
         ann = letters[edge.annihilation - 1]
         time = TimeDelta((cre.time - ann.time).normalized())
-        energy = EnergyDelta(_edge_energy(wave, edge, enclosing))
+        energy = EnergyDelta(_edge_energy(bare, edge, enclosing))
         return [time, energy] + _occupation_and_delta(edge, cre, ann)
 
     terms = [

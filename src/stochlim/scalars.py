@@ -27,7 +27,10 @@ Canonical order and unification are owned by one constructor,
 Monomial._canonical: build, the limit and JSON parsing all hand it
 fields, and it substitutes representatives and sorts the fields by the
 label key of `symbols`.  Monomial.build only checks factors and
-converts them to fields.
+converts them to fields; an oscillating factor becomes one (time label,
+time coefficient, energy) contribution per label of its exponent, and
+`_canonical` makes each row from its contributions in one pass,
+substituting and scaling every term on its way into one merge.
 
 The imaginary unit never appears in coefficients; it lives only in the
 semantics of the oscillating exponent and is materialized in the numeric
@@ -137,7 +140,7 @@ class Monomial(NamedTuple):
         two_pi: int,
         lam: int,
         quotas: Iterable[TimeComb] = (),
-        osc: Iterable[tuple[TimeLabel, EnergyComb]] = (),
+        osc: Iterable[tuple[TimeLabel, int, EnergyComb]] = (),
         time_deltas: Iterable[TimeComb] = (),
         energy_deltas: Iterable[EnergyComb] = (),
         delta_k: Iterable[tuple[WaveLabel, WaveLabel]] = (),
@@ -149,21 +152,37 @@ class Monomial(NamedTuple):
         and combination keys of `symbols`.  Entries must already be valid
         and sign-normalized.
 
-        Each row is merged once: a time label's contributions are gathered,
-        their waves substituted on the way in, and the row made by one
-        EnergyComb.make; a lone contribution that names no mapped wave is
-        kept as it is."""
+        An oscillation contribution (label, c, energy) adds c * energy to
+        the label's row.  Each row is made in one pass: its contributions
+        gathered, each basis substituted and each coefficient multiplied
+        by c on the way in, and one EnergyComb.make.  A lone contribution
+        none of whose waves is mapped needs no merge: it is kept as the
+        same object when c = 1, and only scaled otherwise."""
         delta_k = tuple(sorted(delta_k, key=_pair_key))
         rep = wave_representatives(delta_k)
-        parts: dict[TimeLabel, list[EnergyComb]] = {}
-        for label, e in osc:
-            parts.setdefault(label, []).append(e)
-        rows = {
-            label: es[0].subst_waves(rep)
-            if len(es) == 1
-            else EnergyComb.make([(b.subst(rep), c) for e in es for b, c in e.terms])
-            for label, es in parts.items()
-        }
+        parts: dict[TimeLabel, list[tuple[int, EnergyComb]]] = {}
+        for label, c, e in osc:
+            got = parts.get(label)
+            if got is None:
+                parts[label] = [(c, e)]
+            else:
+                got.append((c, e))
+        rows = []
+        for label, ces in parts.items():
+            if len(ces) == 1:
+                c, e = ces[0]
+                row = e.subst_waves(rep, c)
+            else:
+                row = EnergyComb.make(
+                    [
+                        (b.subst(rep), cc if c == 1 else -cc if c == -1 else c * cc)
+                        for c, e in ces
+                        for b, cc in e.terms
+                    ]
+                )
+            if not row.is_zero:
+                rows.append((label, row))
+        rows.sort(key=lambda le: le[0].sort_key)
         if rep:
             energy_deltas = [
                 _nonzero_delta(e.subst_waves(rep), "energy") for e in energy_deltas
@@ -173,12 +192,7 @@ class Monomial(NamedTuple):
             two_pi=two_pi,
             lam=lam,
             quotas=tuple(sorted(quotas, key=_key)),
-            osc=tuple(
-                sorted(
-                    ((l, e) for l, e in rows.items() if not e.is_zero),
-                    key=lambda le: le[0].sort_key,
-                )
-            ),
+            osc=tuple(rows),
             time_deltas=tuple(sorted(time_deltas, key=_key)),
             energy_deltas=tuple(sorted(energy_deltas, key=_key)),
             delta_k=delta_k,
@@ -195,12 +209,16 @@ class Monomial(NamedTuple):
         factors: Iterable[Factor] = (),
         quotas: Iterable[TimeComb] = (),
     ) -> "Monomial":
+        """The canonical monomial of the factors and pairing quotas: each
+        factor checked and converted to fields, an oscillation factor into
+        one (label, time coefficient, energy) contribution per time label
+        of its exponent, all handed to `_canonical`."""
         quota_list: list[TimeComb] = []
         for q in quotas:
             if q.is_zero:
                 raise ValueError("a pairing quota needs a nonzero time argument")
             quota_list.append(q.normalized())
-        rows: list[tuple[TimeLabel, EnergyComb]] = []
+        rows: list[tuple[TimeLabel, int, EnergyComb]] = []
         tds: list[TimeComb] = []
         eds: list[EnergyComb] = []
         dks: list[tuple[WaveLabel, WaveLabel]] = []
@@ -215,7 +233,7 @@ class Monomial(NamedTuple):
                     continue
                 if f.pairing:
                     quota_list.append(f.time.normalized())
-                rows += [(label, f.energy.scale(c)) for label, c in f.time.terms]
+                rows += [(label, c, f.energy) for label, c in f.time.terms]
             elif isinstance(f, TimeDelta):
                 tds.append(_nonzero_delta(f.time, "time"))
             elif isinstance(f, EnergyDelta):
@@ -247,12 +265,12 @@ class Monomial(NamedTuple):
         return (
             self.two_pi,
             self.lam,
-            tuple(q.sort_key for q in self.quotas),
-            tuple((l.sort_key, e.sort_key) for l, e in self.osc),
-            tuple(t.sort_key for t in self.time_deltas),
-            tuple(e.sort_key for e in self.energy_deltas),
-            tuple(_pair_key(p) for p in self.delta_k),
-            tuple((w.sort_key, o) for w, o in self.m_factors),
+            tuple([q.sort_key for q in self.quotas]),
+            tuple([(l.sort_key, e.sort_key) for l, e in self.osc]),
+            tuple([t.sort_key for t in self.time_deltas]),
+            tuple([e.sort_key for e in self.energy_deltas]),
+            tuple([_pair_key(p) for p in self.delta_k]),
+            tuple([(w.sort_key, o) for w, o in self.m_factors]),
         )
 
     def render(self, rational=1) -> str:

@@ -139,7 +139,7 @@ class _Comb:
         if name != "sort_key":
             raise AttributeError(f"{type(self).__name__!r} has no attribute {name!r}")
         # an int c sorts like (c, 1), so integer and rational terms order alike
-        key = tuple((b.sort_key, c.numerator, c.denominator) for b, c in self.terms)
+        key = tuple([(b.sort_key, c.numerator, c.denominator) for b, c in self.terms])
         object.__setattr__(self, "sort_key", key)
         return key
 
@@ -150,11 +150,16 @@ class _Comb:
     def make(cls, items: Iterable[tuple]):
         """One merge of (basis, coefficient) items: a coefficient is added
         only to another of the same basis, so a term that merges with
-        nothing keeps its coefficient object."""
+        nothing keeps its coefficient object.  A basis met for the first
+        time is hashed once; a grown table tells an insert from a merge,
+        as the value cannot (small ints are shared objects)."""
         acc: dict = {}
+        setdefault = acc.setdefault
         for basis, c in items:
-            prev = acc.get(basis)
-            acc[basis] = c if prev is None else prev + c
+            n = len(acc)
+            prev = setdefault(basis, c)
+            if len(acc) == n:
+                acc[basis] = prev + c
         kept = [(b, c) for b, c in acc.items() if c]
         kept.sort(key=lambda bc: bc[0].sort_key)
         return cls(tuple(kept))
@@ -180,7 +185,7 @@ class _Comb:
         return self.make(self.terms + other.terms)
 
     def __neg__(self):
-        return type(self)(tuple((b, -c) for b, c in self.terms))
+        return type(self)(tuple([(b, -c) for b, c in self.terms]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -190,7 +195,7 @@ class _Comb:
             return self
         if c == 0:
             return self.zero()
-        return type(self)(tuple((b, c * cc) for b, cc in self.terms))
+        return type(self)(tuple([(b, c * cc) for b, cc in self.terms]))
 
     def normalized(self):
         """Flip the overall sign so the earliest basis symbol has a positive
@@ -217,7 +222,7 @@ class TimeComb(_Comb):
 
     @classmethod
     def of(cls, label: TimeLabel, coeff: int = 1) -> "TimeComb":
-        return cls.make([(label, coeff)])
+        return cls(((label, coeff),) if coeff else ())
 
     @classmethod
     def diff(cls, a: TimeLabel, b: TimeLabel) -> "TimeComb":
@@ -264,9 +269,14 @@ class _EBasis:
         return _basis, (self.kind, self.waves)
 
     def subst(self, rep: Mapping[WaveLabel, WaveLabel]) -> "_EBasis":
-        if not any(w in rep for w in self.waves):
-            return self
-        return _basis(self.kind, tuple(rep.get(w, w) for w in self.waves))
+        if self.kind == _DOT:
+            a, b = self.waves
+            ra, rb = rep.get(a, a), rep.get(b, b)
+            if ra is a and rb is b:
+                return self
+            return _basis(_DOT, (ra, rb))
+        w = rep.get(self.waves[0])
+        return self if w is None else _basis(self.kind, (w,))
 
     def render(self) -> str:
         if self.kind == _W:
@@ -311,12 +321,20 @@ class EnergyComb(_Comb):
         # an int or a Fraction is kept: the two compare, hash and render alike
         return self.scale(c if type(c) in (int, Fraction) else Fraction(c))
 
-    def subst_waves(self, rep: Mapping[WaveLabel, WaveLabel]) -> "EnergyComb":
-        """Every wave label that `rep` maps replaced by its image; self, not
-        re-made, when no such label is named."""
-        if not any(w in rep for b, _ in self.terms for w in b.waves):
-            return self
-        return self.make([(b.subst(rep), c) for b, c in self.terms])
+    def subst_waves(self, rep: Mapping[WaveLabel, WaveLabel], c=1) -> "EnergyComb":
+        """c times the combination, every wave label that `rep` maps replaced
+        by its image, in one pass.  When no basis changes, the order stays
+        and nothing merges, so the terms are not re-made: self when c is 1,
+        else the scaled terms as they stand."""
+        items = []
+        changed = False
+        for b, cc in self.terms:
+            s = b.subst(rep)
+            changed = changed or s is not b
+            items.append((s, cc if c == 1 else -cc if c == -1 else c * cc))
+        if changed:
+            return self.make(items)
+        return self if c == 1 else EnergyComb(tuple(items))
 
 
 def omega(k: WaveLabel) -> EnergyComb:

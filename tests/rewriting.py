@@ -76,11 +76,12 @@ def reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
 def times(a: Monomial, b: Monomial) -> Monomial:
     """a * b: the powers of 2pi and lam added and every factor field joined,
-    then unified and sorted by `Monomial._canonical`, whose parameters
-    follow the order of the monomial's fields."""
-    return Monomial._canonical(
-        *(getattr(a, name) + getattr(b, name) for name in Monomial._fields)
-    )
+    each oscillation row a contribution with coefficient 1, then unified
+    and sorted by `Monomial._canonical`, whose parameters are named after
+    the monomial's fields."""
+    fields = {name: getattr(a, name) + getattr(b, name) for name in Monomial._fields}
+    fields["osc"] = [(label, 1, e) for label, e in fields["osc"]]
+    return Monomial._canonical(**fields)
 
 
 def sum_times(s: ScalarSum, m: Monomial) -> ScalarSum:

@@ -305,3 +305,19 @@ def test_each_oscillation_row_is_merged_once(monkeypatch):
         ("t2", "w(k1)"),
     ]
     assert m == functools.reduce(times, (Monomial.build(factors=[f]) for f in factors))
+
+
+def test_multi_time_exponent_rows_cancel_as_single_time_factors():
+    # 2 t1 - t2 contributes -E to t2, which a second factor cancels after
+    # the delta maps k2 to k1; t1 keeps 2 E
+    energy = omega(K2) + dot_p(K3)
+    mixed = TimeComb.make([(T1, 2), (T2, -1)])
+    factors = [OscExp(mixed, energy), OscExp(TimeComb.of(T2), omega(K1) + dot_p(K3)), DeltaK(K1, K2)]
+    m = Monomial.build(factors=factors)
+    assert m.osc == ((T1, 2 * (omega(K1) + dot_p(K3))),)
+    single = [
+        OscExp(TimeComb.of(T1, 2), energy),
+        OscExp(TimeComb.of(T2, -1), energy),
+        *factors[1:],
+    ]
+    assert m == functools.reduce(times, (Monomial.build(factors=[f]) for f in single))

@@ -219,3 +219,59 @@ def test_scalar_times_energy_keeps_the_coefficient_type():
     assert half == Fraction(1, 2) and type(half) is Fraction
     (_, two), = (2 * dot(k, k)).terms
     assert two == 2 and type(two) is int
+
+
+class CountedKey:
+    """A basis with a sort key that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, n: int) -> None:
+        self.sort_key = (n,)
+
+    def __hash__(self) -> int:
+        CountedKey.hashes += 1
+        return hash(self.sort_key)
+
+
+def test_make_hashes_each_new_basis_once():
+    keys = [CountedKey(n) for n in (3, 1, 2)]
+    CountedKey.hashes = 0
+    comb = EnergyComb.make([(k, 1) for k in keys])
+    assert CountedKey.hashes == len(keys)
+    assert comb.terms == tuple((k, 1) for k in sorted(keys, key=lambda k: k.sort_key))
+    # equal small ints are one object, yet a second 1 still merges, and a
+    # sum that cancels is dropped
+    a, b = keys[:2]
+    assert EnergyComb.make([(a, 1), (b, 1), (a, 1), (b, -1)]).terms == ((a, 2),)
+
+
+def test_subst_keeps_a_basis_no_wave_of_which_is_mapped():
+    k1, k2, k3, k4 = (WaveLabel(f"k{i}") for i in (1, 2, 3, 4))
+    rep = {k4: k1}
+    for comb in (omega(k2), dot(k2, k3), dot(k3, k3), dot_p(k3)):
+        (basis, _), = comb.terms
+        assert basis.subst(rep) is basis
+        assert basis.subst({}) is basis
+
+
+def test_subst_gives_the_stored_basis():
+    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
+    (b23, _), = dot(k2, k3).terms
+    (b12, _), = dot(k1, k2).terms
+    (b11, _), = dot(k1, k1).terms
+    assert b23.subst({k3: k1}) is b12
+    assert b23.subst({k2: k1, k3: k1}) is b11
+    (w3, _), = omega(k3).terms
+    (w1, _), = omega(k1).terms
+    assert w3.subst({k3: k1}) is w1
+
+
+def test_subst_waves_is_self_when_nothing_maps():
+    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
+    e = omega(k2) + Fraction(1, 2) * dot(k2, k3) - dot_p(k3)
+    assert e.subst_waves({k1: k2}) is e
+    assert e.subst_waves({}) is e
+    assert e.subst_waves({k1: k2}, -1) == -e
+    assert e.subst_waves({k3: k2}) == omega(k2) + Fraction(1, 2) * dot(k2, k2) - dot_p(k2)
+    assert e.subst_waves({k3: k2}, 2) == 2 * e.subst_waves({k3: k2})
