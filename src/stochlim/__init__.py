@@ -6,7 +6,6 @@ from .correlator import (
     GAUSSIAN,
     LimitStructureError,
     StateSpec,
-    apply_state,
     finite_lambda_correlator,
     limit_correlator,
     take_limit,

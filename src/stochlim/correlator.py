@@ -6,7 +6,8 @@ orientation and the momentum shifts inherited from enclosing edges;
 crossing edges leave extra single-time exponents behind.  Both sums make
 each edge's block once per tuple of straddling edges, which enclose or
 cross it, in one pairing recursion (`pairing_blocks`); the direct limit
-takes its non-crossing pairings, and the Fock state the vacuum's.  Both
+takes its non-crossing pairings, and the Fock state the vacuum's, whose
+edges write no occupation factor: N = 0 there, so N+1 is 1.  Both
 write energies in the waves that the edges' momentum deltas unify
 (`_edge_waves`).  In the limit lam -> 0 each pairing exponent turns into
 2pi * dT * dE while any oscillation that cannot be matched to a pairing
@@ -44,7 +45,6 @@ __all__ = [
     "finite_lambda_correlator",
     "take_limit",
     "limit_correlator",
-    "apply_state",
 ]
 
 
@@ -83,19 +83,10 @@ class LimitStructureError(ValueError):
     """A sum whose lam powers cannot be matched to pairing quotas."""
 
 
-def apply_state(s: ScalarSum, state: StateSpec) -> ScalarSum:
-    """In the Fock state N(k) = 0: N-weighted terms drop, N+1 becomes 1."""
-    if state.kind != "fock":
-        return s
-    return ScalarSum.make(
-        (m._replace(m_factors=()), c)
-        for m, c in s.terms
-        if all(off == 1 for _, off in m.m_factors)
-    )
-
-
-def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter) -> list:
-    return [MFactor(cre.wave, (edge.delta + 1) // 2), DeltaK(cre.wave, ann.wave)]
+def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter, fock: bool) -> list:
+    """N(k)+1 or N(k), and the momentum delta; a vacuum edge's N(k)+1 is 1."""
+    occupation = [] if fock else [MFactor(cre.wave, (edge.delta + 1) // 2)]
+    return occupation + [DeltaK(cre.wave, ann.wave)]
 
 
 def _edge_waves(letters):
@@ -140,6 +131,7 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     in the Fock state over those it keeps (`fock`)."""
     if not word.balanced:
         return ScalarSum.zero()
+    fock = state.kind == "fock"
     letters = word.letters
     wave = _edge_waves(letters)
     bare = _bare_energies(wave)
@@ -162,13 +154,13 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         ann = letters[f.annihilation - 1]
         energy = _edge_energy(bare, f, enclosing)
         factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
-        return factors + _occupation_and_delta(f, cre, ann)
+        return factors + _occupation_and_delta(f, cre, ann, fock)
 
     terms = [
         Monomial.build(lam=-2 * len(blocks), factors=[f for b in blocks for f in b])
-        for blocks in pairing_blocks(word.pattern, block, fock=state.kind == "fock")
+        for blocks in pairing_blocks(word.pattern, block, fock=fock)
     ]
-    return apply_state(ScalarSum.from_iter(terms), state)
+    return ScalarSum.from_iter(terms)
 
 
 def _absorb(quotas, rows):
@@ -257,6 +249,7 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     and enclosing edges and shared by every diagram that holds it there."""
     if not word.balanced:
         return ScalarSum.zero()
+    fock = state.kind == "fock"
     letters = word.letters
     wave = _edge_waves(letters)
     bare = _bare_energies(wave)
@@ -266,12 +259,10 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         ann = letters[edge.annihilation - 1]
         time = TimeDelta((cre.time - ann.time).normalized())
         energy = EnergyDelta(_edge_energy(bare, edge, enclosing))
-        return [time, energy] + _occupation_and_delta(edge, cre, ann)
+        return [time, energy] + _occupation_and_delta(edge, cre, ann, fock)
 
     terms = [
         Monomial.build(two_pi=len(blocks), factors=[f for b in blocks for f in b])
-        for blocks in pairing_blocks(
-            word.pattern, block, fock=state.kind == "fock", non_crossing=True
-        )
+        for blocks in pairing_blocks(word.pattern, block, fock=fock, non_crossing=True)
     ]
-    return apply_state(ScalarSum.from_iter(terms), state)
+    return ScalarSum.from_iter(terms)

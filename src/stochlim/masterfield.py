@@ -7,11 +7,12 @@ zero operator).  `free_correlator` evaluates the vacuum expectation in
 one left-to-right walk over the word with a stack of open annihilators:
 every letter either opens or closes, and a closer contracts with the
 top of the stack when that top is of its own species.  Only the live
-species branches are walked, as many as the non-crossing pairings, and
-each one's monomial is built once from the factors collected along it.
-The contraction scalar (`_contract`), with its own occupation weights
-(the doubled oracle reads the Bogoliubov table in `stochlim.oracle`),
-lives here; the tests rewrite with it through `words.normal_order` as a
+species branches are walked, in every state (in the Fock state N = 0
+drops b2's channel and makes b1's weight N+1 one), and each one's
+monomial is built once from the factors collected along it.  The
+contraction scalar (`_contract`), with its own occupation weights (the
+doubled oracle reads the Bogoliubov table in `stochlim.oracle`), lives
+here; the tests rewrite with it through `words.normal_order` as a
 reference for the walk.  No diagrams are enumerated here, so the path
 stays independent of the engine it checks.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .correlator import StateSpec, apply_state, limit_correlator
+from .correlator import StateSpec, limit_correlator
 from .scalars import (
     DeltaK,
     EnergyDelta,
@@ -50,22 +51,25 @@ _PASS_SHIFT = {
 }
 
 
-def _contract(ann: MasterLetter, cre: MasterLetter, passed) -> list:
+def _contract(ann: MasterLetter, cre: MasterLetter, passed, fock: bool) -> list:
     """The four factors of contracting the annihilator ann with the creator
     cre just right of it, the p-dependence shifted across the passed
-    letters still standing to the left of ann."""
+    letters still standing to the left of ann; three in the Fock state,
+    whose only contraction, of b1, has occupation N+1 = 1."""
     sign = Fraction(1, 2) if ann.species == 1 else Fraction(-1, 2)
     own = (omega(ann.wave), sign * dot(ann.wave, ann.wave), dot_p(ann.wave))
     shifts = [(l.wave, _PASS_SHIFT[(l.species, l.dag)]) for l in passed]
-    return [
+    occupation = [] if fock else [MFactor(ann.wave, 1 if ann.species == 1 else 0)]
+    return occupation + [
         TimeDelta(ann.time - cre.time),
         EnergyDelta(shift_p(EnergyComb.sum_of(own), shifts)),
-        MFactor(ann.wave, 1 if ann.species == 1 else 0),
         DeltaK(ann.wave, cre.wave),
     ]
 
 
-def _walk(options, i: int, stack: tuple, factors: list, parts: list, memo: dict) -> None:
+def _walk(
+    options, i: int, stack: tuple, factors: list, parts: list, memo: dict, fock: bool
+) -> None:
     """One step of `free_correlator`'s walk.  A contraction is made once per
     (stack, closer) and kept in the memo, which is passed in; module level,
     so a call frees its work without the cyclic collector."""
@@ -73,16 +77,17 @@ def _walk(options, i: int, stack: tuple, factors: list, parts: list, memo: dict)
     if i == n:
         parts.append(Monomial.build(two_pi=n // 2, factors=factors))
         return
-    opener, closer = options[i]
-    if len(stack) < n - i - 1:
-        _walk(options, i + 1, stack + (opener,), factors, parts, memo)
-    if stack and stack[-1].species == closer.species:
-        below = stack[:-1]
-        key = stack, closer
-        more = memo.get(key)
-        if more is None:
-            more = memo[key] = _contract(stack[-1], closer, below)
-        _walk(options, i + 1, below, factors + more, parts, memo)
+    for letter in options[i]:
+        if not letter.dag:
+            if len(stack) < n - i - 1:
+                _walk(options, i + 1, stack + (letter,), factors, parts, memo, fock)
+        elif stack and stack[-1].species == letter.species:
+            below = stack[:-1]
+            key = stack, letter
+            more = memo.get(key)
+            if more is None:
+                more = memo[key] = _contract(stack[-1], letter, below, fock)
+            _walk(options, i + 1, below, factors + more, parts, memo, fock)
 
 
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -90,21 +95,25 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     creation/annihilation word.
 
     A depth-first walk from the left.  `a` opens as b1 or closes as b2+,
-    `a+` opens as b2 or closes as b1+.  Under leftmost-first reduction the
-    letters standing left of a closer are exactly the open stack, so a
-    closer contracts with the top of the stack, and only with one of its
-    own species; a prefix with more letters open than remain is dropped.
-    Each contraction is made once per open stack and closer and shared by
-    every branch that reaches it, and each finished branch builds its
-    monomial once.
+    `a+` opens as b2 or closes as b1+; the Fock state keeps b1 and b1+.
+    Under leftmost-first reduction the letters standing left of a closer
+    are exactly the open stack, so a closer contracts with the top of the
+    stack, and only with one of its own species; a prefix with more
+    letters open than remain is dropped.  Each contraction is made once
+    per open stack and closer and shared by every branch that reaches it,
+    and each finished branch builds its monomial once.
     """
     if not word.balanced:
         return ScalarSum.zero()
-    # per letter: its opener (dag False) and its closer (dag True)
-    options = [sorted(master_letters(l), key=lambda m: m.dag) for l in word.letters]
+    fock = state.kind == "fock"
+    live = 1 if fock else 2  # b2's channel is weighted N = 0 in the Fock state
+    # per letter: its live parts, opener (dag False) before closer
+    options = [
+        sorted(master_letters(l)[:live], key=lambda m: m.dag) for l in word.letters
+    ]
     parts: list[Monomial] = []
-    _walk(options, 0, (), [], parts, {})
-    return apply_state(ScalarSum.from_iter(parts), state)
+    _walk(options, 0, (), [], parts, {}, fock)
+    return ScalarSum.from_iter(parts)
 
 
 class EquivalenceReport(NamedTuple):

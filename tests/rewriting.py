@@ -1,7 +1,8 @@
 """Rewriting helpers the tests share: the full species expansion, the
 free path's rewrite step, two drivers that `words.normal_order` does not
-offer, a site chooser and every reduction order, and products with a
-monomial through the canonical kernel."""
+offer, a site chooser and every reduction order, products with a
+monomial through the canonical kernel, and the Fock vacuum's rule N = 0
+applied to a finished sum."""
 
 from itertools import product
 
@@ -13,11 +14,13 @@ from stochlim.words import MasterLetter
 def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
     """The rewrite step of a free contraction at i for `words.normal_order`,
     the reference for `masterfield.free_correlator`'s walk: one branch
-    extending the collected factors by the contraction's four, none across
-    species, where the product is the zero operator."""
+    extending the collected factors by the contraction's four, with the
+    Gaussian weights (the walk writes three in the Fock state, where
+    `vacuum` is the reference), none across species, where the product is
+    the zero operator."""
     if letters[i].species != letters[i + 1].species:
         return ()
-    factors = _contract(letters[i], letters[i + 1], letters[:i])
+    factors = _contract(letters[i], letters[i + 1], letters[:i], fock=False)
     return ((collected + tuple(factors), letters[:i] + letters[i + 2 :]),)
 
 
@@ -87,3 +90,13 @@ def times(a: Monomial, b: Monomial) -> Monomial:
 def sum_times(s: ScalarSum, m: Monomial) -> ScalarSum:
     """Every term of s times the monomial m."""
     return ScalarSum.make((times(a, m), c) for a, c in s.terms)
+
+
+def vacuum(s: ScalarSum) -> ScalarSum:
+    """The Fock state applied to a sum with the Gaussian weights: N(k) = 0,
+    so every term with an N(k) factor drops and each N(k)+1 becomes 1."""
+    return ScalarSum.make(
+        (m._replace(m_factors=()), c)
+        for m, c in s.terms
+        if all(off == 1 for _, off in m.m_factors)
+    )

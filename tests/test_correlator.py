@@ -7,7 +7,6 @@ from stochlim.correlator import (
     GAUSSIAN,
     LimitStructureError,
     StateSpec,
-    apply_state,
     finite_lambda_correlator,
     limit_correlator,
     take_limit,
@@ -30,6 +29,8 @@ from stochlim.scalars import (
 )
 from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import balanced_patterns, word_from_pattern
+
+from rewriting import vacuum
 
 HALF = Fraction(1, 2)
 
@@ -457,28 +458,28 @@ def whole_diagram_monomial(word, edges):
 
 
 def test_fock_sum_is_the_state_applied_to_every_pairing():
-    """In the Fock state only the vacuum pairings are built: `apply_state`
-    drops none of their terms, only turns each (N+1) into 1, and the sum
-    equals the state applied to the sum over every pairing, which is the
-    Gaussian sum."""
+    """In the Fock state only the vacuum pairings are built: the state's
+    rule N = 0 (`vacuum`) drops none of their terms, only turns each (N+1)
+    into 1, and the sum equals the state applied to the sum over every
+    pairing, which is the Gaussian sum."""
     for n in (2, 4, 6, 8):
         for pattern in balanced_patterns(n):
             word = word_from_pattern(pattern)
             pairings = enumerate_pairings(pattern)
             every = ScalarSum.from_iter(whole_diagram_monomial(word, d) for d in pairings)
-            vacuum = ScalarSum.from_iter(
+            wick = ScalarSum.from_iter(
                 whole_diagram_monomial(word, d)
                 for d in pairings
                 if all(e.delta == 1 for e in d)
             )
-            assert all(o == 1 for m, _ in vacuum.terms for _, o in m.m_factors)
-            kept = apply_state(vacuum, FOCK)
-            assert len(kept.terms) == len(vacuum.terms) == count_fock_surviving(
+            assert all(o == 1 for m, _ in wick.terms for _, o in m.m_factors)
+            kept = vacuum(wick)
+            assert len(kept.terms) == len(wick.terms) == count_fock_surviving(
                 pattern
             )
             assert kept == finite_lambda_correlator(word, FOCK)
             assert every == finite_lambda_correlator(word, GAUSSIAN), pattern
-            assert kept == apply_state(every, FOCK)
+            assert kept == vacuum(every)
 
 
 def test_fock_state_enumerates_no_pairing(monkeypatch):
@@ -596,7 +597,8 @@ def test_paths_leave_nothing_to_the_cyclic_collector(path):
 def whole_diagram_limit(word, state):
     """The limit built diagram by diagram: every non-crossing pairing, each
     edge's enclosing edges by the interval definition, and one block per
-    edge whose energy is summed here term by term."""
+    edge whose energy is summed here term by term; in the Fock state the
+    vacuum's rule is applied to the whole sum."""
     letters = word.letters
     terms = []
     for edges in filter(is_non_crossing, enumerate_pairings(word.pattern)):
@@ -616,7 +618,8 @@ def whole_diagram_limit(word, state):
                 DeltaK(k, ann.wave),
             ]
         terms.append(Monomial.build(two_pi=len(edges), factors=factors))
-    return apply_state(ScalarSum.from_iter(terms), state)
+    s = ScalarSum.from_iter(terms)
+    return vacuum(s) if state.kind == "fock" else s
 
 
 def test_limit_walk_matches_whole_diagrams():

@@ -134,12 +134,6 @@ def test_alternating_four_point():
     assert len(enumerate_pairings((-1, 1, -1, 1))) == 2
 
 
-def test_counts_are_factorial():
-    for n in range(1, 7):
-        for pattern in balanced_patterns(2 * n):
-            assert len(enumerate_pairings(pattern)) == math.factorial(n)
-
-
 def test_non_crossing_counts():
     assert count_non_crossing((-1, -1, 1, 1)) == 1
     assert count_non_crossing((-1, 1)) == 1

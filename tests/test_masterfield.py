@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from stochlim.cli import main
-from stochlim.correlator import FOCK, GAUSSIAN, apply_state, limit_correlator
+from stochlim.correlator import FOCK, GAUSSIAN, limit_correlator
 from stochlim.diagrams import count_non_crossing
 from stochlim import masterfield
 from stochlim.masterfield import check_free_equivalence, free_correlator
@@ -26,7 +28,13 @@ from stochlim.words import (
     word_from_pattern,
 )
 
-from rewriting import _free_step, normal_order_at, reduce_all_orders, species_product
+from rewriting import (
+    _free_step,
+    normal_order_at,
+    reduce_all_orders,
+    species_product,
+    vacuum,
+)
 
 HALF = Fraction(1, 2)
 
@@ -158,11 +166,8 @@ def test_stack_walk_equals_rewriting():
         for pattern in product((-1, 1), repeat=n):
             word = word_from_pattern(pattern)
             reference = free_by_rewriting(word)
-            for state in (FOCK, GAUSSIAN):
-                assert free_correlator(word, state) == apply_state(reference, state), (
-                    pattern,
-                    state.kind,
-                )
+            assert free_correlator(word, GAUSSIAN) == reference, pattern
+            assert free_correlator(word, FOCK) == vacuum(reference), pattern
 
 
 def test_channel_count_equals_non_crossing():
@@ -262,13 +267,30 @@ def test_check_free_json_lists_the_differing_terms(monkeypatch, capsys):
 
 
 
+@pytest.mark.parametrize("tokens,built", [((1, -1), 0), ((-1, 1), 1)])
+def test_fock_walk_builds_only_vacuum_branches(monkeypatch, tokens, built):
+    """On 16 letters: a+ a repeated has no vacuum branch, a a+ repeated one;
+    each has 1430 live species branches in the Gaussian state."""
+    build = Monomial.build
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "build", counted)
+    word = word_from_pattern(tokens * 8)
+    assert len(free_correlator(word, FOCK).terms) == built
+    assert len(made) == built
+
+
 def test_walk_makes_each_contraction_once(monkeypatch):
     keys = []
     contract = masterfield._contract
 
-    def counted(ann, cre, passed):
+    def counted(ann, cre, passed, fock):
         keys.append((ann, cre, tuple(passed)))
-        return contract(ann, cre, passed)
+        return contract(ann, cre, passed, fock)
 
     monkeypatch.setattr(masterfield, "_contract", counted)
     word = word_from_pattern([-1, 1] * 8)
