@@ -212,7 +212,7 @@ def build_job(args: argparse.Namespace) -> JobSpec:
             raise JobError(f"job file {args.job} has unknown keys {', '.join(unknown)}")
         if "schemaVersion" not in data:
             raise JobError(f"job file {args.job} has no 'schemaVersion'")
-        version = data["schemaVersion"]
+        version = _as(int, data["schemaVersion"], "schemaVersion")
         if version != SCHEMA_VERSION:
             raise JobError(
                 f"job schemaVersion {version!r} is not supported (expected {SCHEMA_VERSION})"

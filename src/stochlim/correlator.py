@@ -7,12 +7,13 @@ crossing edges leave extra single-time exponents behind.  Both sums make
 each edge's block once per tuple of straddling edges, which enclose or
 cross it, in one pairing recursion (`pairing_blocks`); the direct limit
 takes its non-crossing pairings, and the Fock state the vacuum's, whose
-edges write no occupation factor: N = 0 there, so N+1 is 1.  Both
-write energies in the waves that the edges' momentum deltas unify
-(`_edge_waves`).  In the limit lam -> 0 each pairing exponent turns into
-2pi * dT * dE while any oscillation that cannot be matched to a pairing
-quota suppresses its whole term, which is why only non-crossing diagrams
-survive.
+edges write no occupation factor: N = 0 there, so N+1 is 1.  An edge's
+wave (as its momentum delta unifies it), bare energy, pairing time,
+occupation and delta come from one per-edge table (`_edges`); a block
+adds what its straddling edges change.  In the limit lam -> 0 each
+pairing exponent turns into 2pi * dT * dE while any oscillation that
+cannot be matched to a pairing quota suppresses its whole term, which is
+why only non-crossing diagrams survive.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .scalars import (
     wave_representatives,
 )
 from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
-from .words import Letter, OperatorWord
+from .words import OperatorWord
 
 __all__ = [
     "STATE_KINDS",
@@ -83,46 +84,33 @@ class LimitStructureError(ValueError):
     """A sum whose lam powers cannot be matched to pairing quotas."""
 
 
-def _occupation_and_delta(edge: Edge, cre: Letter, ann: Letter, fock: bool) -> list:
-    """N(k)+1 or N(k), and the momentum delta; a vacuum edge's N(k)+1 is 1."""
-    occupation = [] if fock else [MFactor(cre.wave, (edge.delta + 1) // 2)]
-    return occupation + [DeltaK(cre.wave, ann.wave)]
-
-
-def _edge_waves(letters):
-    """Per edge, cached: the creation's wave as the edge's momentum delta
-    unifies it.  No other delta of a pairing touches it, so once per edge,
-    not per pairing."""
+def _edges(letters, fock: bool):
+    """Per edge, cached for one call: its wave k, the creation's wave as the
+    edge's momentum delta unifies it (no other delta of a pairing touches
+    it); its bare energy w(k) + (delta/2) k.k + k.p; its pairing time
+    t_cre - t_ann; and its factors, the occupation N(k)+1 or N(k) (none on
+    a vacuum edge, whose N(k)+1 is 1) and the momentum delta.  Made once
+    per edge, not once per tuple of edges straddling it."""
 
     @cache
-    def wave(e: Edge) -> WaveLabel:
-        k = letters[e.creation - 1].wave
-        return wave_representatives([(k, letters[e.annihilation - 1].wave)]).get(k, k)
+    def edge(e: Edge) -> tuple[WaveLabel, EnergyComb, TimeComb, tuple]:
+        cre, ann = letters[e.creation - 1], letters[e.annihilation - 1]
+        k = wave_representatives([(cre.wave, ann.wave)]).get(cre.wave, cre.wave)
+        energy = EnergyComb.sum_of([omega(k), Fraction(e.delta, 2) * dot(k, k), dot_p(k)])
+        occupation = () if fock else (MFactor(cre.wave, (e.delta + 1) // 2),)
+        return k, energy, cre.time - ann.time, occupation + (DeltaK(cre.wave, ann.wave),)
 
-    return wave
-
-
-def _bare_energies(wave):
-    """Per edge, cached for one call: its wave k = wave(edge) and its bare
-    energy w(k) + (delta/2) k.k + k.p, made once per edge, not once per
-    tuple of edges enclosing it."""
-
-    @cache
-    def bare(e: Edge) -> tuple[WaveLabel, EnergyComb]:
-        k = wave(e)
-        return k, EnergyComb.sum_of([omega(k), Fraction(e.delta, 2) * dot(k, k), dot_p(k)])
-
-    return bare
+    return edge
 
 
-def _edge_energy(bare, edge: Edge, enclosing) -> EnergyComb:
-    """The edge's bare energy plus the momentum shift of every enclosing
-    edge, made as one combination; the bare energy itself when no edge
-    encloses it."""
-    k, energy = bare(edge)
+def _edge_energy(table, edge: Edge, enclosing) -> EnergyComb:
+    """The edge's bare energy from the per-edge `table` plus the
+    momentum shift of every enclosing edge, made as one combination; the
+    bare energy itself when no edge encloses it."""
+    k, energy, _, _ = table(edge)
     if not enclosing:
         return energy
-    shifts = [o.delta * dot(bare(o)[0], k) for o in enclosing]
+    shifts = [o.delta * dot(table(o)[0], k) for o in enclosing]
     return EnergyComb.sum_of([energy] + shifts)
 
 
@@ -133,28 +121,25 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         return ScalarSum.zero()
     fock = state.kind == "fock"
     letters = word.letters
-    wave = _edge_waves(letters)
-    bare = _bare_energies(wave)
+    table = _edges(letters, fock)
 
     def block(f: Edge, straddling) -> list:
         """f's pairing exponent, shifted by the straddling edges enclosing
-        f, one exponent per crossing vertex, occupation and delta."""
+        f, one exponent per crossing vertex, then f's own factors."""
+        k, _, time, own = table(f)
         factors, enclosing = [], []
         for e in straddling:  # by left end, so e.a < f.a < e.b
             if f.b < e.b:  # e encloses f
                 enclosing.append(e)
             else:  # e and f cross: e has the vertex f.a, f has e.b
-                dot_ef = dot(wave(e), wave(f))
+                dot_ef = dot(table(e)[0], k)
                 for pos, edge in ((f.a, e), (e.b, f)):
                     vertex = letters[pos - 1]
                     factors.append(
                         OscExp(TimeComb.of(vertex.time), (vertex.eps * edge.delta) * dot_ef)
                     )
-        cre = letters[f.creation - 1]
-        ann = letters[f.annihilation - 1]
-        energy = _edge_energy(bare, f, enclosing)
-        factors.append(OscExp(cre.time - ann.time, energy, pairing=True))
-        return factors + _occupation_and_delta(f, cre, ann, fock)
+        energy = _edge_energy(table, f, enclosing)
+        return [*factors, OscExp(time, energy, pairing=True), *own]
 
     terms = [
         Monomial.build(lam=-2 * len(blocks), factors=[f for b in blocks for f in b])
@@ -250,16 +235,12 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     if not word.balanced:
         return ScalarSum.zero()
     fock = state.kind == "fock"
-    letters = word.letters
-    wave = _edge_waves(letters)
-    bare = _bare_energies(wave)
+    table = _edges(word.letters, fock)
 
     def block(edge: Edge, enclosing) -> list:
-        cre = letters[edge.creation - 1]
-        ann = letters[edge.annihilation - 1]
-        time = TimeDelta((cre.time - ann.time).normalized())
-        energy = EnergyDelta(_edge_energy(bare, edge, enclosing))
-        return [time, energy] + _occupation_and_delta(edge, cre, ann, fock)
+        _, _, time, own = table(edge)
+        energy = _edge_energy(table, edge, enclosing)
+        return [TimeDelta(time), EnergyDelta(energy), *own]
 
     terms = [
         Monomial.build(two_pi=len(blocks), factors=[f for b in blocks for f in b])

@@ -530,6 +530,12 @@ INPUT_ERRORS = [
     ),
     pytest.param(
         ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", "a+"], version=True)},
+        "schemaVersion must be a number, got True",
+        id="job-schema-version-bool",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
         {"job.json": {**_job(["a", "a+"]), "patern": ["a", "a+"]}},
         "unknown keys patern",
         id="job-unknown-key",

@@ -543,6 +543,28 @@ def test_exact_sum_makes_each_edge_energy_once(monkeypatch):
     assert set(made) == {(f, tuple(e for e in s if f.b < e.b)) for f, s in straddled}
 
 
+@pytest.mark.parametrize(
+    "sum_of, letters, terms, edges",
+    [(finite_lambda_correlator, 6, 720, 36), (limit_correlator, 8, 1430, 64)],
+)
+def test_each_edge_makes_its_factors_once(monkeypatch, sum_of, letters, terms, edges):
+    """In the Gaussian state on the alternating word a a+ repeated: one
+    momentum delta per edge, not one per edge and tuple of straddling
+    edges (finite) or enclosing edges (limit)."""
+    from stochlim import correlator
+
+    made = []
+
+    def counted(left, right):
+        made.append((left, right))
+        return DeltaK(left, right)
+
+    monkeypatch.setattr(correlator, "DeltaK", counted)
+    word = word_from_pattern((-1, 1) * letters)
+    assert len(sum_of(word, GAUSSIAN).terms) == terms
+    assert len(made) == len(set(made)) == edges
+
+
 CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
 
 
