@@ -126,6 +126,9 @@ def _word_from_job(pattern_entries) -> OperatorWord:
         missing = [key for key in ("eps", "time", "wave") if key not in entry]
         if missing:
             raise PatternError(f"letter object lacks {', '.join(missing)}", i)
+        unknown = sorted(set(entry) - {"eps", "time", "wave"})
+        if unknown:
+            raise PatternError(f"letter object has unknown keys {', '.join(unknown)}", i)
         if not all(isinstance(entry[key], str) and entry[key] for key in ("time", "wave")):
             raise PatternError("letter time and wave must be strings, not empty", i)
         for key in ("time", "wave"):

@@ -148,12 +148,52 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     return ScalarSum.from_iter(terms)
 
 
+_ZERO = EnergyComb.zero()
+
+
 def _absorb(quotas, rows):
-    """Solve sum_j C[t][j] * F_j = rows[t] exactly.
+    """Solve sum_j C[t][j] * F_j = rows[t] exactly, where C[t][j] is the
+    coefficient of time label t in quota j.
 
     Returns the list of F_j, or None when the system is inconsistent (the
     leftover oscillation has no 1/lam^2 quota and kills the monomial).
-    Raises when the quota time combinations are linearly dependent.
+
+    Every quota the paths make is t_cre - t_ann, and no two of them share
+    a time label.  When the quotas' supports are disjoint the system falls
+    apart into one check per quota: F_j is the row of its first label over
+    that label's coefficient, and every other label's row must be its
+    coefficient times F_j; a row on a label no quota covers kills the
+    term.  Quotas that share a label occur only in hand-built sums and
+    JSON input; `_eliminate` solves those.
+    """
+    supports = [q.terms for q in quotas]
+    covered = {l for terms in supports for l, _ in terms}
+    if len(covered) != sum(map(len, supports)):
+        return _eliminate(quotas, rows)
+    if not covered.issuperset(rows) and any(
+        l not in covered and not e.is_zero for l, e in rows.items()
+    ):
+        return None
+    out = []
+    for (l0, c0), *rest in supports:
+        f = rows.get(l0, _ZERO)
+        if c0 != 1:
+            f = f.scale(-1 if c0 == -1 else 1 / Fraction(c0))
+        for l, c in rest:
+            terms = rows.get(l, _ZERO).terms
+            if len(terms) != len(f.terms) or any(
+                b is not fb or x != c * fx
+                for (b, x), (fb, fx) in zip(terms, f.terms)
+            ):
+                return None
+        out.append(f)
+    return out
+
+
+def _eliminate(quotas, rows):
+    """`_absorb` by sparse exact elimination, for quotas that share time
+    labels: the same answer, and raises when the quota time combinations
+    are linearly dependent.
 
     The matrix is kept sparse, one {column: coefficient} row per time
     label, and column r pivots in row r.  Quota coefficients are ints,
@@ -201,7 +241,10 @@ def _absorb(quotas, rows):
 
 def take_limit(s: ScalarSum) -> ScalarSum:
     """lam -> 0 limit: every pairing quota becomes 2pi * dT * dE; oscillation
-    not matched by a quota sends its monomial to zero."""
+    not matched by a quota sends its monomial to zero.  `_absorb` settles
+    each term from its own quota rows when no two quotas share a time
+    label, as on every sum `finite_lambda_correlator` builds, and
+    eliminates otherwise."""
     out = []
     for m, c in s.terms:
         if m.time_deltas or m.energy_deltas:

@@ -432,6 +432,12 @@ INPUT_ERRORS = [
     ),
     pytest.param(
         ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", {"eps": 1, "time": "t2", "wave": "k2", "x": 1}])},
+        "pattern token 2: letter object has unknown keys x",
+        id="job-letter-unknown-key",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
         {"job.json": _job([{"eps": -1, "time": 5, "wave": "k1"}, "a+"])},
         "must be strings",
         id="job-letter-time-number",

@@ -27,7 +27,15 @@ from stochlim.scalars import (
     ScalarSum,
     TimeDelta,
 )
-from stochlim.symbols import TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
+from stochlim.symbols import (
+    EnergyComb,
+    TimeComb,
+    TimeLabel,
+    WaveLabel,
+    dot,
+    dot_p,
+    omega,
+)
 from stochlim.words import balanced_patterns, word_from_pattern
 
 from rewriting import vacuum
@@ -375,6 +383,90 @@ def test_take_limit_chained_quotas_negative_pivot():
     assert take_limit(killed).is_zero
 
 
+def _path_sums(max_n, states=(FOCK, GAUSSIAN, temperature(1.0))):
+    for n in range(2, max_n + 1, 2):
+        for pattern in balanced_patterns(n):
+            word = word_from_pattern(pattern)
+            for state in states:
+                yield word, state, finite_lambda_correlator(word, state)
+
+
+def test_absorb_matches_elimination_on_every_path_term():
+    from stochlim.correlator import _absorb, _eliminate
+
+    for _, _, finite in _path_sums(8):
+        for m, _ in finite.terms:
+            rows = dict(m.osc)
+            assert _absorb(m.quotas, rows) == _eliminate(m.quotas, rows), m
+
+
+def _disjoint_cases():
+    t1, t2, t3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
+    k1 = WaveLabel("k1")
+    w = omega(k1)
+    double = TimeComb.make([(t1, 2), (t2, -1)])
+    return {
+        # a row on a label no quota covers kills the term, even when every
+        # quota row is zero and the quota's energy would vanish
+        "uncovered-row": ([t1 - t2], {t3: w}, None),
+        "single-label-quota": ([TimeComb.of(t1)], {t1: w}, [w]),
+        "other-row-missing": ([t1 - t2], {t1: w}, None),
+        "no-row-at-all": ([t1 - t2], {}, [EnergyComb.zero()]),
+        "opposite-rows": ([t1 - t2], {t1: w, t2: -w}, [w]),
+        "coefficient-2": ([double], {t1: w, t2: -HALF * w}, [HALF * w]),
+        "coefficient-2-mismatch": ([double], {t1: w, t2: -w}, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_disjoint_cases()))
+def test_absorb_matches_elimination_on_hand_built_disjoint_quotas(case):
+    from stochlim.correlator import _absorb, _eliminate
+
+    quotas, rows, expected = _disjoint_cases()[case]
+    assert _absorb(quotas, rows) == _eliminate(quotas, rows) == expected
+
+
+def test_take_limit_kills_an_uncovered_row_before_a_vanishing_energy():
+    t1, t2, t3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
+    s = ScalarSum.from_iter([
+        Monomial.build(
+            lam=-2,
+            quotas=[t1 - t2],
+            factors=[OscExp(TimeComb.of(t3), omega(WaveLabel("k1")))],
+        )
+    ])
+    assert take_limit(s).is_zero
+
+
+def test_path_sums_never_reach_the_elimination(monkeypatch):
+    from stochlim import correlator
+
+    def refuse(quotas, rows):
+        raise AssertionError(f"eliminated {quotas}")
+
+    monkeypatch.setattr(correlator, "_eliminate", refuse)
+    for word, state, finite in _path_sums(8):
+        assert take_limit(finite) == limit_correlator(word, state)
+    test_take_limit_non_unit_pivot_stays_exact()
+
+
+def test_chained_quotas_reach_the_elimination(monkeypatch):
+    from stochlim import correlator
+
+    calls = []
+    eliminate = correlator._eliminate
+
+    def counted(quotas, rows):
+        calls.append(quotas)
+        return eliminate(quotas, rows)
+
+    monkeypatch.setattr(correlator, "_eliminate", counted)
+    test_take_limit_chained_quotas()
+    assert len(calls) == 1
+    test_take_limit_chained_quotas_negative_pivot()
+    assert len(calls) == 4
+
+
 def test_path_independence_small():
     for n in (2, 4, 6):
         for pattern in balanced_patterns(n):
@@ -428,11 +520,12 @@ def test_crossing_terms_match_non_crossing_counts():
         assert len(limit_correlator(word, FOCK).terms) == fock_surviving
 
 
-def whole_diagram_monomial(word, edges):
+def whole_diagram_monomial(word, edges, crossing=True):
     """The exact monomial of one pairing, built diagram by diagram: every
     edge's enclosing and crossing edges by the interval definitions, its
     energy summed here term by term, and one single-time exponent per
-    crossing vertex."""
+    crossing vertex; with crossing=False none, the undeformed (q = 1)
+    bosonic exchange."""
     letters = word.letters
     factors = []
     for f in edges:
@@ -444,7 +537,7 @@ def whole_diagram_monomial(word, edges):
             k_e = letters[e.creation - 1].wave
             if e.a < f.a < f.b < e.b:
                 energy = energy + e.delta * dot(k_e, k)
-            elif e.a < f.a < e.b < f.b:  # e has the vertex f.a, f has e.b
+            elif crossing and e.a < f.a < e.b < f.b:  # e has the vertex f.a, f has e.b
                 for pos, edge in ((f.a, e), (e.b, f)):
                     vertex = letters[pos - 1]
                     coeff = vertex.eps * edge.delta
@@ -480,6 +573,30 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
             assert kept == finite_lambda_correlator(word, FOCK)
             assert every == finite_lambda_correlator(word, GAUSSIAN), pattern
             assert kept == vacuum(every)
+
+
+@pytest.mark.parametrize("n, kept, differ", [(4, 12, 4), (6, 120, 20), (8, 1680, 70)])
+def test_q_one_control_keeps_every_pairing(n, kept, differ):
+    """The paper's claim run in reverse: without the crossing-vertex
+    exponents (q = 1, bosonic exchange) every pairing survives the limit,
+    so the limit differs from the free master field exactly on the
+    patterns that have a crossing pairing."""
+    from stochlim.masterfield import free_correlator
+
+    total, differing = 0, 0
+    for pattern in balanced_patterns(n):
+        word = word_from_pattern(pattern)
+        pairings = enumerate_pairings(pattern)
+        bosonic = ScalarSum.from_iter(
+            whole_diagram_monomial(word, d, crossing=False) for d in pairings
+        )
+        limit = take_limit(bosonic)
+        assert len(limit.terms) == len(pairings)
+        total += len(limit.terms)
+        crossing = not all(is_non_crossing(d) for d in pairings)
+        assert (limit != free_correlator(word, GAUSSIAN)) == crossing, pattern
+        differing += crossing
+    assert (total, differing) == (kept, differ)
 
 
 def test_fock_state_enumerates_no_pairing(monkeypatch):
