@@ -117,7 +117,7 @@ _LABEL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def _word_from_job(pattern_entries) -> OperatorWord:
     if not isinstance(pattern_entries, list):
         raise JobError("job 'pattern' must be a list of letters")
-    letters = []
+    letters, first = [], {}  # first: the token of each (time or wave, label name)
     for i, entry in enumerate(pattern_entries, start=1):
         if isinstance(entry, str):
             entry = {"eps": token_sign(entry, i), "time": f"t{i}", "wave": f"k{i}"}
@@ -138,15 +138,20 @@ def _word_from_job(pattern_entries) -> OperatorWord:
                     " and _ that starts with a letter or _",
                     i,
                 )
+            seen = first.setdefault((key, entry[key]), i)
+            if seen != i:
+                raise PatternError(
+                    f"letter {key} {entry[key]!r} is already the {key} of token {seen}", i
+                )
         if entry["wave"] == "p":
             raise PatternError("letter wave 'p' is reserved for the particle momentum", i)
-        letters.append(
-            Letter(
-                _as(int, entry["eps"], "letter eps"),
-                TimeLabel(entry["time"]),
-                WaveLabel(entry["wave"]),
-            )
-        )
+        try:
+            eps = _as(int, entry["eps"], "letter eps")
+        except JobError as err:
+            raise PatternError(str(err), i) from None
+        if eps not in (-1, 1):
+            raise PatternError(f"letter eps must be -1 or +1, got {eps!r}", i)
+        letters.append(Letter(eps, TimeLabel(entry["time"]), WaveLabel(entry["wave"])))
     return OperatorWord.build(letters)
 
 

@@ -16,13 +16,13 @@ cross it.  The exact correlator takes all (N/2)! pairings in the Gaussian
 and temperature states and with `fock` only those in which every creation
 follows its annihilation, the ones the Fock vacuum keeps; the limit takes
 the non-crossing ones (`non_crossing`), where every straddling edge
-encloses.  `enumerate_pairings` and `count_non_crossing` are made from it
-too.
+encloses.  `count_non_crossing` is made from it too; `enumerate_pairings`
+lists the pairings directly, in its own order.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -127,11 +127,21 @@ def pairing_blocks(
 def enumerate_pairings(pattern: Sequence[int]) -> tuple[tuple, ...]:
     """All matchings of creations with annihilations, in lexicographic order
     of the assignment vector taken in ascending creation order.  Each is the
-    tuple of its edges by left end.  Unbalanced patterns have no pairings."""
-    pairings = pairing_blocks(pattern, lambda edge, straddling: edge)
-    # every pairing has the same creations, so its edges sorted by creation
-    # compare as its annihilations in ascending creation order
-    return tuple(sorted(pairings, key=sorted))
+    tuple of its edges by left end.  Unbalanced patterns have no pairings.
+
+    Listed directly, so the reference sums that tests build over it share
+    no code with `pairing_blocks`: the assignment vectors in that order are
+    the permutations of the ascending annihilation positions."""
+    if not _balanced(pattern):
+        return ()
+    creations = [i for i, eps in enumerate(pattern, start=1) if eps == 1]
+    annihilations = [i for i, eps in enumerate(pattern, start=1) if eps == -1]
+    # per creation, its Edge to each annihilation, shared by every pairing holding it
+    edges = [{a: Edge(c, a) for a in annihilations} for c in creations]
+    return tuple(
+        tuple(sorted([row[a] for row, a in zip(edges, partners)], key=min))
+        for partners in permutations(annihilations)
+    )
 
 
 def is_non_crossing(edges: Sequence[Edge]) -> bool:

@@ -28,7 +28,8 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .correlator import StateSpec
 from .scalars import (
@@ -185,28 +186,21 @@ def _assert_shift_vanishes(result: ScalarSum, word: OperatorWord) -> None:
         assert all(v == 0 for v in net.values()), "pending momentum shift survived"
 
 
-class Assignment:
+_EMPTY: Mapping = MappingProxyType({})
+
+
+class Assignment(NamedTuple):
     """Concrete numbers for a finite-coupling expression, keyed by label
     names (after delta unification); a dot value is keyed by its two names
-    in either order.  Each table not given is a new empty dict."""
+    in either order.  Each table not given is one shared read-only empty
+    mapping."""
 
-    __slots__ = ("lam", "times", "omega", "dot", "dot_p", "occupation")
-
-    def __init__(
-        self,
-        lam: float,
-        times: dict[str, float] | None = None,
-        omega: dict[str, float] | None = None,
-        dot: dict[tuple[str, str], float] | None = None,
-        dot_p: dict[str, float] | None = None,
-        occupation: dict[str, float] | None = None,
-    ) -> None:
-        self.lam = lam
-        self.times = {} if times is None else times
-        self.omega = {} if omega is None else omega
-        self.dot = {} if dot is None else dot
-        self.dot_p = {} if dot_p is None else dot_p
-        self.occupation = {} if occupation is None else occupation
+    lam: float
+    times: Mapping[str, float] = _EMPTY
+    omega: Mapping[str, float] = _EMPTY
+    dot: Mapping[tuple[str, str], float] = _EMPTY
+    dot_p: Mapping[str, float] = _EMPTY
+    occupation: Mapping[str, float] = _EMPTY
 
 
 def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
@@ -281,22 +275,19 @@ def random_assignment(
     def ordered(symbols) -> list:
         return sorted(symbols, key=lambda x: x.sort_key)
 
-    assign = Assignment(lam=rng.uniform(0.3, 1.2))
-    assign.times = {t.name: rng.uniform(-2.0, 2.0) for t in ordered(times)}
-    ranges = {
-        "w": (assign.omega, 0.5, 2.5),
-        "dot": (assign.dot, -1.5, 1.5),
-        "kp": (assign.dot_p, -1.5, 1.5),
-    }
+    lam = rng.uniform(0.3, 1.2)
+    times = {t.name: rng.uniform(-2.0, 2.0) for t in ordered(times)}
+    omegas, dots, dot_ps = {}, {}, {}
+    ranges = {"w": (omegas, 0.5, 2.5), "dot": (dots, -1.5, 1.5), "kp": (dot_ps, -1.5, 1.5)}
     for basis in ordered(bases):
         kind, names = basis_to_json(basis)
         values, low, high = ranges[kind]
         values[tuple(names) if kind == "dot" else names[0]] = rng.uniform(low, high)
     if state is not None and state.kind == "temperature":
-        assign.occupation = {
-            w.name: thermal_occupation(state.beta, assign.omega.get(w.name, 1.0))
+        occupation = {
+            w.name: thermal_occupation(state.beta, omegas.get(w.name, 1.0))
             for w in ordered(occupied)
         }
     else:
-        assign.occupation = {w.name: rng.uniform(0.1, 2.0) for w in ordered(occupied)}
-    return assign
+        occupation = {w.name: rng.uniform(0.1, 2.0) for w in ordered(occupied)}
+    return Assignment(lam, times, omegas, dots, dot_ps, occupation)

@@ -275,18 +275,9 @@ class Monomial(NamedTuple):
 
     def render(self, rational=1) -> str:
         """The monomial times rational; the rational is printed when it is
-        not 1 or when there is no other factor."""
+        not 1 or when no field holds a factor (`any` over the fields)."""
         parts: list[str] = []
-        if rational != 1 or not (
-            self.two_pi
-            or self.lam
-            or self.quotas
-            or self.osc
-            or self.time_deltas
-            or self.energy_deltas
-            or self.delta_k
-            or self.m_factors
-        ):
+        if rational != 1 or not any(self):
             parts.append(str(rational))
         if self.two_pi:
             parts.append("(2pi)" if self.two_pi == 1 else f"(2pi)^{self.two_pi}")

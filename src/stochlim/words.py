@@ -57,34 +57,15 @@ class MasterLetter(NamedTuple):
     wave: WaveLabel
 
 
-class OperatorWord:
-    """The letters of a word.  A slots class that cannot be changed, equal
-    to a word with the same letters; not a tuple, so its length is the
-    number of letters."""
+class OperatorWord(tuple):
+    """The letters of a word: a tuple of them, so it cannot be changed and
+    equals, hashes, copies and measures as its letters; `letters` is the
+    word itself."""
 
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple[Letter, ...]) -> None:
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, *_):
-        raise AttributeError("an operator word cannot be changed")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __reduce__(self):
-        return OperatorWord, (self.letters,)
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"OperatorWord({self.letters!r})"
+        return f"OperatorWord({tuple(self)!r})"
 
     @classmethod
     def build(cls, letters: Iterable[Letter]) -> "OperatorWord":
@@ -98,8 +79,9 @@ class OperatorWord:
                 raise ValueError("letter sign must be -1 or +1")
         return cls(letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return self
 
     @property
     def pattern(self) -> tuple[int, ...]:

@@ -1,14 +1,15 @@
 """Rewriting helpers the tests share: the full species expansion, the
 free path's rewrite step, two drivers that `words.normal_order` does not
 offer, a site chooser and every reduction order, products with a
-monomial through the canonical kernel, and the Fock vacuum's rule N = 0
-applied to a finished sum."""
+monomial through the canonical kernel, the Fock vacuum's rule N = 0
+applied to a finished sum, and a word's adjoint with a sum's complex
+conjugate."""
 
 from itertools import product
 
 from stochlim.masterfield import _contract
 from stochlim.scalars import Monomial, ScalarSum
-from stochlim.words import MasterLetter
+from stochlim.words import MasterLetter, OperatorWord
 
 
 def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):
@@ -100,3 +101,19 @@ def vacuum(s: ScalarSum) -> ScalarSum:
         for m, c in s.terms
         if all(off == 1 for _, off in m.m_factors)
     )
+
+
+def adjoint(word: OperatorWord) -> OperatorWord:
+    """W+: the word reversed, each letter's sign flipped and its labels kept."""
+    return OperatorWord.build(l._replace(eps=-l.eps) for l in reversed(word))
+
+
+def conjugate(s: ScalarSum) -> ScalarSum:
+    """The complex conjugate of a sum: every oscillation row negated, as a
+    (label, -1, row) contribution to `Monomial._canonical`.  Every other
+    factor and every coefficient is real."""
+
+    def conj(m: Monomial) -> Monomial:
+        return Monomial._canonical(**{**m._asdict(), "osc": [(l, -1, e) for l, e in m.osc]})
+
+    return ScalarSum.make((conj(m), c) for m, c in s.terms)

@@ -573,6 +573,34 @@ INPUT_ERRORS = [
         )
         for eps in (-1.5, "-1")
     ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", {"eps": 1.5, "time": "t2", "wave": "k2"}])},
+        "pattern token 2: letter eps must be an integer, got 1.5",
+        id="job-letter-eps-fraction-names-token",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", {"eps": 2, "time": "t2", "wave": "k2"}])},
+        "pattern token 2: letter eps must be -1 or +1, got 2",
+        id="job-letter-eps-2",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", "a", {"eps": 1, "time": "t1", "wave": "k3"}, "a+"])},
+        "pattern token 3: letter time 't1' is already the time of token 1",
+        id="job-letter-repeated-time",
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {
+            "job.json": _job(
+                [{"eps": -1, "time": "s", "wave": "q"}, {"eps": 1, "time": "u", "wave": "q"}]
+            )
+        },
+        "pattern token 2: letter wave 'q' is already the wave of token 1",
+        id="job-letter-repeated-wave",
+    ),
     *(
         pytest.param(
             ["--job", "{dir}/job.json"],

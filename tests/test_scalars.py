@@ -221,11 +221,28 @@ def test_render_deterministic():
     )
 
 
+# per field of Monomial, the build arguments of a monomial with that field alone
+# and its rendering
+ONE_FIELD = {
+    "two_pi": ({"two_pi": 1}, "(2pi)"),
+    "lam": ({"lam": -2}, "lam^-2"),
+    "quotas": ({"quotas": [T1 - T2]}, "pair(t1 - t2)"),
+    "osc": ({"factors": [OscExp(T1 - T2, omega(K1))]}, "exp{(i/lam^2)[t1: w(k1); t2: -w(k1)]}"),
+    "time_deltas": ({"factors": [TimeDelta(T1 - T2)]}, "dT(t1 - t2)"),
+    "energy_deltas": ({"factors": [EnergyDelta(omega(K1))]}, "dE(w(k1))"),
+    "delta_k": ({"factors": [DeltaK(K1, K2)]}, "dk(k1,k2)"),
+    "m_factors": ({"factors": [MFactor(K1, 1)]}, "(N(k1)+1)"),
+}
+
+
 def test_render_omits_unit_rational_beside_quotas():
-    # a quota is a factor: a rational of 1 is left out, as everywhere else
-    quota_only = ScalarSum.from_iter([Monomial.build(quotas=[T1 - T2])])
-    assert quota_only.render() == "pair(t1 - t2)"
-    assert quota_only.scale(2).render() == "2 * pair(t1 - t2)"
+    # a quota is a factor: a rational of 1 is left out, as beside every other
+    # field, each alone, so that render's any() is pinned field by field
+    for field, (kwargs, rendered) in ONE_FIELD.items():
+        alone = ScalarSum.from_iter([Monomial.build(**kwargs)])
+        assert [f for f in Monomial._fields if getattr(alone.terms[0][0], f)] == [field]
+        assert alone.render() == rendered, field
+        assert alone.scale(2).render() == "2 * " + rendered, field
     assert ScalarSum.from_iter([Monomial.build()]).render() == "1"
 
 

@@ -1,6 +1,6 @@
 """The value types keep what their users rely on: they cannot be changed,
-combinations of different classes never compare equal, and a word's
-length is its number of letters."""
+combinations of different classes never compare equal, and a word is the
+tuple of its letters."""
 
 import copy
 import pickle
@@ -9,6 +9,7 @@ import pytest
 
 from stochlim.correlator import GAUSSIAN, StateSpec, finite_lambda_correlator
 from stochlim.diagrams import Edge
+from stochlim.oracle import Assignment
 from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot
 from stochlim.words import Letter, balanced_patterns, word_from_pattern
 
@@ -23,6 +24,7 @@ VALUES = {
     "OperatorWord": (word_from_pattern([-1, 1]), "letters"),
     "TimeComb": (t1 - t2, "terms"),
     "_EBasis": (dot(k1, k2).terms[0][0], "waves"),
+    "Assignment": (Assignment(lam=0.5, times={"t1": 0.1}), "times"),
 }
 
 
@@ -54,3 +56,23 @@ def test_words_compare_and_copy_by_their_letters():
     assert hash(word) == hash(word_from_pattern([-1, -1, 1, 1]))
     for copied in (copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
         assert copied == word and copied.letters == word.letters
+
+
+def test_a_word_is_the_tuple_of_its_letters():
+    pattern = (-1, 1, -1, 1)
+    word = word_from_pattern(pattern)
+    letters = tuple(
+        Letter(eps, TimeLabel(f"t{i}"), WaveLabel(f"k{i}")) for i, eps in enumerate(pattern, 1)
+    )
+    assert word == letters and hash(word) == hash(letters) and word.letters is word
+    assert list(word) == list(letters)
+    assert word[0] == letters[0] and word[-1] == letters[-1]
+    assert word[1:3] == letters[1:3]
+    assert word.pattern == pattern and word.balanced
+
+
+def test_assignment_tables_default_to_one_read_only_empty_mapping():
+    a, b = Assignment(lam=1.0), Assignment(lam=2.0)
+    assert a.times is b.occupation and not a.times
+    with pytest.raises(TypeError):
+        a.times["t1"] = 0.0
