@@ -27,12 +27,7 @@ from .correlator import (
     limit_correlator,
     temperature,
 )
-from .diagrams import (
-    count_fock_surviving,
-    count_non_crossing,
-    enumerate_pairings,
-    is_non_crossing,
-)
+from .diagrams import enumerate_pairings, is_non_crossing
 from .masterfield import check_free_equivalence, free_correlator
 from .oracle import (
     Assignment,
@@ -263,9 +258,10 @@ def _sums(evaluate: Callable, fock_dual: Optional[Callable] = None) -> Callable:
 
     def report(job: JobSpec, lines: list[str], payload: dict) -> int:
         value = evaluate(job.word, job.state)
+        rendered = value.render()
         lines.append("result:")
-        lines.append(value.render())
-        payload["result"] = {"sum": value.to_json(), "rendered": value.render()}
+        lines.append(rendered)
+        payload["result"] = {"sum": value.to_json(), "rendered": rendered}
         assign, pool = job.numeric, [value]
         if assign is None and job.seed is not None:
             if fock_dual is not None and job.state.kind == "fock":
@@ -299,19 +295,21 @@ def _sums(evaluate: Callable, fock_dual: Optional[Callable] = None) -> Callable:
 
 
 def _diagrams(job: JobSpec, lines: list[str], payload: dict) -> int:
-    pattern = job.word.pattern
-    pairings = enumerate_pairings(pattern)
+    """The counts are read off the listing: a pairing survives in the Fock
+    vacuum when every creation sits right of its annihilation."""
+    pairings = enumerate_pairings(job.word.pattern)
+    diagrams = [
+        {
+            "edges": "".join(f"({e.creation},{e.annihilation})" for e in edges),
+            "nonCrossing": is_non_crossing(edges),
+        }
+        for edges in pairings
+    ]
     result = {
         "pairings": len(pairings),
-        "nonCrossing": count_non_crossing(pattern),
-        "fockSurviving": count_fock_surviving(pattern),
-        "diagrams": [
-            {
-                "edges": "".join(f"({e.creation},{e.annihilation})" for e in edges),
-                "nonCrossing": is_non_crossing(edges),
-            }
-            for edges in pairings
-        ],
+        "nonCrossing": sum(d["nonCrossing"] for d in diagrams),
+        "fockSurviving": sum(all(e.delta == 1 for e in edges) for edges in pairings),
+        "diagrams": diagrams,
     }
     lines.append(f"pairings: {result['pairings']}")
     lines.append(f"non-crossing: {result['nonCrossing']}")

@@ -37,7 +37,6 @@ from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
 from .words import OperatorWord
 
 __all__ = [
-    "STATE_KINDS",
     "StateSpec",
     "FOCK",
     "GAUSSIAN",
@@ -117,8 +116,6 @@ def _edge_energy(table, edge: Edge, enclosing) -> EnergyComb:
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Exact correlator at finite coupling: sum over all pair partitions,
     in the Fock state over those it keeps (`fock`)."""
-    if not word.balanced:
-        return ScalarSum.zero()
     fock = state.kind == "fock"
     letters = word.letters
     table = _edges(letters, fock)
@@ -275,8 +272,6 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     """Direct limit construction: non-crossing diagrams only, each edge a
     2pi * dT * dE * occupation * momentum-delta block, made once per edge
     and enclosing edges and shared by every diagram that holds it there."""
-    if not word.balanced:
-        return ScalarSum.zero()
     fock = state.kind == "fock"
     table = _edges(word.letters, fock)
 

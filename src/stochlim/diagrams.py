@@ -27,7 +27,6 @@ from typing import NamedTuple, Sequence
 
 __all__ = [
     "Edge",
-    "pairing_blocks",
     "enumerate_pairings",
     "is_non_crossing",
     "count_non_crossing",
@@ -117,7 +116,8 @@ def pairing_blocks(
     inside.  `block(edge, straddling)` is called once per edge and tuple of
     the earlier edges whose right end lies past the edge's left end,
     outermost first, each enclosing or crossing it; its value is shared by
-    every pairing that holds the edge there."""
+    every pairing that holds the edge there.  An unbalanced pattern has
+    no pairings, so both diagram sums of an unbalanced word are zero."""
     pattern = tuple(pattern)
     if not _balanced(pattern):
         return []

@@ -65,7 +65,6 @@ __all__ = [
     "numeric_eval",
     "Assignment",
     "random_assignment",
-    "thermal_occupation",
     "UnassignedSymbolError",
 ]
 
@@ -223,8 +222,11 @@ def numeric_eval(s: ScalarSum, assign: Assignment) -> complex:
         for label, energy in m.osc:
             if label.name not in assign.times:
                 raise UnassignedSymbolError(label.name)
+            # a left fold, not sum(), which compensates rounding from Python 3.12 on
+            e_val = 0.0
             try:
-                e_val = sum(float(c) * values[b] for b, c in energy.terms)
+                for b, c in energy.terms:
+                    e_val += float(c) * values[b]
             except KeyError as err:
                 raise UnassignedSymbolError(err.args[0].render()) from None
             phase += assign.times[label.name] * e_val

@@ -18,7 +18,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = ["QuadratureResult", "QuadratureError", "oscillation_quadrature",
-           "quadrature_sweep", "sweep_csv_rows", "DEFAULT_SWEEP"]
+           "quadrature_sweep", "DEFAULT_SWEEP"]
 
 def _gaussian(t: float, x: float) -> float:
     return math.exp(-(t * t + x * x) / 2.0)

@@ -61,7 +61,6 @@ __all__ = [
     "MFactor",
     "Monomial",
     "ScalarSum",
-    "wave_representatives",
 ]
 
 

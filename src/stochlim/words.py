@@ -22,13 +22,8 @@ __all__ = [
     "OperatorWord",
     "PatternError",
     "word_from_pattern",
-    "token_sign",
     "parse_pattern",
-    "format_pattern",
     "balanced_patterns",
-    "master_letters",
-    "expand_master_word",
-    "normal_order",
 ]
 
 

@@ -12,9 +12,10 @@ import stochlim
 from stochlim import quadrature
 from stochlim.cli import main, make_parser
 from stochlim.correlator import FOCK, finite_lambda_correlator, temperature
+from stochlim.diagrams import count_fock_surviving, count_non_crossing, enumerate_pairings
 from stochlim.oracle import Assignment, numeric_eval
 from stochlim.scalars import ScalarSum
-from stochlim.words import word_from_pattern
+from stochlim.words import balanced_patterns, format_pattern, word_from_pattern
 
 
 def run_cli(capsys, *args):
@@ -30,6 +31,27 @@ def test_diagrams_report(capsys):
     assert "non-crossing: 1" in out
     assert "fock-surviving: 2" in out
     assert "(4,1)(3,2) non-crossing" in out
+
+
+def test_diagrams_counts_match_the_library_counts(capsys):
+    # the report reads its counts off its own listing; the library counts stay the reference
+    patterns = [p for n in range(2, 11, 2) for p in balanced_patterns(n)] + [(-1, -1, 1)]
+    for pattern in patterns:
+        tokens = format_pattern(pattern)
+        expected = (
+            len(enumerate_pairings(pattern)),
+            count_non_crossing(pattern),
+            count_fock_surviving(pattern),
+        )
+        _, out = run_cli(capsys, "--pattern", tokens, "--mode", "diagrams")
+        head = out.splitlines()[3:6]
+        assert head == [
+            f"{name}: {count}"
+            for name, count in zip(("pairings", "non-crossing", "fock-surviving"), expected)
+        ], tokens
+        _, out = run_cli(capsys, "--pattern", tokens, "--mode", "diagrams", "--json")
+        result = json.loads(out)["result"]
+        assert (result["pairings"], result["nonCrossing"], result["fockSurviving"]) == expected
 
 
 def test_finite_json_round_trip(capsys):
@@ -758,6 +780,21 @@ def test_import_does_not_load_dataclasses():
     )
     src = Path(stochlim.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
+def test_package_exports_each_module_all_and_not_the_command():
+    # each module's __all__ is its part of the package API; the package keeps no list
+    code = (
+        "import sys, types, stochlim; "
+        "names = {n for n in vars(stochlim) if not n.startswith('_')}; "
+        "modules = {n for n in names if isinstance(getattr(stochlim, n), types.ModuleType)}; "
+        "listed = {n for m in modules for n in getattr(stochlim, m).__all__}; "
+        "assert names - modules == listed, (names - modules) ^ listed; "
+        "assert 'stochlim.cli' not in sys.modules"
+    )
+    src = Path(stochlim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_quadrature_runs_without_scipy():

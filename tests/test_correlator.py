@@ -113,6 +113,7 @@ def test_unbalanced_word_is_zero():
     assert finite_lambda_correlator(word_from_pattern([-1, 1, 1]), FOCK).is_zero
     assert finite_lambda_correlator(word_from_pattern([-1, -1, 1]), GAUSSIAN).is_zero
     assert limit_correlator(word_from_pattern([-1]), FOCK).is_zero
+    assert limit_correlator(word_from_pattern([-1, -1, 1]), GAUSSIAN).is_zero
 
 
 def four_point_golden():

@@ -255,6 +255,17 @@ def test_numeric_eval_unit_and_pi():
     assert abs(value - (-1 + 0j)) < 1e-12
 
 
+def test_numeric_eval_sums_each_row_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left fold leaves the row at 0.0;
+    # the built-in sum compensates from Python 3.12 on and leaves 1.0, so
+    # seeded reports would depend on the interpreter
+    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
+    row = omega(k1) + omega(k2) + omega(k3)
+    s = ScalarSum.from_iter([Monomial.build(factors=[OscExp(TimeComb.of(TimeLabel("t1")), row)])])
+    assign = Assignment(lam=1.0, times={"t1": 1.0}, omega={"k1": 1e16, "k2": 1.0, "k3": -1e16})
+    assert numeric_eval(s, assign) == 1 + 0j
+
+
 def test_numeric_eval_rejects_limit_factors():
     word = word_from_pattern([-1, 1])
     limit = take_limit(finite_lambda_correlator(word, FOCK))
