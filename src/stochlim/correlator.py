@@ -10,10 +10,13 @@ takes its non-crossing pairings, and the Fock state the vacuum's, whose
 edges write no occupation factor: N = 0 there, so N+1 is 1.  An edge's
 wave (as its momentum delta unifies it), bare energy, pairing time,
 occupation and delta come from one per-edge table (`_edges`); a block
-adds what its straddling edges change.  In the limit lam -> 0 each
-pairing exponent turns into 2pi * dT * dE while any oscillation that
-cannot be matched to a pairing quota suppresses its whole term, which is
-why only non-crossing diagrams survive.
+adds what its straddling edges change and is checked once, as a
+`scalars.piece`; `Monomial._canonical` joins each pairing's blocks, and
+each survivor of `take_limit`, with no wave substitution, as they hold
+only unified waves.  In the limit lam -> 0 each pairing exponent turns
+into 2pi * dT * dE while any oscillation that cannot be matched to a
+pairing quota suppresses its whole term, which is why only non-crossing
+diagrams survive.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from .scalars import (
     MFactor,
     Monomial,
     OscExp,
+    Piece,
     ScalarSum,
     TimeDelta,
+    piece,
     wave_representatives,
 )
 from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
@@ -96,7 +101,7 @@ def _edges(letters, fock: bool):
         cre, ann = letters[e.creation - 1], letters[e.annihilation - 1]
         k = wave_representatives([(cre.wave, ann.wave)]).get(cre.wave, cre.wave)
         energy = EnergyComb.sum_of([omega(k), Fraction(e.delta, 2) * dot(k, k), dot_p(k)])
-        occupation = () if fock else (MFactor(cre.wave, (e.delta + 1) // 2),)
+        occupation = () if fock else (MFactor(k, (e.delta + 1) // 2),)
         return k, energy, cre.time - ann.time, occupation + (DeltaK(cre.wave, ann.wave),)
 
     return edge
@@ -120,7 +125,7 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     letters = word.letters
     table = _edges(letters, fock)
 
-    def block(f: Edge, straddling) -> list:
+    def block(f: Edge, straddling) -> Piece:
         """f's pairing exponent, shifted by the straddling edges enclosing
         f, one exponent per crossing vertex, then f's own factors."""
         k, _, time, own = table(f)
@@ -136,10 +141,10 @@ def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
                         OscExp(TimeComb.of(vertex.time), (vertex.eps * edge.delta) * dot_ef)
                     )
         energy = _edge_energy(table, f, enclosing)
-        return [*factors, OscExp(time, energy, pairing=True), *own]
+        return piece([*factors, OscExp(time, energy, pairing=True), *own])
 
     terms = [
-        Monomial.build(lam=-2 * len(blocks), factors=[f for b in blocks for f in b])
+        Monomial._canonical(0, -2 * len(blocks), blocks)
         for blocks in pairing_blocks(word.pattern, block, fock=fock)
     ]
     return ScalarSum.from_iter(terms)
@@ -256,15 +261,10 @@ def take_limit(s: ScalarSum) -> ScalarSum:
             continue
         if any(e.is_zero for e in deltas):
             raise LimitStructureError("pairing exponent with vanishing energy")
-        limit = Monomial._canonical(
-            m.two_pi + n,
-            0,
-            time_deltas=m.quotas,
-            energy_deltas=[e.normalized() for e in deltas],
-            delta_k=m.delta_k,
-            m_factors=m.m_factors,
-        )
-        out.append((limit, c))
+        # quotas become time deltas; m was unified when made: no substitution
+        eds = [e.normalized() for e in deltas]
+        survivor = Piece((), (), m.quotas, eds, m.delta_k, m.m_factors)
+        out.append((Monomial._canonical(m.two_pi + n, 0, [survivor]), c))
     return ScalarSum.make(out)
 
 
@@ -275,13 +275,13 @@ def limit_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     fock = state.kind == "fock"
     table = _edges(word.letters, fock)
 
-    def block(edge: Edge, enclosing) -> list:
+    def block(edge: Edge, enclosing) -> Piece:
         _, _, time, own = table(edge)
         energy = _edge_energy(table, edge, enclosing)
-        return [TimeDelta(time), EnergyDelta(energy), *own]
+        return piece([TimeDelta(time), EnergyDelta(energy), *own])
 
     terms = [
-        Monomial.build(two_pi=len(blocks), factors=[f for b in blocks for f in b])
+        Monomial._canonical(len(blocks), 0, blocks)
         for blocks in pairing_blocks(word.pattern, block, fock=fock, non_crossing=True)
     ]
     return ScalarSum.from_iter(terms)

@@ -16,8 +16,9 @@ cross it.  The exact correlator takes all (N/2)! pairings in the Gaussian
 and temperature states and with `fock` only those in which every creation
 follows its annihilation, the ones the Fock vacuum keeps; the limit takes
 the non-crossing ones (`non_crossing`), where every straddling edge
-encloses.  `count_non_crossing` is made from it too; `enumerate_pairings`
-lists the pairings directly, in its own order.
+encloses.  `count_non_crossing` counts the non-crossing pairings by the
+Catalan recursion without making them; `enumerate_pairings` lists the
+pairings directly, in its own order.
 """
 
 from __future__ import annotations
@@ -150,9 +151,23 @@ def is_non_crossing(edges: Sequence[Edge]) -> bool:
     return not any(e.a < f.a < e.b < f.b for e, f in combinations(edges, 2))
 
 
+def _count(pattern, lo, hi, memo) -> int:
+    """Non-crossing pairings of pattern[lo:hi]: its first position pairs with
+    each later opposite one whose inside is balanced; inside and rest apart."""
+    if (lo, hi) not in memo:
+        total = depth = 0
+        for j in range(lo + 1, hi):
+            if pattern[j] == -pattern[lo] and not depth:
+                total += _count(pattern, lo + 1, j, memo) * _count(pattern, j + 1, hi, memo)
+            depth += pattern[j]
+        memo[lo, hi] = total if lo < hi else 1
+    return memo[lo, hi]
+
+
 def count_non_crossing(pattern: Sequence[int]) -> int:
-    """The number of non-crossing pairings, from `pairing_blocks`."""
-    return len(pairing_blocks(pattern, lambda edge, straddling: None, non_crossing=True))
+    """The number of non-crossing pairings, counted by the Catalan
+    recursion without listing them; 0 for an unbalanced pattern."""
+    return _count(tuple(pattern), 0, len(pattern), {})
 
 
 def count_fock_surviving(pattern: Sequence[int]) -> int:

@@ -5,11 +5,12 @@ free channels, b(t,k) = b1(t,k) + b2+(t,k), independent in the free
 sense (an annihilator meeting a creator of the other species gives the
 zero operator).  `free_correlator` evaluates the vacuum expectation in
 one left-to-right walk over the word with a stack of open annihilators:
-every letter either opens or closes, and a closer contracts with the
-top of the stack when that top is of its own species.  Only the live
-species branches are walked, in every state (in the Fock state N = 0
-drops b2's channel and makes b1's weight N+1 one), and each one's
-monomial is built once from the factors collected along it.  The
+every letter either opens or closes, and a closer contracts with the top
+of the stack when that top is of its own species.  Only the live species
+branches are walked, in every state (in the Fock state N = 0 drops b2's
+channel and makes b1's weight N+1 one).  Each contraction is checked
+once, as a `scalars.piece`, and `Monomial._canonical` joins a finished
+branch's pieces, unified over the deltas that map a wave they hold.  The
 contraction scalar (`_contract`), with its own occupation weights (the
 doubled oracle reads the Bogoliubov table in `stochlim.oracle`), lives
 here; the tests rewrite with it through `words.normal_order` as a
@@ -30,6 +31,8 @@ from .scalars import (
     Monomial,
     ScalarSum,
     TimeDelta,
+    piece,
+    wave_representatives,
 )
 from .symbols import EnergyComb, dot, dot_p, omega, shift_p
 from .words import MasterLetter, OperatorWord, master_letters
@@ -67,27 +70,27 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed, fock: bool) -> list:
     ]
 
 
-def _walk(
-    options, i: int, stack: tuple, factors: list, parts: list, memo: dict, fock: bool
-) -> None:
-    """One step of `free_correlator`'s walk.  A contraction is made once per
-    (stack, closer) and kept in the memo, which is passed in; module level,
-    so a call frees its work without the cyclic collector."""
+def _walk(options, i, stack: tuple, pieces: tuple, joins: tuple, parts, memo, fock) -> None:
+    """One step of `free_correlator`'s walk; the memo of pieces per (stack,
+    closer) is passed in, so a call frees its work without the cyclic
+    collector.  A piece holds only openers' waves, so a branch is unified
+    over `joins`, the deltas whose closer's wave sorts before the opener's."""
     n = len(options)
     if i == n:
-        parts.append(Monomial.build(two_pi=n // 2, factors=factors))
+        parts.append(Monomial._canonical(n // 2, 0, pieces, wave_representatives(joins)))
         return
     for letter in options[i]:
         if not letter.dag:
             if len(stack) < n - i - 1:
-                _walk(options, i + 1, stack + (letter,), factors, parts, memo, fock)
+                _walk(options, i + 1, stack + (letter,), pieces, joins, parts, memo, fock)
         elif stack and stack[-1].species == letter.species:
-            below = stack[:-1]
-            key = stack, letter
-            more = memo.get(key)
-            if more is None:
-                more = memo[key] = _contract(stack[-1], letter, below, fock)
-            _walk(options, i + 1, below, factors + more, parts, memo, fock)
+            below, top = stack[:-1], stack[-1]
+            got = memo.get((stack, letter))
+            if got is None:
+                join = ((top.wave, letter.wave),) if letter.wave.sort_key < top.wave.sort_key else ()
+                got = memo[stack, letter] = piece(_contract(top, letter, below, fock)), join
+            more, join = got
+            _walk(options, i + 1, below, pieces + (more,), joins + join, parts, memo, fock)
 
 
 def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
@@ -100,8 +103,7 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     are exactly the open stack, so a closer contracts with the top of the
     stack, and only with one of its own species; a prefix with more
     letters open than remain is dropped.  Each contraction is made once
-    per open stack and closer and shared by every branch that reaches it,
-    and each finished branch builds its monomial once.
+    per open stack and closer and shared by every branch that reaches it.
     """
     if not word.balanced:
         return ScalarSum.zero()
@@ -112,7 +114,7 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
         sorted(master_letters(l)[:live], key=lambda m: m.dag) for l in word.letters
     ]
     parts: list[Monomial] = []
-    _walk(options, 0, (), [], parts, {}, fock)
+    _walk(options, 0, (), (), (), parts, {}, fock)
     return ScalarSum.from_iter(parts)
 
 

@@ -23,14 +23,19 @@ load-bearing part of this module:
   chain (`wave_representatives`); the delta factors themselves keep
   their original labels.
 
-Canonical order and unification are owned by one constructor,
-Monomial._canonical: build, the limit and JSON parsing all hand it
-fields, and it substitutes representatives and sorts the fields by the
-label key of `symbols`.  Monomial.build only checks factors and
-converts them to fields; an oscillating factor becomes one (time label,
-time coefficient, energy) contribution per label of its exponent, and
-`_canonical` makes each row from its contributions in one pass,
-substituting and scaling every term on its way into one merge.
+Factors are checked once, by `piece`, which turns them into monomial
+fields: an oscillating factor into one (time label, coefficient, energy)
+contribution per label of its exponent, every delta argument
+sign-normalized.  A piece that many terms share, a diagram block of
+`correlator` or a contraction of `masterfield`'s walk, is made once.
+Canonical order is owned by one constructor, Monomial._canonical: it
+joins a term's pieces, sums each oscillation row in one merge and sorts
+every field by the label key of `symbols`, checking nothing again.  It
+applies the wave substitution its caller passes: Monomial.build (the
+rewriting oracles, JSON input) makes it from its deltas with
+`wave_representatives`, the free walk from those that map a wave its
+pieces hold, and the diagram sums and `take_limit` pass none, as their
+waves are unified already.
 
 The imaginary unit never appears in coefficients; it lives only in the
 semantics of the oscillating exponent and is materialized in the numeric
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .symbols import (
     EnergyComb,
@@ -115,13 +120,61 @@ def _nonzero_delta(c: "TimeComb | EnergyComb", kind: str):
     return c.normalized()
 
 
+class Piece(NamedTuple):
+    """Checked monomial fields, not yet ordered or unified, as `piece` makes
+    them; an oscillation entry (time label, c, energy) adds c * energy."""
+
+    quotas: Sequence[TimeComb]
+    osc: Sequence[tuple[TimeLabel, int, EnergyComb]]
+    time_deltas: Sequence[TimeComb]
+    energy_deltas: Sequence[EnergyComb]
+    delta_k: Sequence[tuple[WaveLabel, WaveLabel]]
+    m_factors: Sequence[tuple[WaveLabel, int]]
+
+
+def piece(factors: Iterable[Factor], quotas: Iterable[TimeComb] = ()) -> Piece:
+    """The one check of scalar factors and pairing quotas, and their
+    conversion to fields: an oscillation factor becomes one (label,
+    coefficient, energy) contribution per time label of its exponent, and
+    every delta argument is sign-normalized."""
+    quota_list = [q.normalized() for q in quotas]
+    if any(q.is_zero for q in quota_list):
+        raise ValueError("a pairing quota needs a nonzero time argument")
+    rows, tds, eds, dks, mfs = [], [], [], [], []
+    for f in factors:
+        if isinstance(f, OscExp):
+            if f.time.is_zero or f.energy.is_zero:
+                if f.pairing:
+                    raise ValueError("a pairing exponent needs nonzero time and energy")
+                continue
+            if f.pairing:
+                quota_list.append(f.time.normalized())
+            rows += [(label, c, f.energy) for label, c in f.time.terms]
+        elif isinstance(f, TimeDelta):
+            tds.append(_nonzero_delta(f.time, "time"))
+        elif isinstance(f, EnergyDelta):
+            eds.append(_nonzero_delta(f.energy, "energy"))
+        elif isinstance(f, DeltaK):
+            a, b = f
+            if a == b:
+                raise ValueError("momentum delta needs two distinct labels")
+            dks.append((a, b) if a.sort_key < b.sort_key else (b, a))
+        elif isinstance(f, MFactor):
+            if f.offset not in (0, 1):
+                raise ValueError("occupation offset must be 0 or 1")
+            mfs.append((f.wave, f.offset))
+        else:
+            raise TypeError(f"not a scalar factor: {f!r}")
+    return Piece(quota_list, rows, tds, eds, dks, mfs)
+
+
 class Monomial(NamedTuple):
     """One canonical product of factors, without a coefficient: a sum
     pairs each monomial with its rational.  A NamedTuple, so it compares
     and hashes as the tuple of its fields.
 
-    Do not call the constructor directly: Monomial.build validates factors,
-    and every field is sorted by Monomial._canonical.
+    Do not call the constructor directly: every factor is checked by
+    `piece`, and every field is sorted by Monomial._canonical.
     """
 
     two_pi: int
@@ -134,129 +187,57 @@ class Monomial(NamedTuple):
     m_factors: tuple[tuple[WaveLabel, int], ...]
 
     @classmethod
-    def _canonical(
-        cls,
-        two_pi: int,
-        lam: int,
-        quotas: Iterable[TimeComb] = (),
-        osc: Iterable[tuple[TimeLabel, int, EnergyComb]] = (),
-        time_deltas: Iterable[TimeComb] = (),
-        energy_deltas: Iterable[EnergyComb] = (),
-        delta_k: Iterable[tuple[WaveLabel, WaveLabel]] = (),
-        m_factors: Iterable[tuple[WaveLabel, int]] = (),
-    ) -> "Monomial":
-        """The one place that orders and unifies monomial fields: oscillation
-        rows summed per time label, wave labels replaced by their delta-chain
-        representatives, zero rows dropped, every field sorted by the label
-        and combination keys of `symbols`.  Entries must already be valid
-        and sign-normalized.
-
-        An oscillation contribution (label, c, energy) adds c * energy to
-        the label's row.  Each row is made in one pass: its contributions
-        gathered, each basis substituted and each coefficient multiplied
-        by c on the way in, and one EnergyComb.make.  A lone contribution
-        none of whose waves is mapped needs no merge: it is kept as the
-        same object when c = 1, and only scaled otherwise."""
-        delta_k = tuple(sorted(delta_k, key=_pair_key))
-        rep = wave_representatives(delta_k)
+    def _canonical(cls, two_pi: int, lam: int, pieces: Iterable[Piece], rep=None) -> "Monomial":
+        """The one place that orders monomial fields: the pieces' fields
+        joined, each oscillation row summed from its contributions in one
+        merge, zero rows dropped, every field sorted by the keys of
+        `symbols`; nothing is checked again.  `rep`, the caller's wave
+        substitution, is applied to the rows, energy deltas and occupation
+        factors; None when they are unified already."""
+        quotas, tds, eds, dks, mfs = [], [], [], [], []
         parts: dict[TimeLabel, list[tuple[int, EnergyComb]]] = {}
-        for label, c, e in osc:
-            got = parts.get(label)
-            if got is None:
-                parts[label] = [(c, e)]
-            else:
-                got.append((c, e))
+        for p in pieces:
+            quotas += p.quotas
+            for label, c, e in p.osc:
+                parts.setdefault(label, []).append((c, e))
+            tds += p.time_deltas
+            eds += p.energy_deltas
+            dks += p.delta_k
+            mfs += p.m_factors
         rows = []
         for label, ces in parts.items():
             if len(ces) == 1:
                 c, e = ces[0]
-                row = e.subst_waves(rep, c)
+                row = e.subst_waves(rep, c) if rep else e.scale(c)
             else:
                 row = EnergyComb.make(
-                    [
-                        (b.subst(rep), cc if c == 1 else -cc if c == -1 else c * cc)
-                        for c, e in ces
-                        for b, cc in e.terms
-                    ]
+                    [(b.subst(rep) if rep else b, cc if c == 1 else -cc if c == -1 else c * cc)
+                     for c, e in ces for b, cc in e.terms]
                 )
             if not row.is_zero:
                 rows.append((label, row))
         rows.sort(key=lambda le: le[0].sort_key)
         if rep:
-            energy_deltas = [
-                _nonzero_delta(e.subst_waves(rep), "energy") for e in energy_deltas
-            ]
-            m_factors = [(rep.get(w, w), o) for w, o in m_factors]
+            eds = [_nonzero_delta(e.subst_waves(rep), "energy") for e in eds]
+            mfs = [(rep.get(w, w), o) for w, o in mfs]
         return cls(
-            two_pi=two_pi,
-            lam=lam,
-            quotas=tuple(sorted(quotas, key=_key)),
-            osc=tuple(rows),
-            time_deltas=tuple(sorted(time_deltas, key=_key)),
-            energy_deltas=tuple(sorted(energy_deltas, key=_key)),
-            delta_k=delta_k,
-            m_factors=tuple(
-                sorted(m_factors, key=lambda mo: (mo[0].sort_key, mo[1]))
-            ),
+            two_pi,
+            lam,
+            tuple(sorted(quotas, key=_key)),
+            tuple(rows),
+            tuple(sorted(tds, key=_key)),
+            tuple(sorted(eds, key=_key)),
+            tuple(sorted(dks, key=_pair_key)),
+            tuple(sorted(mfs, key=lambda mo: (mo[0].sort_key, mo[1]))),
         )
 
     @classmethod
-    def build(
-        cls,
-        two_pi: int = 0,
-        lam: int = 0,
-        factors: Iterable[Factor] = (),
-        quotas: Iterable[TimeComb] = (),
-    ) -> "Monomial":
-        """The canonical monomial of the factors and pairing quotas: each
-        factor checked and converted to fields, an oscillation factor into
-        one (label, time coefficient, energy) contribution per time label
-        of its exponent, all handed to `_canonical`."""
-        quota_list: list[TimeComb] = []
-        for q in quotas:
-            if q.is_zero:
-                raise ValueError("a pairing quota needs a nonzero time argument")
-            quota_list.append(q.normalized())
-        rows: list[tuple[TimeLabel, int, EnergyComb]] = []
-        tds: list[TimeComb] = []
-        eds: list[EnergyComb] = []
-        dks: list[tuple[WaveLabel, WaveLabel]] = []
-        mfs: list[tuple[WaveLabel, int]] = []
-        for f in factors:
-            if isinstance(f, OscExp):
-                if f.time.is_zero or f.energy.is_zero:
-                    if f.pairing:
-                        raise ValueError(
-                            "a pairing exponent needs nonzero time and energy"
-                        )
-                    continue
-                if f.pairing:
-                    quota_list.append(f.time.normalized())
-                rows += [(label, c, f.energy) for label, c in f.time.terms]
-            elif isinstance(f, TimeDelta):
-                tds.append(_nonzero_delta(f.time, "time"))
-            elif isinstance(f, EnergyDelta):
-                eds.append(_nonzero_delta(f.energy, "energy"))
-            elif isinstance(f, DeltaK):
-                if f.left == f.right:
-                    raise ValueError("momentum delta needs two distinct labels")
-                dks.append(tuple(sorted((f.left, f.right), key=_key)))
-            elif isinstance(f, MFactor):
-                if f.offset not in (0, 1):
-                    raise ValueError("occupation offset must be 0 or 1")
-                mfs.append((f.wave, f.offset))
-            else:
-                raise TypeError(f"not a scalar factor: {f!r}")
-        return cls._canonical(
-            two_pi,
-            lam,
-            quotas=quota_list,
-            osc=rows,
-            time_deltas=tds,
-            energy_deltas=eds,
-            delta_k=dks,
-            m_factors=mfs,
-        )
+    def build(cls, two_pi: int = 0, lam: int = 0, factors=(), quotas=()) -> "Monomial":
+        """The canonical monomial of a term's own factors and pairing quotas
+        (the rewriting oracles, JSON input): one `piece`, unified over its
+        momentum deltas."""
+        p = piece(factors, quotas)
+        return cls._canonical(two_pi, lam, (p,), wave_representatives(p.delta_k))
 
     @property
     def sort_key(self) -> tuple:
@@ -388,7 +369,9 @@ def wave_representatives(
         return w
 
     for a, b in delta_k:
-        ra, rb = sorted((find(a), find(b)), key=_key)
-        if ra != rb:
+        ra, rb = find(a), find(b)
+        if ra is not rb:
+            if rb.sort_key < ra.sort_key:
+                ra, rb = rb, ra
             parent[rb] = ra
     return {w: find(w) for w in parent}

@@ -8,7 +8,7 @@ conjugate."""
 from itertools import product
 
 from stochlim.masterfield import _contract
-from stochlim.scalars import Monomial, ScalarSum
+from stochlim.scalars import Monomial, Piece, ScalarSum, wave_representatives
 from stochlim.words import MasterLetter, OperatorWord
 
 
@@ -79,13 +79,18 @@ def reduce_all_orders(letters: tuple[MasterLetter, ...]) -> set:
 
 
 def times(a: Monomial, b: Monomial) -> Monomial:
-    """a * b: the powers of 2pi and lam added and every factor field joined,
-    each oscillation row a contribution with coefficient 1, then unified
-    and sorted by `Monomial._canonical`, whose parameters are named after
-    the monomial's fields."""
-    fields = {name: getattr(a, name) + getattr(b, name) for name in Monomial._fields}
-    fields["osc"] = [(label, 1, e) for label, e in fields["osc"]]
-    return Monomial._canonical(**fields)
+    """a * b: the powers of 2pi and lam added and the two monomials' fields
+    joined as two pieces by `Monomial._canonical`, each oscillation row a
+    contribution with coefficient 1, unified over both monomials' deltas."""
+    pieces = [_piece(a, 1), _piece(b, 1)]
+    rep = wave_representatives(a.delta_k + b.delta_k)
+    return Monomial._canonical(a.two_pi + b.two_pi, a.lam + b.lam, pieces, rep)
+
+
+def _piece(m: Monomial, c: int) -> Piece:
+    """A monomial's fields as a piece, each oscillation row a (label, c, row)
+    contribution."""
+    return Piece(*m[2:])._replace(osc=[(label, c, e) for label, e in m.osc])
 
 
 def sum_times(s: ScalarSum, m: Monomial) -> ScalarSum:
@@ -114,6 +119,6 @@ def conjugate(s: ScalarSum) -> ScalarSum:
     factor and every coefficient is real."""
 
     def conj(m: Monomial) -> Monomial:
-        return Monomial._canonical(**{**m._asdict(), "osc": [(l, -1, e) for l, e in m.osc]})
+        return Monomial._canonical(m.two_pi, m.lam, [_piece(m, -1)])
 
     return ScalarSum.make((conj(m), c) for m, c in s.terms)

@@ -622,15 +622,16 @@ def test_fock_state_enumerates_no_pairing(monkeypatch):
 @pytest.mark.parametrize("tokens,built", [((1, -1), 0), ((-1, 1), 1)])
 def test_fock_limit_builds_only_vacuum_diagrams(monkeypatch, tokens, built):
     """On 16 letters: a+ a repeated has no vacuum pairing, a a+ repeated one;
-    each has 1430 non-crossing pairings."""
-    build = Monomial.build
+    each has 1430 non-crossing pairings.  Each term is assembled once, by
+    `Monomial._canonical`."""
+    canonical = Monomial._canonical
     made = []
 
     def counted(*args, **kwargs):
         made.append(1)
-        return build(*args, **kwargs)
+        return canonical(*args, **kwargs)
 
-    monkeypatch.setattr(Monomial, "build", counted)
+    monkeypatch.setattr(Monomial, "_canonical", counted)
     word = word_from_pattern(tokens * 8)
     assert len(limit_correlator(word, FOCK).terms) == built
     assert len(made) == built

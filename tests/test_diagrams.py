@@ -1,7 +1,7 @@
 import math
 import random
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -148,6 +148,14 @@ def test_non_crossing_below_catalan():
     for n in range(1, 4):
         for pattern in balanced_patterns(2 * n):
             assert count_non_crossing(pattern) <= catalan(n)
+
+
+def test_non_crossing_count_matches_the_listing():
+    """The counting recursion against the listed non-crossing pairings, on
+    every sign pattern up to N=12, balanced or not."""
+    for n in range(13):
+        for pattern in product((-1, 1), repeat=n):
+            assert count_non_crossing(pattern) == len(non_crossing_edges(pattern)), pattern
 
 
 def test_fock_surviving():

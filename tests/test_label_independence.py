@@ -1,4 +1,5 @@
-"""The three paths agree on words whose labels are not t1..tN / k1..kN.
+"""The three paths agree on words whose labels are not t1..tN / k1..kN,
+one word per balanced pattern up to N=8.
 
 The representative of a momentum-delta chain is its smallest label in
 label order, so relabelling changes which label survives unification.
@@ -19,6 +20,7 @@ from stochlim.correlator import (
 )
 from stochlim.masterfield import free_correlator
 from stochlim.oracle import doubled_normal_order, qdef_normal_order
+from stochlim.scalars import ScalarSum
 from stochlim.symbols import TimeLabel, WaveLabel
 from stochlim.words import Letter, OperatorWord, balanced_patterns
 
@@ -33,19 +35,25 @@ def _names(rng: random.Random, count: int) -> list[str]:
     return rng.sample(sorted(names), count)
 
 
+def _word(pattern, names: list[str]) -> OperatorWord:
+    n = len(pattern)
+    return OperatorWord.build(
+        Letter(eps, TimeLabel(t), WaveLabel(k))
+        for eps, t, k in zip(pattern, names[:n], names[n:])
+    )
+
+
 def relabelled_words() -> list[OperatorWord]:
+    """Every balanced pattern up to N=8 with seeded label names: four
+    sampled patterns per length first, then the rest in pattern order."""
     rng = random.Random(2020)
-    words = []
+    words, rest = [], []
     for n in (2, 4, 6, 8):
-        for pattern in rng.sample(balanced_patterns(n), min(4, len(balanced_patterns(n)))):
-            names = _names(rng, 2 * n)
-            words.append(
-                OperatorWord.build(
-                    Letter(eps, TimeLabel(t), WaveLabel(k))
-                    for eps, t, k in zip(pattern, names[:n], names[n:])
-                )
-            )
-    return words
+        patterns = balanced_patterns(n)
+        sampled = rng.sample(patterns, min(4, len(patterns)))
+        words += [_word(pattern, _names(rng, 2 * n)) for pattern in sampled]
+        rest += [p for p in patterns if p not in sampled]
+    return words + [_word(pattern, _names(rng, 2 * len(pattern))) for pattern in rest]
 
 
 def _word_id(word: OperatorWord) -> str:
@@ -56,11 +64,17 @@ def _word_id(word: OperatorWord) -> str:
 
 @pytest.mark.parametrize("word", relabelled_words(), ids=_word_id)
 def test_paths_agree_on_relabelled_words(word):
+    """The paths agree, and every sum they return reads back from its JSON
+    form unchanged: `ScalarSum.from_json` unifies each term again through
+    `Monomial.build`, so a term left ununified by its path would differ."""
     finite_fock = finite_lambda_correlator(word, FOCK)
     finite_gaussian = finite_lambda_correlator(word, GAUSSIAN)
     assert finite_fock == qdef_normal_order(word)
     assert finite_gaussian == doubled_normal_order(word, GAUSSIAN)
     for state, finite in ((FOCK, finite_fock), (GAUSSIAN, finite_gaussian)):
         limit = limit_correlator(word, state)
-        assert take_limit(finite) == limit
-        assert limit == free_correlator(word, state)
+        taken = take_limit(finite)
+        free = free_correlator(word, state)
+        assert taken == limit == free
+        for s in (finite, limit, free, taken):
+            assert ScalarSum.from_json(s.to_json()) == s

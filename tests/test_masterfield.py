@@ -270,15 +270,16 @@ def test_check_free_json_lists_the_differing_terms(monkeypatch, capsys):
 @pytest.mark.parametrize("tokens,built", [((1, -1), 0), ((-1, 1), 1)])
 def test_fock_walk_builds_only_vacuum_branches(monkeypatch, tokens, built):
     """On 16 letters: a+ a repeated has no vacuum branch, a a+ repeated one;
-    each has 1430 live species branches in the Gaussian state."""
-    build = Monomial.build
+    each has 1430 live species branches in the Gaussian state.  Each term
+    is assembled once, by `Monomial._canonical`."""
+    canonical = Monomial._canonical
     made = []
 
     def counted(*args, **kwargs):
         made.append(1)
-        return build(*args, **kwargs)
+        return canonical(*args, **kwargs)
 
-    monkeypatch.setattr(Monomial, "build", counted)
+    monkeypatch.setattr(Monomial, "_canonical", counted)
     word = word_from_pattern(tokens * 8)
     assert len(free_correlator(word, FOCK).terms) == built
     assert len(made) == built

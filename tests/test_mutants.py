@@ -1,0 +1,98 @@
+"""Single-factor mutants: a one-line fault in one path's scalar, applied by
+monkeypatching one module-level helper, must make a cross-check between
+two paths report a mismatch on the balanced patterns up to N=8.
+
+The cross-checks are the two sweeps of the Gaussian state: `finite` against
+the doubled rewriting oracle, and `limit` against the free master field.
+`MUTANTS` lists, per fault, the sweeps that see it.  A fault in
+`correlator` reaches both diagram sums, since they read one per-edge table,
+so each sweep sees it through its independent side; a fault in
+`masterfield` reaches the free path alone.
+"""
+
+import pytest
+
+from stochlim import correlator, masterfield
+from stochlim.correlator import GAUSSIAN, finite_lambda_correlator
+from stochlim.masterfield import check_free_equivalence
+from stochlim.oracle import doubled_normal_order
+from stochlim.scalars import MFactor
+from stochlim.symbols import EnergyComb, dot
+from stochlim.words import balanced_patterns, word_from_pattern
+
+
+def _flip_occupation(factors):
+    """N(k)+1 written as N(k) and N(k) as N(k)+1."""
+    return [f._replace(offset=1 - f.offset) if isinstance(f, MFactor) else f for f in factors]
+
+
+def edges_occupation(monkeypatch):
+    """`correlator._edges`: the occupation offset of every edge flipped."""
+    edges = correlator._edges
+
+    def mutant(letters, fock):
+        table = edges(letters, fock)
+
+        def edge(e):
+            k, energy, time, own = table(e)
+            return k, energy, time, tuple(_flip_occupation(own))
+
+        return edge
+
+    monkeypatch.setattr(correlator, "_edges", mutant)
+
+
+def edge_energy_shift(monkeypatch):
+    """`correlator._edge_energy`: the enclosing edges' shift with its sign
+    flipped."""
+
+    def mutant(table, edge, enclosing):
+        k, energy, _, _ = table(edge)
+        shifts = [-o.delta * dot(table(o)[0], k) for o in enclosing]
+        return EnergyComb.sum_of([energy] + shifts)
+
+    monkeypatch.setattr(correlator, "_edge_energy", mutant)
+
+
+def contract_occupation(monkeypatch):
+    """`masterfield._contract`: the occupation weight of each contraction
+    flipped, N+1 for species 2 and N for species 1."""
+    contract = masterfield._contract
+
+    def mutant(ann, cre, passed, fock):
+        return _flip_occupation(contract(ann, cre, passed, fock))
+
+    monkeypatch.setattr(masterfield, "_contract", mutant)
+
+
+def pass_shift(monkeypatch):
+    """`masterfield._PASS_SHIFT`: passing b1 shifts p by -k instead of +k."""
+    monkeypatch.setitem(masterfield._PASS_SHIFT, (1, False), -1)
+
+
+def finite_vs_doubled(word) -> bool:
+    return finite_lambda_correlator(word, GAUSSIAN) == doubled_normal_order(word, GAUSSIAN)
+
+
+def limit_vs_free(word) -> bool:
+    return check_free_equivalence(word, GAUSSIAN).equal
+
+
+MUTANTS = {
+    edges_occupation: (finite_vs_doubled, limit_vs_free),
+    edge_energy_shift: (finite_vs_doubled, limit_vs_free),
+    contract_occupation: (limit_vs_free,),
+    pass_shift: (limit_vs_free,),
+}
+
+
+@pytest.mark.parametrize(
+    "mutant,check",
+    [(mutant, check) for mutant, checks in MUTANTS.items() for check in checks],
+    ids=lambda f: f.__name__,
+)
+def test_sweep_reports_the_mutant(monkeypatch, mutant, check):
+    words = [word_from_pattern(p) for n in (2, 4, 6, 8) for p in balanced_patterns(n)]
+    assert all(check(word) for word in words)
+    mutant(monkeypatch)
+    assert not all(check(word) for word in words)
