@@ -133,16 +133,16 @@ class Piece(NamedTuple):
 
 
 def piece(factors: Iterable[Factor], quotas: Iterable[TimeComb] = ()) -> Piece:
-    """The one check of scalar factors and pairing quotas, and their
-    conversion to fields: an oscillation factor becomes one (label,
-    coefficient, energy) contribution per time label of its exponent, and
-    every delta argument is sign-normalized."""
+    """The one check of scalar factors, each of one of the five factor types
+    exactly, and pairing quotas, and their conversion to fields: an
+    oscillation factor becomes one (label, coefficient, energy) contribution
+    per time label of its exponent; every delta argument is sign-normalized."""
     quota_list = [q.normalized() for q in quotas]
     if any(q.is_zero for q in quota_list):
         raise ValueError("a pairing quota needs a nonzero time argument")
     rows, tds, eds, dks, mfs = [], [], [], [], []
     for f in factors:
-        if isinstance(f, OscExp):
+        if (kind := type(f)) is OscExp:
             if f.time.is_zero or f.energy.is_zero:
                 if f.pairing:
                     raise ValueError("a pairing exponent needs nonzero time and energy")
@@ -150,16 +150,16 @@ def piece(factors: Iterable[Factor], quotas: Iterable[TimeComb] = ()) -> Piece:
             if f.pairing:
                 quota_list.append(f.time.normalized())
             rows += [(label, c, f.energy) for label, c in f.time.terms]
-        elif isinstance(f, TimeDelta):
+        elif kind is TimeDelta:
             tds.append(_nonzero_delta(f.time, "time"))
-        elif isinstance(f, EnergyDelta):
+        elif kind is EnergyDelta:
             eds.append(_nonzero_delta(f.energy, "energy"))
-        elif isinstance(f, DeltaK):
+        elif kind is DeltaK:
             a, b = f
             if a == b:
                 raise ValueError("momentum delta needs two distinct labels")
             dks.append((a, b) if a.sort_key < b.sort_key else (b, a))
-        elif isinstance(f, MFactor):
+        elif kind is MFactor:
             if f.offset not in (0, 1):
                 raise ValueError("occupation offset must be 0 or 1")
             mfs.append((f.wave, f.offset))

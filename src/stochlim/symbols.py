@@ -195,7 +195,7 @@ class _Comb:
             return self
         if c == 0:
             return self.zero()
-        return type(self)(tuple([(b, c * cc) for b, cc in self.terms]))
+        return type(self)(tuple([(b, c if cc == 1 else c * cc) for b, cc in self.terms]))
 
     def normalized(self):
         """Flip the overall sign so the earliest basis symbol has a positive

@@ -180,6 +180,18 @@ def test_delta_factor_validation():
         Monomial.build(factors=[OscExp(TimeComb.zero(), omega(K1), pairing=True)])
 
 
+def test_factors_are_told_apart_by_their_exact_type():
+    """A factor is one of the five factor types itself: neither a plain
+    tuple of the same fields nor an instance of a subclass is one."""
+
+    class Occupation(MFactor):
+        __slots__ = ()
+
+    for factor in [(K1, 0), Occupation(K1, 0)]:
+        with pytest.raises(TypeError, match="not a scalar factor"):
+            Monomial.build(factors=[factor])
+
+
 def test_delta_sign_normalization():
     a = osc_sum(TimeDelta(T1 - T2), EnergyDelta(omega(K1) - dot_p(K2)))
     b = osc_sum(TimeDelta(T2 - T1), EnergyDelta(dot_p(K2) - omega(K1)))
