@@ -161,17 +161,21 @@ def _absorb(quotas, rows):
     leftover oscillation has no 1/lam^2 quota and kills the monomial).
 
     Every quota the paths make is t_cre - t_ann, and no two of them share
-    a time label.  When the quotas' supports are disjoint the system falls
-    apart into one check per quota: F_j is the row of its first label over
-    that label's coefficient, and every other label's row must be its
-    coefficient times F_j; a row on a label no quota covers kills the
-    term.  Quotas that share a label occur only in hand-built sums and
-    JSON input; `_eliminate` solves those.
+    a time label, so the system falls apart into one check per quota: F_j
+    is the row of its first label over that label's coefficient, and every
+    other label's row must be its coefficient times F_j; a row on a label
+    no quota covers kills the term.  Quotas that share a label (hand-built
+    sums, JSON input) raise `LimitStructureError` naming the first one.
     """
     supports = [q.terms for q in quotas]
     covered = {l for terms in supports for l, _ in terms}
     if len(covered) != sum(map(len, supports)):
-        return _eliminate(quotas, rows)
+        seen = set()
+        for terms in supports:
+            for l, _ in terms:
+                if l in seen:
+                    raise LimitStructureError(f"pairing quotas share the time label {l.name}")
+                seen.add(l)
     if not covered.issuperset(rows) and any(
         l not in covered and not e.is_zero for l, e in rows.items()
     ):
@@ -192,61 +196,12 @@ def _absorb(quotas, rows):
     return out
 
 
-def _eliminate(quotas, rows):
-    """`_absorb` by sparse exact elimination, for quotas that share time
-    labels: the same answer, and raises when the quota time combinations
-    are linearly dependent.
-
-    The matrix is kept sparse, one {column: coefficient} row per time
-    label, and column r pivots in row r.  Quota coefficients are ints,
-    mostly +-1, so a pivot row is divided only when its pivot is not 1,
-    and a Fraction appears only when it is not -1 either.
-    """
-    labels = sorted(
-        {l for q in quotas for l in q.support} | set(rows),
-        key=lambda l: l.sort_key,
-    )
-    index = {l: i for i, l in enumerate(labels)}
-    matrix: list[dict[int, int | Fraction]] = [{} for _ in labels]
-    for j, q in enumerate(quotas):
-        for l, c in q.terms:
-            matrix[index[l]][j] = c
-    rhs = [rows.get(l, EnergyComb.zero()) for l in labels]
-    n = len(quotas)
-    for r in range(n):
-        pivot = next((i for i in range(r, len(labels)) if r in matrix[i]), None)
-        if pivot is None:
-            raise LimitStructureError("pairing quotas are linearly dependent")
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        piv = matrix[r][r]
-        if piv != 1:
-            inv = -1 if piv == -1 else 1 / Fraction(piv)
-            matrix[r] = {j: c * inv for j, c in matrix[r].items()}
-            rhs[r] = rhs[r].scale(inv)
-        row = matrix[r]
-        for i, target in enumerate(matrix):
-            f = target.get(r)
-            if f is None or i == r:
-                continue
-            for j, c in row.items():
-                v = target.get(j, 0) - f * c
-                if v:
-                    target[j] = v
-                else:
-                    del target[j]
-            rhs[i] = rhs[i] + rhs[r].scale(-f)
-    if any(not e.is_zero for e in rhs[n:]):
-        return None
-    return rhs[:n]
-
-
 def take_limit(s: ScalarSum) -> ScalarSum:
     """lam -> 0 limit: every pairing quota becomes 2pi * dT * dE; oscillation
     not matched by a quota sends its monomial to zero.  `_absorb` settles
-    each term from its own quota rows when no two quotas share a time
-    label, as on every sum `finite_lambda_correlator` builds, and
-    eliminates otherwise."""
+    each term from its own quota rows, one quota at a time; no two quotas
+    may share a time label, as on every sum `finite_lambda_correlator`
+    builds, and a term whose quotas do raises `LimitStructureError`."""
     out = []
     for m, c in s.terms:
         if m.time_deltas or m.energy_deltas:

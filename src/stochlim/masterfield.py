@@ -102,11 +102,10 @@ def free_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:
     Under leftmost-first reduction the letters standing left of a closer
     are exactly the open stack, so a closer contracts with the top of the
     stack, and only with one of its own species; a prefix with more
-    letters open than remain is dropped.  Each contraction is made once
-    per open stack and closer and shared by every branch that reaches it.
+    letters open than remain is dropped, so each finished branch pairs
+    every `a` with one `a+`.  Each contraction is made once per open stack
+    and closer and shared by every branch that reaches it.
     """
-    if not word.balanced:
-        return ScalarSum.zero()
     fock = state.kind == "fock"
     live = 1 if fock else 2  # b2's channel is weighted N = 0 in the Fock state
     # per letter: its live parts, opener (dag False) before closer

@@ -2,13 +2,17 @@
 free path's rewrite step, two drivers that `words.normal_order` does not
 offer, a site chooser and every reduction order, products with a
 monomial through the canonical kernel, the Fock vacuum's rule N = 0
-applied to a finished sum, and a word's adjoint with a sum's complex
-conjugate."""
+applied to a finished sum, a word's adjoint with a sum's complex
+conjugate, and the sparse elimination that `correlator._absorb` is
+compared against."""
 
+from fractions import Fraction
 from itertools import product
 
+from stochlim.correlator import LimitStructureError
 from stochlim.masterfield import _contract
 from stochlim.scalars import Monomial, Piece, ScalarSum, wave_representatives
+from stochlim.symbols import EnergyComb
 from stochlim.words import MasterLetter, OperatorWord
 
 
@@ -122,3 +126,52 @@ def conjugate(s: ScalarSum) -> ScalarSum:
         return Monomial._canonical(m.two_pi, m.lam, [_piece(m, -1)])
 
     return ScalarSum.make((conj(m), c) for m, c in s.terms)
+
+
+def _eliminate(quotas, rows):
+    """`_absorb` by sparse exact elimination, for quotas that share time
+    labels: the same answer, and raises when the quota time combinations
+    are linearly dependent.
+
+    The matrix is kept sparse, one {column: coefficient} row per time
+    label, and column r pivots in row r.  Quota coefficients are ints,
+    mostly +-1, so a pivot row is divided only when its pivot is not 1,
+    and a Fraction appears only when it is not -1 either.
+    """
+    labels = sorted(
+        {l for q in quotas for l in q.support} | set(rows),
+        key=lambda l: l.sort_key,
+    )
+    index = {l: i for i, l in enumerate(labels)}
+    matrix: list[dict[int, int | Fraction]] = [{} for _ in labels]
+    for j, q in enumerate(quotas):
+        for l, c in q.terms:
+            matrix[index[l]][j] = c
+    rhs = [rows.get(l, EnergyComb.zero()) for l in labels]
+    n = len(quotas)
+    for r in range(n):
+        pivot = next((i for i in range(r, len(labels)) if r in matrix[i]), None)
+        if pivot is None:
+            raise LimitStructureError("pairing quotas are linearly dependent")
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        piv = matrix[r][r]
+        if piv != 1:
+            inv = -1 if piv == -1 else 1 / Fraction(piv)
+            matrix[r] = {j: c * inv for j, c in matrix[r].items()}
+            rhs[r] = rhs[r].scale(inv)
+        row = matrix[r]
+        for i, target in enumerate(matrix):
+            f = target.get(r)
+            if f is None or i == r:
+                continue
+            for j, c in row.items():
+                v = target.get(j, 0) - f * c
+                if v:
+                    target[j] = v
+                else:
+                    del target[j]
+            rhs[i] = rhs[i] + rhs[r].scale(-f)
+    if any(not e.is_zero for e in rhs[n:]):
+        return None
+    return rhs[:n]

@@ -7,6 +7,7 @@ from stochlim.correlator import (
     GAUSSIAN,
     LimitStructureError,
     StateSpec,
+    _absorb,
     finite_lambda_correlator,
     limit_correlator,
     take_limit,
@@ -38,7 +39,7 @@ from stochlim.symbols import (
 )
 from stochlim.words import balanced_patterns, word_from_pattern
 
-from rewriting import vacuum
+from rewriting import _eliminate, vacuum
 
 HALF = Fraction(1, 2)
 
@@ -262,7 +263,7 @@ def test_take_limit_structural_errors():
         take_limit(
             ScalarSum.from_iter([Monomial.build(lam=-2, factors=[OscExp(t1 - t2, omega(k1))])])
         )
-    with pytest.raises(LimitStructureError):
+    with pytest.raises(LimitStructureError, match="share the time label t1$"):
         take_limit(
             ScalarSum.from_iter([
                 Monomial.build(
@@ -292,30 +293,63 @@ def test_take_limit_structural_errors():
         )
 
 
+def _chained_sums():
+    """Hand-built sums whose pairing quotas share a time label, each with
+    what `rewriting._eliminate` solves its one term to: an energy per quota,
+    in quota order, or None when the term is killed."""
+    t1, t2, t3, t4 = (TimeLabel(f"t{i}") for i in (1, 2, 3, 4))
+    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
+    w1, w2, w3, p3 = omega(k1), omega(k2), omega(k3), dot_p(k3)
+
+    def chain(pairs, extra=()):
+        factors = [*(OscExp(t, e, pairing=True) for t, e in pairs), *extra]
+        return ScalarSum.from_iter([Monomial.build(lam=-2 * len(pairs), factors=factors)])
+
+    # eliminating t1 - t2 and t1 - t4 leaves -1 as the pivot of t2 - t3
+    pivot = [(t1 - t2, w1), (t1 - t4, w2), (t2 - t3, w3)]
+    return {
+        "chain": (chain([(t1 - t2, w1), (t2 - t3, w2)]), [w1, w2]),
+        "negative-pivot": (chain(pivot, [OscExp(t2 - t3, p3)]), [w1, w2, w3 + p3]),
+        # t1 - t3 = (t1 - t2) + (t2 - t3) lies in the quota span: absorbed
+        "in-span": (chain(pivot, [OscExp(t1 - t3, p3)]), [w1 + p3, w2, w3 + p3]),
+        "outside-span": (chain(pivot, [OscExp(TimeComb.of(t3), p3)]), None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_chained_sums()))
+def test_elimination_solves_chained_quotas(case):
+    s, expected = _chained_sums()[case]
+    ((m, _),) = s.terms
+    assert _eliminate(m.quotas, dict(m.osc)) == expected
+
+
 def test_take_limit_chained_quotas():
-    # hand-built sums may share time labels between quotas
-    t1, t2, t3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
-    k1, k2 = WaveLabel("k1"), WaveLabel("k2")
-    s = ScalarSum.from_iter([
-        Monomial.build(
-            lam=-4,
-            factors=[
-                OscExp(t1 - t2, omega(k1), pairing=True),
-                OscExp(t2 - t3, omega(k2), pairing=True),
-            ],
-        )
-    ])
-    assert take_limit(s) == ScalarSum.from_iter([
-        Monomial.build(
-            two_pi=2,
-            factors=[
-                TimeDelta(t1 - t2),
-                EnergyDelta(omega(k1)),
-                TimeDelta(t2 - t3),
-                EnergyDelta(omega(k2)),
-            ],
-        )
-    ])
+    # quotas t1 - t2 and t2 - t3 share t2; no path builds such a sum
+    s, _ = _chained_sums()["chain"]
+    with pytest.raises(LimitStructureError, match="share the time label t2$"):
+        take_limit(s)
+
+
+def test_take_limit_chained_quotas_negative_pivot():
+    # quotas in order t1 - t2, t1 - t4, t2 - t3: t1 is shared first, whatever
+    # the rest of the term would give
+    for case in ("negative-pivot", "in-span", "outside-span"):
+        s, _ = _chained_sums()[case]
+        with pytest.raises(LimitStructureError, match="share the time label t1$"):
+            take_limit(s)
+
+
+def test_take_limit_names_a_shared_label_read_from_json():
+    # JSON input is the way a sum that no path built reaches take_limit
+    row = [["w", ["k1"], 1, 1]]
+    s = ScalarSum.from_json({"terms": [{
+        "rational": [1, 1], "twoPi": 0, "lambda": -4,
+        "pairs": [[["s1", 1], ["s2", -1]], [["s2", 1], ["s3", -1]]],
+        "osc": [["s1", row]],
+        "timeDeltas": [], "energyDeltas": [], "waveDeltas": [], "occupation": [],
+    }]})
+    with pytest.raises(LimitStructureError, match="share the time label s2$"):
+        take_limit(s)
 
 
 def test_take_limit_non_unit_pivot_stays_exact():
@@ -348,42 +382,6 @@ def test_take_limit_non_unit_pivot_stays_exact():
     assert not any(isinstance(x, float) for x in coefficients)
 
 
-def test_take_limit_chained_quotas_negative_pivot():
-    # eliminating t1 - t2 and t1 - t4 leaves -1 as the pivot of t2 - t3
-    t1, t2, t3, t4 = (TimeLabel(f"t{i}") for i in (1, 2, 3, 4))
-    k1, k2, k3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
-    pairs = [(t1 - t2, omega(k1)), (t1 - t4, omega(k2)), (t2 - t3, omega(k3))]
-    s = ScalarSum.from_iter([
-        Monomial.build(
-            lam=-6,
-            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
-            + [OscExp(t2 - t3, dot_p(k3))],
-        )
-    ])
-    blocks = []
-    for t, e in pairs:
-        blocks += [TimeDelta(t), EnergyDelta(e)]
-    blocks[-1] = EnergyDelta(omega(k3) + dot_p(k3))
-    assert take_limit(s) == ScalarSum.from_iter([Monomial.build(two_pi=3, factors=blocks)])
-    bare = ScalarSum.from_iter([
-        Monomial.build(
-            lam=-6,
-            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
-            + [OscExp(t1 - t3, dot_p(k3))],
-        )
-    ])
-    # t1 - t3 = (t1 - t2) + (t2 - t3) lies in the quota span: absorbed
-    assert len(take_limit(bare).terms) == 1
-    killed = ScalarSum.from_iter([
-        Monomial.build(
-            lam=-6,
-            factors=[OscExp(t, e, pairing=True) for t, e in pairs]
-            + [OscExp(TimeComb.of(t3), dot_p(k3))],
-        )
-    ])
-    assert take_limit(killed).is_zero
-
-
 def _path_sums(max_n, states=(FOCK, GAUSSIAN, temperature(1.0))):
     for n in range(2, max_n + 1, 2):
         for pattern in balanced_patterns(n):
@@ -393,8 +391,6 @@ def _path_sums(max_n, states=(FOCK, GAUSSIAN, temperature(1.0))):
 
 
 def test_absorb_matches_elimination_on_every_path_term():
-    from stochlim.correlator import _absorb, _eliminate
-
     for _, _, finite in _path_sums(8):
         for m, _ in finite.terms:
             rows = dict(m.osc)
@@ -421,8 +417,6 @@ def _disjoint_cases():
 
 @pytest.mark.parametrize("case", list(_disjoint_cases()))
 def test_absorb_matches_elimination_on_hand_built_disjoint_quotas(case):
-    from stochlim.correlator import _absorb, _eliminate
-
     quotas, rows, expected = _disjoint_cases()[case]
     assert _absorb(quotas, rows) == _eliminate(quotas, rows) == expected
 
@@ -439,33 +433,10 @@ def test_take_limit_kills_an_uncovered_row_before_a_vanishing_energy():
     assert take_limit(s).is_zero
 
 
-def test_path_sums_never_reach_the_elimination(monkeypatch):
-    from stochlim import correlator
-
-    def refuse(quotas, rows):
-        raise AssertionError(f"eliminated {quotas}")
-
-    monkeypatch.setattr(correlator, "_eliminate", refuse)
+def test_take_limit_equals_limit_on_every_path_sum():
+    # every quota a path builds has time labels of its own, or take_limit raises
     for word, state, finite in _path_sums(8):
         assert take_limit(finite) == limit_correlator(word, state)
-    test_take_limit_non_unit_pivot_stays_exact()
-
-
-def test_chained_quotas_reach_the_elimination(monkeypatch):
-    from stochlim import correlator
-
-    calls = []
-    eliminate = correlator._eliminate
-
-    def counted(quotas, rows):
-        calls.append(quotas)
-        return eliminate(quotas, rows)
-
-    monkeypatch.setattr(correlator, "_eliminate", counted)
-    test_take_limit_chained_quotas()
-    assert len(calls) == 1
-    test_take_limit_chained_quotas_negative_pivot()
-    assert len(calls) == 4
 
 
 def test_path_independence_small():

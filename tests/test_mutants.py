@@ -2,20 +2,22 @@
 monkeypatching one module-level helper, must make a cross-check between
 two paths report a mismatch on the balanced patterns up to N=8.
 
-The cross-checks are the two sweeps of the Gaussian state: `finite` against
-the doubled rewriting oracle, and `limit` against the free master field.
+The cross-checks are three sweeps: in the Gaussian state `finite` against
+the doubled rewriting oracle and `limit` against the free master field, and
+in the Fock state `finite` against the deformed rewriting oracle.
 `MUTANTS` lists, per fault, the sweeps that see it.  A fault in
 `correlator` reaches both diagram sums, since they read one per-edge table,
 so each sweep sees it through its independent side; a fault in
-`masterfield` reaches the free path alone.
+`masterfield` reaches the free path alone, and one in `oracle` its own
+rewriting oracle alone.
 """
 
 import pytest
 
-from stochlim import correlator, masterfield
-from stochlim.correlator import GAUSSIAN, finite_lambda_correlator
+from stochlim import correlator, masterfield, oracle
+from stochlim.correlator import FOCK, GAUSSIAN, finite_lambda_correlator
 from stochlim.masterfield import check_free_equivalence
-from stochlim.oracle import doubled_normal_order
+from stochlim.oracle import doubled_normal_order, qdef_normal_order
 from stochlim.scalars import MFactor
 from stochlim.symbols import EnergyComb, dot
 from stochlim.words import balanced_patterns, word_from_pattern
@@ -70,6 +72,25 @@ def pass_shift(monkeypatch):
     monkeypatch.setitem(masterfield._PASS_SHIFT, (1, False), -1)
 
 
+def bogoliubov_offset(monkeypatch):
+    """`oracle._OFFSET`: the doubled oracle's weights swapped, N for species
+    1 and N+1 for species 2."""
+    monkeypatch.setattr(oracle, "_OFFSET", {1: 0, 2: 1})
+
+
+def qdef_swap_sign(monkeypatch):
+    """`oracle._qdef_step`: the swap exponent's energy negated, k.k' for
+    -k.k'."""
+    step = oracle._qdef_step
+
+    def mutant(letters, i, collected):
+        (swap, swapped), contraction = step(letters, i, collected)
+        *kept, phase = swap
+        return ((*kept, phase._replace(energy=-phase.energy)), swapped), contraction
+
+    monkeypatch.setattr(oracle, "_qdef_step", mutant)
+
+
 def finite_vs_doubled(word) -> bool:
     return finite_lambda_correlator(word, GAUSSIAN) == doubled_normal_order(word, GAUSSIAN)
 
@@ -78,11 +99,17 @@ def limit_vs_free(word) -> bool:
     return check_free_equivalence(word, GAUSSIAN).equal
 
 
+def finite_vs_qdef(word) -> bool:
+    return finite_lambda_correlator(word, FOCK) == qdef_normal_order(word)
+
+
 MUTANTS = {
     edges_occupation: (finite_vs_doubled, limit_vs_free),
     edge_energy_shift: (finite_vs_doubled, limit_vs_free),
     contract_occupation: (limit_vs_free,),
     pass_shift: (limit_vs_free,),
+    bogoliubov_offset: (finite_vs_doubled,),
+    qdef_swap_sign: (finite_vs_qdef,),
 }
 
 
