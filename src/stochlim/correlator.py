@@ -184,7 +184,7 @@ def _absorb(quotas, rows):
     for (l0, c0), *rest in supports:
         f = rows.get(l0, _ZERO)
         if c0 != 1:
-            f = f.scale(-1 if c0 == -1 else 1 / Fraction(c0))
+            f = f.scale(1 / Fraction(c0))
         for l, c in rest:
             terms = rows.get(l, _ZERO).terms
             if len(terms) != len(f.terms) or any(

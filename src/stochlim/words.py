@@ -82,10 +82,6 @@ class OperatorWord(tuple):
     def pattern(self) -> tuple[int, ...]:
         return tuple(l.eps for l in self.letters)
 
-    @property
-    def balanced(self) -> bool:
-        return sum(self.pattern) == 0
-
 
 def word_from_pattern(pattern: Sequence[int]) -> OperatorWord:
     """Word with positional labels t1..tN, k1..kN."""

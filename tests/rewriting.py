@@ -1,19 +1,96 @@
-"""Rewriting helpers the tests share: the full species expansion, the
-free path's rewrite step, two drivers that `words.normal_order` does not
-offer, a site chooser and every reduction order, products with a
-monomial through the canonical kernel, the Fock vacuum's rule N = 0
-applied to a finished sum, a word's adjoint with a sum's complex
-conjugate, and the sparse elimination that `correlator._absorb` is
-compared against."""
+"""The specification, and the rewriting helpers the tests share.
+
+The specification is `PATHS`, every sum path by name, and `EQUALITIES`,
+every equality between paths; `sweep` checks its rows on a list of words.
+The tests and CI read these rather than write a path or an equality.
+
+The helpers: the full species expansion, the free path's rewrite step,
+two drivers that `words.normal_order` does not offer, a site chooser and
+every reduction order, products with a monomial through the canonical
+kernel, the Fock vacuum's rule N = 0 applied to a finished sum, a word's
+adjoint with a sum's complex conjugate, and the sparse elimination that
+`correlator._absorb` is compared against."""
 
 from fractions import Fraction
 from itertools import product
 
-from stochlim.correlator import LimitStructureError
-from stochlim.masterfield import _contract
+from stochlim.correlator import (
+    FOCK,
+    GAUSSIAN,
+    LimitStructureError,
+    finite_lambda_correlator,
+    limit_correlator,
+    take_limit,
+    temperature,
+)
+from stochlim.masterfield import _contract, free_correlator
+from stochlim.oracle import doubled_normal_order, qdef_normal_order
 from stochlim.scalars import Monomial, Piece, ScalarSum, wave_representatives
 from stochlim.symbols import EnergyComb
-from stochlim.words import MasterLetter, OperatorWord
+from stochlim.words import (
+    MasterLetter,
+    OperatorWord,
+    balanced_patterns,
+    format_pattern,
+    word_from_pattern,
+)
+
+STATES = {"fock": FOCK, "gaussian": GAUSSIAN, "temperature": temperature(1.0)}
+
+# name -> the path's value of a word: the diagram sum at finite coupling,
+# its direct limit and the free master field in each state, the q-deformed
+# rewriting oracle in the Fock state and the doubled one in the others
+PATHS = {
+    **{
+        f"{name}-{kind}": lambda word, path=path, state=state: path(word, state)
+        for name, path in (
+            ("finite", finite_lambda_correlator),
+            ("limit", limit_correlator),
+            ("free", free_correlator),
+        )
+        for kind, state in STATES.items()
+    },
+    "qdef-fock": qdef_normal_order,
+    "doubled-gaussian": lambda word: doubled_normal_order(word, GAUSSIAN),
+    "doubled-temperature": lambda word: doubled_normal_order(word, STATES["temperature"]),
+}
+
+# row -> (left side, right side), each a function of a word: the exact sum
+# equals its rewriting oracle, its limit term by term the direct limit, and
+# that the free master field (Nica, Speicher, Lectures on the Combinatorics
+# of Free Probability, CUP 2006, lectures 2 and 12)
+EQUALITIES = {
+    "finite=qdef-fock": (PATHS["finite-fock"], PATHS["qdef-fock"]),
+    "finite=doubled-gaussian": (PATHS["finite-gaussian"], PATHS["doubled-gaussian"]),
+    "finite=doubled-temperature": (PATHS["finite-temperature"], PATHS["doubled-temperature"]),
+    **{
+        f"take_limit(finite)=limit-{kind}": (
+            lambda word, finite=PATHS[f"finite-{kind}"]: take_limit(finite(word)),
+            PATHS[f"limit-{kind}"],
+        )
+        for kind in STATES
+    },
+    **{f"limit=free-{kind}": (PATHS[f"limit-{kind}"], PATHS[f"free-{kind}"]) for kind in STATES},
+}
+
+
+def positional_words(max_n: int) -> list[OperatorWord]:
+    """Every balanced pattern up to max_n letters, as words labelled t1..tN, k1..kN."""
+    return [word_from_pattern(p) for n in range(2, max_n + 1, 2) for p in balanced_patterns(n)]
+
+
+def sweep(rows, words) -> int:
+    """Check each named row of `EQUALITIES` on every word; print
+    `MISMATCH <row> <pattern>` for each word where the two sides differ
+    and return how many did."""
+    mismatches = 0
+    for row in rows:
+        left, right = EQUALITIES[row]
+        for word in words:
+            if left(word) != right(word):
+                mismatches += 1
+                print("MISMATCH", row, format_pattern(word.pattern))
+    return mismatches
 
 
 def _free_step(letters: tuple[MasterLetter, ...], i: int, collected: tuple):

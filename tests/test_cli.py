@@ -738,6 +738,31 @@ INPUT_ERRORS = [
         )
         for mode in ("check-free", "quadrature")
     ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "temperature"], {}, "state needs --beta", id="no-beta"
+    ),
+    pytest.param(
+        ["--job", "{dir}/job.json"],
+        {"job.json": _job(["a", 3])},
+        "pattern token 2: expected 'a', 'a+' or an object, got 3",
+        id="job-letter-number",
+    ),
+    *(
+        pytest.param([*argv, "{dir}/l.json"], {"l.json": [1, 2]}, "not hold a JSON object", id=name)
+        for name, *argv in (("job-list", "--job"), ("numeric-list", "--pattern", "a a+", "--numeric"))
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--state", "gaussian", "--numeric", "{dir}/n.json"],
+        {"n.json": _NUMBERS},
+        "no numeric value assigned to N(k1)",
+        id="gaussian-numeric-without-occupation",
+    ),
+    pytest.param(
+        ["--pattern", "a a+", "--numeric", "{dir}/n.json"],
+        {"n.json": {**_NUMBERS, "lambda": -1}},
+        "lam must be positive",
+        id="numeric-lambda-negative",
+    ),
 ]
 
 

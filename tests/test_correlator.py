@@ -39,7 +39,7 @@ from stochlim.symbols import (
 )
 from stochlim.words import balanced_patterns, word_from_pattern
 
-from rewriting import _eliminate, vacuum
+from rewriting import EQUALITIES, PATHS, STATES, _eliminate, positional_words, vacuum
 
 HALF = Fraction(1, 2)
 
@@ -382,19 +382,12 @@ def test_take_limit_non_unit_pivot_stays_exact():
     assert not any(isinstance(x, float) for x in coefficients)
 
 
-def _path_sums(max_n, states=(FOCK, GAUSSIAN, temperature(1.0))):
-    for n in range(2, max_n + 1, 2):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            for state in states:
-                yield word, state, finite_lambda_correlator(word, state)
-
-
 def test_absorb_matches_elimination_on_every_path_term():
-    for _, _, finite in _path_sums(8):
-        for m, _ in finite.terms:
-            rows = dict(m.osc)
-            assert _absorb(m.quotas, rows) == _eliminate(m.quotas, rows), m
+    for word in positional_words(8):
+        for state in STATES.values():
+            for m, _ in finite_lambda_correlator(word, state).terms:
+                rows = dict(m.osc)
+                assert _absorb(m.quotas, rows) == _eliminate(m.quotas, rows), m
 
 
 def _disjoint_cases():
@@ -431,31 +424,6 @@ def test_take_limit_kills_an_uncovered_row_before_a_vanishing_energy():
         )
     ])
     assert take_limit(s).is_zero
-
-
-def test_take_limit_equals_limit_on_every_path_sum():
-    # every quota a path builds has time labels of its own, or take_limit raises
-    for word, state, finite in _path_sums(8):
-        assert take_limit(finite) == limit_correlator(word, state)
-
-
-def test_path_independence_small():
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            for state in (FOCK, GAUSSIAN):
-                assert take_limit(
-                    finite_lambda_correlator(word, state)
-                ) == limit_correlator(word, state)
-
-
-def test_path_independence_eight_letters():
-    for pattern in balanced_patterns(8):
-        word = word_from_pattern(pattern)
-        for state in (FOCK, GAUSSIAN):
-            assert take_limit(
-                finite_lambda_correlator(word, state)
-            ) == limit_correlator(word, state), (pattern, state.kind)
 
 
 def test_lambda_power_bookkeeping():
@@ -527,24 +495,18 @@ def test_fock_sum_is_the_state_applied_to_every_pairing():
     rule N = 0 (`vacuum`) drops none of their terms, only turns each (N+1)
     into 1, and the sum equals the state applied to the sum over every
     pairing, which is the Gaussian sum."""
-    for n in (2, 4, 6, 8):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            pairings = enumerate_pairings(pattern)
-            every = ScalarSum.from_iter(whole_diagram_monomial(word, d) for d in pairings)
-            wick = ScalarSum.from_iter(
-                whole_diagram_monomial(word, d)
-                for d in pairings
-                if all(e.delta == 1 for e in d)
-            )
-            assert all(o == 1 for m, _ in wick.terms for _, o in m.m_factors)
-            kept = vacuum(wick)
-            assert len(kept.terms) == len(wick.terms) == count_fock_surviving(
-                pattern
-            )
-            assert kept == finite_lambda_correlator(word, FOCK)
-            assert every == finite_lambda_correlator(word, GAUSSIAN), pattern
-            assert kept == vacuum(every)
+    for word in positional_words(8):
+        pairings = enumerate_pairings(word.pattern)
+        every = ScalarSum.from_iter(whole_diagram_monomial(word, d) for d in pairings)
+        wick = ScalarSum.from_iter(
+            whole_diagram_monomial(word, d) for d in pairings if all(e.delta == 1 for e in d)
+        )
+        assert all(o == 1 for m, _ in wick.terms for _, o in m.m_factors)
+        kept = vacuum(wick)
+        assert len(kept.terms) == len(wick.terms) == count_fock_surviving(word.pattern)
+        assert kept == finite_lambda_correlator(word, FOCK)
+        assert every == finite_lambda_correlator(word, GAUSSIAN), word.pattern
+        assert kept == vacuum(every)
 
 
 @pytest.mark.parametrize("n, kept, differ", [(4, 12, 4), (6, 120, 20), (8, 1680, 70)])
@@ -660,29 +622,25 @@ CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
 
 def _cycle_paths():
     from stochlim.diagrams import count_non_crossing
-    from stochlim.masterfield import check_free_equivalence, free_correlator
-    from stochlim.oracle import doubled_normal_order, qdef_normal_order
+    from stochlim.masterfield import check_free_equivalence
+
+    def blocks(**kind):
+        return lambda w: pairing_blocks(w.pattern, lambda edge, straddling: edge, **kind)
 
     return {
-        "free_correlator": lambda w, p: free_correlator(w, GAUSSIAN),
-        "limit_correlator": lambda w, p: limit_correlator(w, GAUSSIAN),
-        "limit_correlator-fock": lambda w, p: limit_correlator(w, FOCK),
-        "check_free_equivalence": lambda w, p: check_free_equivalence(w, GAUSSIAN),
-        "non_crossing_pairings": lambda w, p: pairing_blocks(
-            p, lambda edge, straddling: edge, non_crossing=True
-        ),
-        "count_non_crossing": lambda w, p: count_non_crossing(p),
-        "enumerate_pairings": lambda w, p: enumerate_pairings(p),
-        "pairing_blocks-fock": lambda w, p: pairing_blocks(
-            p, lambda edge, straddling: edge, fock=True
-        ),
-        "finite_lambda_correlator-fock": lambda w, p: finite_lambda_correlator(w, FOCK),
-        "finite_lambda_correlator-gaussian": lambda w, p: finite_lambda_correlator(
-            w, GAUSSIAN
-        ),
-        "take_limit": lambda w, p: take_limit(finite_lambda_correlator(w, GAUSSIAN)),
-        "qdef_normal_order": lambda w, p: qdef_normal_order(w),
-        "doubled_normal_order": lambda w, p: doubled_normal_order(w, GAUSSIAN),
+        "free_correlator": PATHS["free-gaussian"],
+        "limit_correlator": PATHS["limit-gaussian"],
+        "limit_correlator-fock": PATHS["limit-fock"],
+        "check_free_equivalence": lambda w: check_free_equivalence(w, GAUSSIAN),
+        "non_crossing_pairings": blocks(non_crossing=True),
+        "count_non_crossing": lambda w: count_non_crossing(w.pattern),
+        "enumerate_pairings": lambda w: enumerate_pairings(w.pattern),
+        "pairing_blocks-fock": blocks(fock=True),
+        "finite_lambda_correlator-fock": PATHS["finite-fock"],
+        "finite_lambda_correlator-gaussian": PATHS["finite-gaussian"],
+        "take_limit": EQUALITIES["take_limit(finite)=limit-gaussian"][0],
+        "qdef_normal_order": PATHS["qdef-fock"],
+        "doubled_normal_order": PATHS["doubled-gaussian"],
     }
 
 
@@ -694,13 +652,12 @@ def test_paths_leave_nothing_to_the_cyclic_collector(path):
 
     from stochlim.words import parse_pattern
 
-    pattern = parse_pattern(CYCLE_WORD)
-    word = word_from_pattern(pattern)
+    word = word_from_pattern(parse_pattern(CYCLE_WORD))
     run = _cycle_paths()[path]
     gc.collect()
     gc.disable()
     try:
-        run(word, pattern)
+        run(word)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -735,14 +692,10 @@ def whole_diagram_limit(word, state):
 
 
 def test_limit_walk_matches_whole_diagrams():
-    states = (FOCK, GAUSSIAN, temperature(1.0))
-    for n in range(2, 11, 2):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            for state in states:
-                assert limit_correlator(word, state) == whole_diagram_limit(
-                    word, state
-                ), (pattern, state.kind)
+    for word in positional_words(10):
+        for state in STATES.values():
+            expected = whole_diagram_limit(word, state)
+            assert limit_correlator(word, state) == expected, (word.pattern, state.kind)
 
 
 def test_limit_walk_matches_whole_diagrams_at_fourteen_letters():

@@ -12,23 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from stochlim.correlator import FOCK, GAUSSIAN, finite_lambda_correlator, limit_correlator
-from stochlim.masterfield import free_correlator
-from stochlim.oracle import doubled_normal_order, qdef_normal_order
-from stochlim.words import balanced_patterns, word_from_pattern
+from stochlim.words import balanced_patterns, format_pattern, word_from_pattern
+
+from rewriting import PATHS
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.txt"
 
-PATHS = {
-    "finite-fock": lambda w: finite_lambda_correlator(w, FOCK),
-    "finite-gaussian": lambda w: finite_lambda_correlator(w, GAUSSIAN),
-    "limit-fock": lambda w: limit_correlator(w, FOCK),
-    "limit-gaussian": lambda w: limit_correlator(w, GAUSSIAN),
-    "free-fock": lambda w: free_correlator(w, FOCK),
-    "free-gaussian": lambda w: free_correlator(w, GAUSSIAN),
-    "qdef-fock": qdef_normal_order,
-    "doubled-gaussian": lambda w: doubled_normal_order(w, GAUSSIAN),
-}
+# the paths of the digest file, in its order
+NAMES = [f"{path}-{state}" for path in ("finite", "limit", "free") for state in ("fock", "gaussian")]
+NAMES += ["qdef-fock", "doubled-gaussian"]
 
 EIGHT_LETTER = [
     (-1, 1) * 4,
@@ -38,16 +30,12 @@ EIGHT_LETTER = [
 ]
 
 
-def tokens(pattern) -> str:
-    return " ".join("a" if e == -1 else "a+" for e in pattern)
-
-
 def cases() -> list[tuple[str, tuple[int, ...]]]:
     """(path, pattern) pairs in file order: every balanced pattern up to
     six letters and four eight-letter ones through every path, then every
     eight-letter pattern through both limit paths."""
     small = [p for n in (2, 4, 6) for p in balanced_patterns(n)] + EIGHT_LETTER
-    out = [(path, p) for p in small for path in PATHS]
+    out = [(path, p) for p in small for path in NAMES]
     out += [
         (path, p)
         for p in balanced_patterns(8)
@@ -71,12 +59,12 @@ def read_digests() -> dict[tuple[str, str], str]:
 
 
 def test_digest_file_covers_every_case():
-    expected = [(path, tokens(p)) for path, p in cases()]
+    expected = [(path, format_pattern(p)) for path, p in cases()]
     assert list(read_digests()) == expected
     assert len(expected) == 388
 
 
-@pytest.mark.parametrize("path", list(PATHS))
+@pytest.mark.parametrize("path", NAMES)
 def test_golden_output(path):
     stored = read_digests()
     failures = []
@@ -84,6 +72,6 @@ def test_golden_output(path):
         if name != path:
             continue
         value = PATHS[path](word_from_pattern(pattern))
-        if digest(value) != stored[(path, tokens(pattern))]:
-            failures.append(f"{path} [{tokens(pattern)}]:\n{value.render()}")
+        if digest(value) != stored[(path, format_pattern(pattern))]:
+            failures.append(f"{path} [{format_pattern(pattern)}]:\n{value.render()}")
     assert not failures, "canonical output changed:\n" + "\n\n".join(failures)

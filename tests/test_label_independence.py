@@ -1,5 +1,6 @@
-"""The three paths agree on words whose labels are not t1..tN / k1..kN,
-one word per balanced pattern up to N=8.
+"""The paths agree: every row of the specification, `rewriting.EQUALITIES`,
+holds on every balanced pattern up to N=8, once on the positional words
+and once on words whose labels are not t1..tN / k1..kN.
 
 The representative of a momentum-delta chain is its smallest label in
 label order, so relabelling changes which label survives unification.
@@ -11,18 +12,11 @@ import random
 
 import pytest
 
-from stochlim.correlator import (
-    FOCK,
-    GAUSSIAN,
-    finite_lambda_correlator,
-    limit_correlator,
-    take_limit,
-)
-from stochlim.masterfield import free_correlator
-from stochlim.oracle import doubled_normal_order, qdef_normal_order
 from stochlim.scalars import ScalarSum
 from stochlim.symbols import TimeLabel, WaveLabel
 from stochlim.words import Letter, OperatorWord, balanced_patterns
+
+from rewriting import EQUALITIES, positional_words, sweep
 
 
 def _names(rng: random.Random, count: int) -> list[str]:
@@ -62,19 +56,17 @@ def _word_id(word: OperatorWord) -> str:
     )
 
 
+@pytest.mark.parametrize("row", EQUALITIES)
+def test_paths_agree(row):
+    assert sweep([row], positional_words(8)) == 0
+
+
 @pytest.mark.parametrize("word", relabelled_words(), ids=_word_id)
 def test_paths_agree_on_relabelled_words(word):
-    """The paths agree, and every sum they return reads back from its JSON
-    form unchanged: `ScalarSum.from_json` unifies each term again through
+    """Every row holds, and each row's value reads back from its JSON form
+    unchanged: `ScalarSum.from_json` unifies each term again through
     `Monomial.build`, so a term left ununified by its path would differ."""
-    finite_fock = finite_lambda_correlator(word, FOCK)
-    finite_gaussian = finite_lambda_correlator(word, GAUSSIAN)
-    assert finite_fock == qdef_normal_order(word)
-    assert finite_gaussian == doubled_normal_order(word, GAUSSIAN)
-    for state, finite in ((FOCK, finite_fock), (GAUSSIAN, finite_gaussian)):
-        limit = limit_correlator(word, state)
-        taken = take_limit(finite)
-        free = free_correlator(word, state)
-        assert taken == limit == free
-        for s in (finite, limit, free, taken):
-            assert ScalarSum.from_json(s.to_json()) == s
+    for row, (left, right) in EQUALITIES.items():
+        value = left(word)
+        assert value == right(word), row
+        assert ScalarSum.from_json(value.to_json()) == value, row

@@ -31,8 +31,10 @@ from stochlim.words import (
 from rewriting import (
     _free_step,
     normal_order_at,
+    positional_words,
     reduce_all_orders,
     species_product,
+    sweep,
     vacuum,
 )
 
@@ -153,11 +155,9 @@ def test_unreducible_word_vanishes():
 
 
 def test_reduction_confluence():
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            for branch in species_product(word):
-                assert len(reduce_all_orders(branch)) == 1
+    for word in positional_words(6):
+        for branch in species_product(word):
+            assert len(reduce_all_orders(branch)) == 1
 
 
 def test_stack_walk_equals_rewriting():
@@ -171,44 +171,23 @@ def test_stack_walk_equals_rewriting():
 
 
 def test_channel_count_equals_non_crossing():
-    for n in (2, 4, 6, 8, 10):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            assert len(free_correlator(word, GAUSSIAN).terms) == count_non_crossing(
-                pattern
-            )
-
-
-def test_free_equivalence_up_to_six():
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            for state in (FOCK, GAUSSIAN):
-                report = check_free_equivalence(word, state)
-                assert report.equal, (pattern, state.kind, report)
+    for word in positional_words(10):
+        assert len(free_correlator(word, GAUSSIAN).terms) == count_non_crossing(word.pattern)
 
 
 def test_free_equivalence_ten_letters():
-    for pattern in balanced_patterns(10):
-        report = check_free_equivalence(word_from_pattern(pattern), GAUSSIAN)
-        assert report.equal, (pattern, report)
+    words = [word_from_pattern(p) for p in balanced_patterns(10)]
+    assert sweep(["limit=free-gaussian"], words) == 0
 
 
 def test_free_equivalence_sixteen_letters():
     rng = random.Random(16)
+    words = []
     for _ in range(40):
         pattern = [-1] * 8 + [1] * 8
         rng.shuffle(pattern)
-        report = check_free_equivalence(word_from_pattern(pattern), GAUSSIAN)
-        assert report.equal, (pattern, report)
-
-
-def test_equivalence_report_diff():
-    # feed two different words through the report machinery by hand
-    word_a = word_from_pattern([-1, 1])
-    lhs = limit_correlator(word_a, GAUSSIAN)
-    rhs = free_correlator(word_from_pattern([1, -1]), GAUSSIAN)
-    assert lhs != rhs
+        words.append(word_from_pattern(pattern))
+    assert sweep(["limit=free-gaussian"], words) == 0
 
 
 def _tampered_free(word, state):

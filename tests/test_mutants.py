@@ -1,13 +1,14 @@
 """Single-factor mutants: a one-line fault in one path's scalar, applied by
-monkeypatching one module-level helper, must make a cross-check between
-two paths report a mismatch on the balanced patterns up to N=8.
+monkeypatching one module-level helper, must make a row of the
+specification (`rewriting.EQUALITIES`) report a mismatch on the balanced
+patterns up to N=8, where `test_paths_agree` sees none unmutated.
 
-The cross-checks are three sweeps: in the Gaussian state `finite` against
-the doubled rewriting oracle and `limit` against the free master field, and
-in the Fock state `finite` against the deformed rewriting oracle.
-`MUTANTS` lists, per fault, the sweeps that see it.  A fault in
+Three rows are swept: in the Gaussian state `finite` against the doubled
+rewriting oracle and `limit` against the free master field, and in the
+Fock state `finite` against the deformed rewriting oracle.  `MUTANTS`
+lists, per fault, the rows that see it.  A fault in
 `correlator` reaches both diagram sums, since they read one per-edge table,
-so each sweep sees it through its independent side; a fault in
+so each row sees it through its independent side; a fault in
 `masterfield` reaches the free path alone, and one in `oracle` its own
 rewriting oracle alone.
 """
@@ -15,12 +16,10 @@ rewriting oracle alone.
 import pytest
 
 from stochlim import correlator, masterfield, oracle
-from stochlim.correlator import FOCK, GAUSSIAN, finite_lambda_correlator
-from stochlim.masterfield import check_free_equivalence
-from stochlim.oracle import doubled_normal_order, qdef_normal_order
 from stochlim.scalars import MFactor
 from stochlim.symbols import EnergyComb, dot
-from stochlim.words import balanced_patterns, word_from_pattern
+
+from rewriting import positional_words, sweep
 
 
 def _flip_occupation(factors):
@@ -91,35 +90,25 @@ def qdef_swap_sign(monkeypatch):
     monkeypatch.setattr(oracle, "_qdef_step", mutant)
 
 
-def finite_vs_doubled(word) -> bool:
-    return finite_lambda_correlator(word, GAUSSIAN) == doubled_normal_order(word, GAUSSIAN)
-
-
-def limit_vs_free(word) -> bool:
-    return check_free_equivalence(word, GAUSSIAN).equal
-
-
-def finite_vs_qdef(word) -> bool:
-    return finite_lambda_correlator(word, FOCK) == qdef_normal_order(word)
-
-
 MUTANTS = {
-    edges_occupation: (finite_vs_doubled, limit_vs_free),
-    edge_energy_shift: (finite_vs_doubled, limit_vs_free),
-    contract_occupation: (limit_vs_free,),
-    pass_shift: (limit_vs_free,),
-    bogoliubov_offset: (finite_vs_doubled,),
-    qdef_swap_sign: (finite_vs_qdef,),
+    edges_occupation: ("finite=doubled-gaussian", "limit=free-gaussian"),
+    edge_energy_shift: ("finite=doubled-gaussian", "limit=free-gaussian"),
+    contract_occupation: ("limit=free-gaussian",),
+    pass_shift: ("limit=free-gaussian",),
+    bogoliubov_offset: ("finite=doubled-gaussian",),
+    qdef_swap_sign: ("finite=qdef-fock",),
 }
 
 
+# ids name the row without its state: edges_occupation-finite_vs_doubled
 @pytest.mark.parametrize(
-    "mutant,check",
-    [(mutant, check) for mutant, checks in MUTANTS.items() for check in checks],
-    ids=lambda f: f.__name__,
+    "mutant,row",
+    [
+        pytest.param(mutant, row, id=f"{mutant.__name__}-{row.split('-')[0].replace('=', '_vs_')}")
+        for mutant, rows in MUTANTS.items()
+        for row in rows
+    ],
 )
-def test_sweep_reports_the_mutant(monkeypatch, mutant, check):
-    words = [word_from_pattern(p) for n in (2, 4, 6, 8) for p in balanced_patterns(n)]
-    assert all(check(word) for word in words)
+def test_sweep_reports_the_mutant(monkeypatch, mutant, row):
     mutant(monkeypatch)
-    assert not all(check(word) for word in words)
+    assert sweep([row], positional_words(8)) > 0

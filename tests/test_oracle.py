@@ -39,7 +39,7 @@ from stochlim.words import (
     word_from_pattern,
 )
 
-from rewriting import _free_step, normal_order_at, species_product, sum_times, times
+from rewriting import _free_step, normal_order_at, species_product, sum_times, sweep, times
 
 HALF = Fraction(1, 2)
 
@@ -71,13 +71,6 @@ def test_qdef_antinormal_is_zero():
 
 def test_qdef_unbalanced_is_zero():
     assert qdef_normal_order(word_from_pattern([-1, -1, 1])).is_zero
-
-
-def test_qdef_matches_engine_fock():
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK)
 
 
 def _rewrite(step, term, branches=species_product):
@@ -215,21 +208,9 @@ def test_doubled_two_point_absorption():
     assert result.terms[0][0].m_factors[0][1] == 1
 
 
-def test_doubled_matches_engine_gaussian():
-    for n in (2, 4, 6):
-        for pattern in balanced_patterns(n):
-            word = word_from_pattern(pattern)
-            assert doubled_normal_order(word, GAUSSIAN) == finite_lambda_correlator(
-                word, GAUSSIAN
-            )
-
-
 def test_oracles_match_engine_ten_letters():
-    for pattern in random.Random(10).sample(balanced_patterns(10), 6):
-        word = word_from_pattern(pattern)
-        assert qdef_normal_order(word) == finite_lambda_correlator(word, FOCK), pattern
-        gaussian = finite_lambda_correlator(word, GAUSSIAN)
-        assert doubled_normal_order(word, GAUSSIAN) == gaussian, pattern
+    words = [word_from_pattern(p) for p in random.Random(10).sample(balanced_patterns(10), 6)]
+    assert sweep(["finite=qdef-fock", "finite=doubled-gaussian"], words) == 0
 
 
 def test_doubled_rejects_fock():

@@ -159,6 +159,8 @@ def test_momentum_delta_chain_closure():
 def test_momentum_delta_can_cancel_rows():
     s = osc_sum(DeltaK(K1, K2), OscExp(T1 - T2, dot(K1, K3) - dot(K2, K3)))
     assert s.terms[0][0].osc == ()
+    # an exponent that is zero from the start is dropped too, unless it pairs
+    assert osc_sum(OscExp(TimeComb.zero(), omega(K1))) == osc_sum()
 
 
 def test_product_unifies_across_operands():
@@ -178,6 +180,8 @@ def test_delta_factor_validation():
         Monomial.build(factors=[MFactor(K1, 2)])
     with pytest.raises(ValueError):
         Monomial.build(factors=[OscExp(TimeComb.zero(), omega(K1), pairing=True)])
+    with pytest.raises(ValueError, match="pairing quota needs a nonzero time"):
+        Monomial.build(quotas=[TimeComb.zero()])
 
 
 def test_factors_are_told_apart_by_their_exact_type():

@@ -11,7 +11,7 @@ from stochlim.correlator import GAUSSIAN, StateSpec, finite_lambda_correlator
 from stochlim.diagrams import Edge
 from stochlim.oracle import Assignment
 from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot
-from stochlim.words import Letter, balanced_patterns, word_from_pattern
+from stochlim.words import Letter, OperatorWord, balanced_patterns, word_from_pattern
 
 t1, t2, k1, k2 = TimeLabel("t1"), TimeLabel("t2"), WaveLabel("k1"), WaveLabel("k2")
 MONOMIAL = finite_lambda_correlator(word_from_pattern([-1, 1]), GAUSSIAN).terms[0][0]
@@ -46,6 +46,7 @@ def test_combinations_of_different_classes_differ():
 
 def test_word_length_is_its_letter_count():
     for n in range(0, 9, 2):
+        assert balanced_patterns(n + 1) == []
         for pattern in balanced_patterns(n) + [(1,) * (n + 1)]:
             assert len(word_from_pattern(pattern)) == len(pattern)
 
@@ -68,7 +69,12 @@ def test_a_word_is_the_tuple_of_its_letters():
     assert list(word) == list(letters)
     assert word[0] == letters[0] and word[-1] == letters[-1]
     assert word[1:3] == letters[1:3]
-    assert word.pattern == pattern and word.balanced
+    assert word.pattern == pattern and sum(word.pattern) == 0
+    repeated = letters[1]._replace(time=letters[0].time)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        OperatorWord.build((letters[0], repeated))
+    with pytest.raises(ValueError, match="must be -1 or"):
+        OperatorWord.build((letters[0]._replace(eps=0),))
 
 
 def test_assignment_tables_default_to_one_read_only_empty_mapping():
