@@ -38,7 +38,7 @@ from .scalars import (
     piece,
     wave_representatives,
 )
-from .symbols import EnergyComb, TimeComb, WaveLabel, dot, dot_p, omega
+from .symbols import EnergyComb, TimeComb, WaveLabel, dispersion, dot
 from .words import OperatorWord
 
 __all__ = [
@@ -100,7 +100,7 @@ def _edges(letters, fock: bool):
     def edge(e: Edge) -> tuple[WaveLabel, EnergyComb, TimeComb, tuple]:
         cre, ann = letters[e.creation - 1], letters[e.annihilation - 1]
         k = wave_representatives([(cre.wave, ann.wave)]).get(cre.wave, cre.wave)
-        energy = EnergyComb.sum_of([omega(k), Fraction(e.delta, 2) * dot(k, k), dot_p(k)])
+        energy = dispersion(k, e.delta)
         occupation = () if fock else (MFactor(k, (e.delta + 1) // 2),)
         return k, energy, cre.time - ann.time, occupation + (DeltaK(cre.wave, ann.wave),)
 
@@ -108,14 +108,13 @@ def _edges(letters, fock: bool):
 
 
 def _edge_energy(table, edge: Edge, enclosing) -> EnergyComb:
-    """The edge's bare energy from the per-edge `table` plus the
-    momentum shift of every enclosing edge, made as one combination; the
-    bare energy itself when no edge encloses it."""
+    """The edge's energy with p shifted by delta_o * k_o over every
+    enclosing edge o, made in one merge; the bare energy from the per-edge
+    `table` when no edge encloses it."""
     k, energy, _, _ = table(edge)
     if not enclosing:
         return energy
-    shifts = [o.delta * dot(table(o)[0], k) for o in enclosing]
-    return EnergyComb.sum_of([energy] + shifts)
+    return dispersion(k, edge.delta, [(table(o)[0], o.delta) for o in enclosing])
 
 
 def finite_lambda_correlator(word: OperatorWord, state: StateSpec) -> ScalarSum:

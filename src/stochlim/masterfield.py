@@ -20,7 +20,6 @@ stays independent of the engine it checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .correlator import StateSpec, limit_correlator
@@ -34,7 +33,7 @@ from .scalars import (
     piece,
     wave_representatives,
 )
-from .symbols import EnergyComb, dot, dot_p, omega, shift_p
+from .symbols import dispersion
 from .words import MasterLetter, OperatorWord, master_letters
 
 __all__ = [
@@ -59,13 +58,12 @@ def _contract(ann: MasterLetter, cre: MasterLetter, passed, fock: bool) -> list:
     cre just right of it, the p-dependence shifted across the passed
     letters still standing to the left of ann; three in the Fock state,
     whose only contraction, of b1, has occupation N+1 = 1."""
-    sign = Fraction(1, 2) if ann.species == 1 else Fraction(-1, 2)
-    own = (omega(ann.wave), sign * dot(ann.wave, ann.wave), dot_p(ann.wave))
+    sign = 1 if ann.species == 1 else -1
     shifts = [(l.wave, _PASS_SHIFT[(l.species, l.dag)]) for l in passed]
     occupation = [] if fock else [MFactor(ann.wave, 1 if ann.species == 1 else 0)]
     return occupation + [
         TimeDelta(ann.time - cre.time),
-        EnergyDelta(shift_p(EnergyComb.sum_of(own), shifts)),
+        EnergyDelta(dispersion(ann.wave, sign, shifts)),
         DeltaK(ann.wave, cre.wave),
     ]
 

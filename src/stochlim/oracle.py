@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -46,10 +45,8 @@ from .symbols import (
     WaveLabel,
     basis_from_json,
     basis_to_json,
+    dispersion,
     dot,
-    dot_p,
-    omega,
-    shift_p,
 )
 from .words import (
     Letter,
@@ -82,12 +79,7 @@ def _entangled_energy(letter: Letter, left: Iterable[Letter]) -> EnergyComb:
     """Energetic argument of one letter's own oscillation, w(k) + (1/2)k.k + k.p
     for annihilators and w(k) - (1/2)k.k + k.p for creators, with p shifted by
     -eps*k over each letter to its left, as commuting it to the far left does."""
-    energy = (
-        omega(letter.wave)
-        - Fraction(letter.eps, 2) * dot(letter.wave, letter.wave)
-        + dot_p(letter.wave)
-    )
-    return shift_p(energy, [(l.wave, -l.eps) for l in left])
+    return dispersion(letter.wave, -letter.eps, [(l.wave, -l.eps) for l in left])
 
 
 def _qdef_step(letters: tuple[Letter, ...], i: int, collected: tuple):

@@ -5,8 +5,9 @@ engine ever assigns them components.  Energies live in the span of the
 basis symbols w(k) (dispersion), k.k' (dot products between wave
 vectors, k.k allowed) and k.p (dot product with the particle momentum),
 with exact rational coefficients: an `int` when integral, a `Fraction`
-otherwise (the two compare, hash and render alike).  Time combinations
-carry integer coefficients.
+otherwise (the two compare, hash and render alike).  `dispersion` builds
+the energy of every pairing, contraction and dressing.  Time
+combinations carry integer coefficients.
 
 There is one object per label and per basis: a label's class and name,
 or a basis's kind and waves, find the object made the first time, so
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "TimeLabel",
@@ -34,7 +35,7 @@ __all__ = [
     "omega",
     "dot",
     "dot_p",
-    "shift_p",
+    "dispersion",
 ]
 
 _DIGIT_SPLIT = re.compile(r"(\d+)")
@@ -163,11 +164,6 @@ class _Comb:
         kept = [(b, c) for b, c in acc.items() if c]
         kept.sort(key=lambda bc: bc[0].sort_key)
         return cls(tuple(kept))
-
-    @classmethod
-    def sum_of(cls, combs: Iterable):
-        """The sum of several combinations, merged and sorted once."""
-        return cls.make([t for c in combs for t in c.terms])
 
     @classmethod
     def zero(cls):
@@ -352,19 +348,23 @@ def dot_p(k: WaveLabel) -> EnergyComb:
     return EnergyComb(((_basis(_KP, (k,)), 1),))
 
 
-def shift_p(energy: EnergyComb, shifts: Iterable[tuple[WaveLabel, int]]) -> EnergyComb:
-    """Substitute p -> p + sum(sign*k_j) over the (k_j, sign) pairs of shifts,
-    in one merge: every c*(k.p) term adds c*sign*(k.k_j) per pair.  The same
-    as shifting one pair at a time, since a shift adds no k.p term."""
-    shifts = tuple(shifts)
-    if any(sign not in (1, -1) for _, sign in shifts):
-        raise ValueError("shift sign must be +1 or -1")
-    extra = [
-        (_basis(_DOT, (basis.waves[0], j)), c * sign)
-        for basis, c in energy.terms
-        if basis.kind == _KP
-        for j, sign in shifts
-    ]
-    if not extra:
-        return energy
-    return EnergyComb.make(list(energy.terms) + extra)
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
+
+
+def dispersion(
+    k: WaveLabel, sign: int, shifts: Sequence[tuple[WaveLabel, int]] = ()
+) -> EnergyComb:
+    """w(k) + (sign/2) k.k + k.(p + sum c_j k_j) over the (k_j, c_j) pairs of
+    shifts, sign +1 or -1.  Its own three terms are already in basis order
+    (w, dot, kp), so without shifts it is made with no merge, and with
+    shifts in one merge."""
+    if sign == 1:
+        half = _HALF
+    elif sign == -1:
+        half = _MINUS_HALF
+    else:
+        raise ValueError("dispersion sign must be +1 or -1")
+    own = ((_basis(_W, (k,)), 1), (_basis(_DOT, (k, k)), half), (_basis(_KP, (k,)), 1))
+    if not shifts:
+        return EnergyComb(own)
+    return EnergyComb.make([*own, *[(_basis(_DOT, (k, j)), c) for j, c in shifts]])

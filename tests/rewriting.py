@@ -8,8 +8,9 @@ The helpers: the full species expansion, the free path's rewrite step,
 two drivers that `words.normal_order` does not offer, a site chooser and
 every reduction order, products with a monomial through the canonical
 kernel, the Fock vacuum's rule N = 0 applied to a finished sum, a word's
-adjoint with a sum's complex conjugate, and the sparse elimination that
-`correlator._absorb` is compared against."""
+adjoint with a sum's complex conjugate, the written-out momentum shift
+`shift_p` that `symbols.dispersion` is compared against, and the sparse
+elimination that `correlator._absorb` is compared against."""
 
 from fractions import Fraction
 from itertools import product
@@ -26,7 +27,7 @@ from stochlim.correlator import (
 from stochlim.masterfield import _contract, free_correlator
 from stochlim.oracle import doubled_normal_order, qdef_normal_order
 from stochlim.scalars import Monomial, Piece, ScalarSum, wave_representatives
-from stochlim.symbols import EnergyComb
+from stochlim.symbols import EnergyComb, basis_to_json, dot
 from stochlim.words import (
     MasterLetter,
     OperatorWord,
@@ -55,23 +56,31 @@ PATHS = {
     "doubled-temperature": lambda word: doubled_normal_order(word, STATES["temperature"]),
 }
 
-# row -> (left side, right side), each a function of a word: the exact sum
-# equals its rewriting oracle, its limit term by term the direct limit, and
-# that the free master field (Nica, Speicher, Lectures on the Combinatorics
-# of Free Probability, CUP 2006, lectures 2 and 12)
+# row -> (left side, right side), each the name of a path or take_limit(name):
+# the exact sum equals its rewriting oracle, its limit term by term the
+# direct limit, and that the free master field (Nica, Speicher, Lectures on
+# the Combinatorics of Free Probability, CUP 2006, lectures 2 and 12)
 EQUALITIES = {
-    "finite=qdef-fock": (PATHS["finite-fock"], PATHS["qdef-fock"]),
-    "finite=doubled-gaussian": (PATHS["finite-gaussian"], PATHS["doubled-gaussian"]),
-    "finite=doubled-temperature": (PATHS["finite-temperature"], PATHS["doubled-temperature"]),
+    "finite=qdef-fock": ("finite-fock", "qdef-fock"),
+    "finite=doubled-gaussian": ("finite-gaussian", "doubled-gaussian"),
+    "finite=doubled-temperature": ("finite-temperature", "doubled-temperature"),
     **{
-        f"take_limit(finite)=limit-{kind}": (
-            lambda word, finite=PATHS[f"finite-{kind}"]: take_limit(finite(word)),
-            PATHS[f"limit-{kind}"],
-        )
+        f"take_limit(finite)=limit-{kind}": (f"take_limit(finite-{kind})", f"limit-{kind}")
         for kind in STATES
     },
-    **{f"limit=free-{kind}": (PATHS[f"limit-{kind}"], PATHS[f"free-{kind}"]) for kind in STATES},
+    **{f"limit=free-{kind}": (f"limit-{kind}", f"free-{kind}") for kind in STATES},
 }
+
+
+def evaluate(side: str, word, memo: dict) -> ScalarSum:
+    """One side of a row on word: the path of that name, or the limit of
+    the path named inside take_limit(...).  `memo` holds the word's path
+    values by name, so each path is built once per word."""
+    name = side.removeprefix("take_limit(").removesuffix(")")
+    value = memo.get(name)
+    if value is None:
+        value = memo[name] = PATHS[name](word)
+    return value if name == side else take_limit(value)
 
 
 def positional_words(max_n: int) -> list[OperatorWord]:
@@ -80,14 +89,15 @@ def positional_words(max_n: int) -> list[OperatorWord]:
 
 
 def sweep(rows, words) -> int:
-    """Check each named row of `EQUALITIES` on every word; print
-    `MISMATCH <row> <pattern>` for each word where the two sides differ
-    and return how many did."""
+    """Check each named row of `EQUALITIES` on every word, building each
+    path once per word; print `MISMATCH <row> <pattern>` for each word
+    where the two sides differ and return how many did."""
     mismatches = 0
-    for row in rows:
-        left, right = EQUALITIES[row]
-        for word in words:
-            if left(word) != right(word):
+    for word in words:
+        memo: dict = {}
+        for row in rows:
+            left, right = EQUALITIES[row]
+            if evaluate(left, word, memo) != evaluate(right, word, memo):
                 mismatches += 1
                 print("MISMATCH", row, format_pattern(word.pattern))
     return mismatches
@@ -203,6 +213,24 @@ def conjugate(s: ScalarSum) -> ScalarSum:
         return Monomial._canonical(m.two_pi, m.lam, [_piece(m, -1)])
 
     return ScalarSum.make((conj(m), c) for m, c in s.terms)
+
+
+def shift_p(energy: EnergyComb, shifts) -> EnergyComb:
+    """Substitute p -> p + sum(sign*k_j) over the (k_j, sign) pairs of shifts,
+    written out: every c*(k.p) term adds c*sign*(k.k_j) per pair, merged
+    once with the energy's own terms."""
+    shifts = tuple(shifts)
+    if any(sign not in (1, -1) for _, sign in shifts):
+        raise ValueError("shift sign must be +1 or -1")
+    extra = [
+        (dot(basis.waves[0], j).terms[0][0], c * sign)
+        for basis, c in energy.terms
+        if basis_to_json(basis)[0] == "kp"
+        for j, sign in shifts
+    ]
+    if not extra:
+        return energy
+    return EnergyComb.make(list(energy.terms) + extra)
 
 
 def _eliminate(quotas, rows):

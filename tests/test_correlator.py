@@ -39,7 +39,7 @@ from stochlim.symbols import (
 )
 from stochlim.words import balanced_patterns, word_from_pattern
 
-from rewriting import EQUALITIES, PATHS, STATES, _eliminate, positional_words, vacuum
+from rewriting import PATHS, STATES, _eliminate, positional_words, vacuum
 
 HALF = Fraction(1, 2)
 
@@ -617,6 +617,46 @@ def test_each_edge_makes_its_factors_once(monkeypatch, sum_of, letters, terms, e
     assert len(made) == len(set(made)) == edges
 
 
+def test_each_energy_is_merged_at_most_once(monkeypatch):
+    """In the Gaussian state on one positional word, whose free walk
+    substitutes no wave: an edge energy with no enclosing edge and a
+    contraction energy with no passed letter take no `EnergyComb.make`,
+    a shifted one takes exactly one, and the two paths merge no other
+    energy."""
+    from stochlim import correlator, masterfield, symbols
+    from stochlim.masterfield import free_correlator
+
+    merges = []
+    make = symbols._Comb.make.__func__
+
+    def counting_make(cls, items):
+        if cls is EnergyComb:
+            merges.append(cls)
+        return make(cls, items)
+
+    made = []  # per energy: (letters it is shifted over, merges it took)
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(a, b, shifted_over, *rest):
+            before = len(merges)
+            out = inner(a, b, shifted_over, *rest)
+            made.append((len(shifted_over), len(merges) - before))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(symbols._Comb, "make", classmethod(counting_make))
+    counted(correlator, "_edge_energy")
+    counted(masterfield, "_contract")
+    word = word_from_pattern((-1, -1, 1, -1, 1, 1, -1, 1, 1, -1))
+    assert limit_correlator(word, GAUSSIAN) == free_correlator(word, GAUSSIAN)
+    assert {n > 0 for n, _ in made} == {True, False}
+    assert [m for _, m in made] == [1 if n else 0 for n, _ in made]
+    assert len(merges) == sum(1 for n, _ in made if n)
+
+
 CYCLE_WORD = "a a+ a a a+ a+ a a+ a a+"
 
 
@@ -638,7 +678,7 @@ def _cycle_paths():
         "pairing_blocks-fock": blocks(fock=True),
         "finite_lambda_correlator-fock": PATHS["finite-fock"],
         "finite_lambda_correlator-gaussian": PATHS["finite-gaussian"],
-        "take_limit": EQUALITIES["take_limit(finite)=limit-gaussian"][0],
+        "take_limit": lambda w: take_limit(PATHS["finite-gaussian"](w)),
         "qdef_normal_order": PATHS["qdef-fock"],
         "doubled_normal_order": PATHS["doubled-gaussian"],
     }

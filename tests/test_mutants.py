@@ -10,14 +10,15 @@ lists, per fault, the rows that see it.  A fault in
 `correlator` reaches both diagram sums, since they read one per-edge table,
 so each row sees it through its independent side; a fault in
 `masterfield` reaches the free path alone, and one in `oracle` its own
-rewriting oracle alone.
+rewriting oracle alone.  Every path builds its energies with
+`symbols.dispersion`, so a fault inside it reaches both sides of every row
+and no row can see it; each module's call of it is mutated instead.
 """
 
 import pytest
 
-from stochlim import correlator, masterfield, oracle
+from stochlim import correlator, masterfield, oracle, symbols
 from stochlim.scalars import MFactor
-from stochlim.symbols import EnergyComb, dot
 
 from rewriting import positional_words, sweep
 
@@ -49,8 +50,9 @@ def edge_energy_shift(monkeypatch):
 
     def mutant(table, edge, enclosing):
         k, energy, _, _ = table(edge)
-        shifts = [-o.delta * dot(table(o)[0], k) for o in enclosing]
-        return EnergyComb.sum_of([energy] + shifts)
+        if not enclosing:
+            return energy
+        return symbols.dispersion(k, edge.delta, [(table(o)[0], -o.delta) for o in enclosing])
 
     monkeypatch.setattr(correlator, "_edge_energy", mutant)
 
@@ -90,6 +92,27 @@ def qdef_swap_sign(monkeypatch):
     monkeypatch.setattr(oracle, "_qdef_step", mutant)
 
 
+def _flipped_dispersion(k, sign, shifts=()):
+    """`symbols.dispersion` with the sign of its k.k term flipped."""
+    return symbols.dispersion(k, -sign, shifts)
+
+
+def correlator_dispersion_sign(monkeypatch):
+    """`correlator.dispersion`: every edge energy's k.k sign flipped."""
+    monkeypatch.setattr(correlator, "dispersion", _flipped_dispersion)
+
+
+def masterfield_dispersion_sign(monkeypatch):
+    """`masterfield.dispersion`: every contraction energy's k.k sign flipped."""
+    monkeypatch.setattr(masterfield, "dispersion", _flipped_dispersion)
+
+
+def oracle_dispersion_sign(monkeypatch):
+    """`oracle.dispersion`: the k.k sign of every letter's own energy flipped,
+    in both rewriting oracles."""
+    monkeypatch.setattr(oracle, "dispersion", _flipped_dispersion)
+
+
 MUTANTS = {
     edges_occupation: ("finite=doubled-gaussian", "limit=free-gaussian"),
     edge_energy_shift: ("finite=doubled-gaussian", "limit=free-gaussian"),
@@ -97,6 +120,13 @@ MUTANTS = {
     pass_shift: ("limit=free-gaussian",),
     bogoliubov_offset: ("finite=doubled-gaussian",),
     qdef_swap_sign: ("finite=qdef-fock",),
+    correlator_dispersion_sign: (
+        "finite=doubled-gaussian",
+        "limit=free-gaussian",
+        "finite=qdef-fock",
+    ),
+    masterfield_dispersion_sign: ("limit=free-gaussian",),
+    oracle_dispersion_sign: ("finite=doubled-gaussian", "finite=qdef-fock"),
 }
 
 

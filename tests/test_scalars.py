@@ -205,7 +205,7 @@ def test_delta_sign_normalization():
 def test_json_round_trip():
     rng = random.Random(9)
     for _ in range(20):
-        s = ScalarSum.sum_of(_random_term(rng) for _ in range(3))
+        s = ScalarSum.make([t for _ in range(3) for t in _random_term(rng).terms])
         assert ScalarSum.from_json(s.to_json()) == s
     minus = osc_sum(OscExp(T1 - T2, omega(K1)), DeltaK(K1, K2)).scale(Fraction(-3, 2))
     assert minus.to_json()["terms"][0]["rational"] == [-3, 2]

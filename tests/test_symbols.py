@@ -13,12 +13,14 @@ from stochlim.symbols import (
     WaveLabel,
     basis_from_json,
     basis_to_json,
+    dispersion,
     dot,
     dot_p,
     omega,
-    shift_p,
 )
 from stochlim.words import word_from_pattern
+
+from rewriting import shift_p
 
 
 def test_natural_label_order():
@@ -116,6 +118,28 @@ def test_shift_p_rejects_bad_sign():
         for energy in (dot_p(k1), omega(k2)):
             with pytest.raises(ValueError):
                 shift_p(energy, shifts)
+
+
+def test_dispersion_equals_the_written_out_energy():
+    """w(k) + (s/2) k.k + k.p shifted term by term through `shift_p`, for
+    both signs, with no shifts and with seeded shift lists, some of whose
+    waves sort before k."""
+    rng = random.Random(34)
+    waves = [WaveLabel(f"k{i}") for i in range(1, 12)]
+    k = WaveLabel("k6")
+    cases = [(sign, []) for sign in (1, -1)]
+    cases += [(-1, [(WaveLabel("k1"), 1), (WaveLabel("k01"), -1)])]
+    for _ in range(40):
+        shifts = [(rng.choice(waves), rng.choice([1, -1])) for _ in range(rng.randint(1, 5))]
+        cases.append((rng.choice([1, -1]), shifts))
+    assert any(j.sort_key < k.sort_key for _, shifts in cases for j, _ in shifts)
+    for sign, shifts in cases:
+        written = shift_p(omega(k) + Fraction(sign, 2) * dot(k, k) + dot_p(k), shifts)
+        energy = dispersion(k, sign, shifts)
+        assert energy == written, (sign, shifts)
+        assert energy.render() == written.render()
+    with pytest.raises(ValueError):
+        dispersion(k, 0)
 
 
 def test_energy_render():
