@@ -3,11 +3,12 @@
 A monomial is a product of formal powers of 2pi and of the coupling lam,
 oscillating exponents, delta factors and occupation factors; it carries
 no coefficient.  A sum is a `symbols._Comb` of (monomial, rational)
-terms, so one merge (`_Comb.make`) adds the coefficients of equal
-monomials, drops zeros and sorts by `Monomial.sort_key`; a coefficient
-is an `int` or a `Fraction`, which render alike.  Equality of sums is
-structural equality of canonical forms, so canonicalization is the
-load-bearing part of this module:
+terms with its own merge, `ScalarSum.make`: it adds the coefficients of
+equal monomials, drops zeros and sorts the terms field by field, by the
+keys of `_FIELD_KEYS`, the one definition of monomial order; it hashes
+no monomial.  A coefficient is an `int` or a `Fraction`, which render
+alike.  Equality of sums is structural equality of canonical forms, so
+canonicalization is the load-bearing part of this module:
 
 * The oscillating content exp((i/lam^2) * sum_r T_r * E_r) is expanded
   into one energy row per time label.  Products that were written with
@@ -241,17 +242,9 @@ class Monomial(NamedTuple):
 
     @property
     def sort_key(self) -> tuple:
-        """The monomial's place in the order of a sum's terms."""
-        return (
-            self.two_pi,
-            self.lam,
-            tuple([q.sort_key for q in self.quotas]),
-            tuple([(l.sort_key, e.sort_key) for l, e in self.osc]),
-            tuple([t.sort_key for t in self.time_deltas]),
-            tuple([e.sort_key for e in self.energy_deltas]),
-            tuple([_pair_key(p) for p in self.delta_k]),
-            tuple([(w.sort_key, o) for w, o in self.m_factors]),
-        )
+        """The monomial's place in the order of a sum's terms: its keys of
+        `_FIELD_KEYS`."""
+        return tuple([key(self) for key in _FIELD_KEYS])
 
     def render(self, rational=1) -> str:
         """The monomial times rational; the rational is printed when it is
@@ -279,11 +272,57 @@ class Monomial(NamedTuple):
         return " * ".join(parts)
 
 
+# Monomial order, its one definition: a key per field, in field order;
+# two monomials compare by the first key on which they differ, and are
+# equal when they tie on every key.
+_FIELD_KEYS = (
+    lambda m: m[:2],  # (two_pi, lam)
+    lambda m: tuple(map(_key, m.quotas)),
+    lambda m: tuple([(l.sort_key, e.sort_key) for l, e in m.osc]),
+    lambda m: tuple(map(_key, m.time_deltas)),
+    lambda m: tuple(map(_key, m.energy_deltas)),
+    lambda m: tuple(map(_pair_key, m.delta_k)),
+    lambda m: tuple([(w.sort_key, o) for w, o in m.m_factors]),
+)
+_LAST_FIELD = len(_FIELD_KEYS) - 1
+
+
+def _merge(items: list, field: int, out: list) -> None:
+    """Append to `out` the merged terms of `items`, which tie on every field
+    before `field`: grouped by that field's key, groups in key order, each
+    group of more than one term merged on the later fields; terms that tie
+    on every field add their rationals in arrival order."""
+    key = _FIELD_KEYS[field]
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item[0]), []).append(item)
+    for k in sorted(groups):
+        group = groups[k]
+        if len(group) > 1 and field < _LAST_FIELD:
+            _merge(group, field + 1, out)
+            continue
+        m, c = group[0]
+        for _, x in group[1:]:
+            c = c + x
+        if c:
+            out.append((m, c))
+
+
 class ScalarSum(_Comb):
     """Canonical sum of (monomial, rational) terms: merged, zero terms
     dropped, sorted by monomial."""
 
     __slots__ = ()
+
+    @classmethod
+    def make(cls, items: Iterable[tuple[Monomial, "int | Fraction"]]) -> "ScalarSum":
+        """The one merge of (monomial, rational) items, field by field in
+        `_FIELD_KEYS` order: a field's key is made only for terms that tie
+        on every earlier field, and no monomial is hashed.  A term that
+        merges with nothing keeps its rational object."""
+        terms: list = []
+        _merge(list(items), 0, terms)
+        return cls(tuple(terms))
 
     @classmethod
     def from_iter(cls, monomials: Iterable[Monomial]) -> "ScalarSum":

@@ -109,11 +109,11 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
 
 class _Comb:
     """Exact linear combination of basis objects with a `sort_key` (labels,
-    energy bases, the monomials of `scalars.ScalarSum`): terms merged, zero
-    coefficients dropped, sorted by basis; empty is zero.  A slots class
-    (subclasses declare empty `__slots__`) that cannot be changed, equal to
-    a combination of its own class with the same terms, whose `sort_key` is
-    made once."""
+    energy bases, and the monomials of `scalars.ScalarSum`, which merges
+    them itself): terms merged, zero coefficients dropped, sorted by basis;
+    empty is zero.  A slots class (subclasses declare empty `__slots__`)
+    that cannot be changed, equal to a combination of its own class with
+    the same terms, whose `sort_key` is made once."""
 
     __slots__ = ("terms", "sort_key")
 
@@ -149,18 +149,14 @@ class _Comb:
 
     @classmethod
     def make(cls, items: Iterable[tuple]):
-        """One merge of (basis, coefficient) items: a coefficient is added
-        only to another of the same basis, so a term that merges with
-        nothing keeps its coefficient object.  A basis met for the first
-        time is hashed once; a grown table tells an insert from a merge,
-        as the value cannot (small ints are shared objects)."""
+        """One merge of (basis, coefficient) items, in a table keyed by
+        basis: labels and energy bases hash by identity, so the table is
+        cheap.  A coefficient is added only to another of the same basis,
+        so a term that merges with nothing keeps its coefficient object."""
         acc: dict = {}
-        setdefault = acc.setdefault
         for basis, c in items:
-            n = len(acc)
-            prev = setdefault(basis, c)
-            if len(acc) == n:
-                acc[basis] = prev + c
+            prev = acc.get(basis)
+            acc[basis] = c if prev is None else prev + c
         kept = [(b, c) for b, c in acc.items() if c]
         kept.sort(key=lambda bc: bc[0].sort_key)
         return cls(tuple(kept))

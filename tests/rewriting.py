@@ -9,8 +9,10 @@ two drivers that `words.normal_order` does not offer, a site chooser and
 every reduction order, products with a monomial through the canonical
 kernel, the Fock vacuum's rule N = 0 applied to a finished sum, a word's
 adjoint with a sum's complex conjugate, the written-out momentum shift
-`shift_p` that `symbols.dispersion` is compared against, and the sparse
-elimination that `correlator._absorb` is compared against."""
+`shift_p` that `symbols.dispersion` is compared against, the sparse
+elimination that `correlator._absorb` is compared against, and the
+written-out monomial order `monomial_key` with the dict merge
+`dict_merge` that `ScalarSum.make` is compared against."""
 
 from fractions import Fraction
 from itertools import product
@@ -280,3 +282,29 @@ def _eliminate(quotas, rows):
     if any(not e.is_zero for e in rhs[n:]):
         return None
     return rhs[:n]
+
+
+def monomial_key(m: Monomial) -> tuple:
+    """A monomial's place in the order of a sum's terms, written out as one
+    nested key: the powers of 2pi and lam, then each field's labels and
+    combinations by their `sort_key`."""
+    return (
+        m.two_pi,
+        m.lam,
+        tuple([q.sort_key for q in m.quotas]),
+        tuple([(l.sort_key, e.sort_key) for l, e in m.osc]),
+        tuple([t.sort_key for t in m.time_deltas]),
+        tuple([e.sort_key for e in m.energy_deltas]),
+        tuple([(a.sort_key, b.sort_key) for a, b in m.delta_k]),
+        tuple([(w.sort_key, o) for w, o in m.m_factors]),
+    )
+
+
+def dict_merge(items) -> tuple:
+    """The terms of (monomial, rational) items merged in a dict keyed by
+    monomial, each rational added to the earlier ones in arrival order,
+    zeros dropped and sorted by `monomial_key`."""
+    acc: dict = {}
+    for m, c in items:
+        acc[m] = acc[m] + c if m in acc else c
+    return tuple(sorted(((m, c) for m, c in acc.items() if c), key=lambda mc: monomial_key(mc[0])))

@@ -1,12 +1,14 @@
 import functools
 import json
+import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from stochlim import symbols
-from stochlim.correlator import GAUSSIAN, finite_lambda_correlator
+from stochlim.correlator import GAUSSIAN, finite_lambda_correlator, take_limit
 
 from stochlim.scalars import (
     DeltaK,
@@ -20,7 +22,7 @@ from stochlim.scalars import (
 from stochlim.symbols import EnergyComb, TimeComb, TimeLabel, WaveLabel, dot, dot_p, omega
 from stochlim.words import word_from_pattern
 
-from rewriting import times
+from rewriting import PATHS, STATES, dict_merge, positional_words, times
 
 T1, T2, T3 = (TimeLabel(f"t{i}") for i in (1, 2, 3))
 K1, K2, K3 = (WaveLabel(f"k{i}") for i in (1, 2, 3))
@@ -354,3 +356,116 @@ def test_multi_time_exponent_rows_cancel_as_single_time_factors():
         *factors[1:],
     ]
     assert m == functools.reduce(times, (Monomial.build(factors=[f]) for f in single))
+
+
+@pytest.fixture(scope="module")
+def path_sums():
+    """Every path's sum on every balanced pattern up to 8 letters, and the
+    limit of each finite sum, by (name, pattern); take_limit(finite-<state>)
+    names a limit."""
+    sums = {}
+    for word in positional_words(8):
+        for name, path in PATHS.items():
+            value = sums[name, word.pattern] = path(word)
+            if name.startswith("finite"):
+                sums[f"take_limit({name})", word.pattern] = take_limit(value)
+    return sums
+
+
+def _typed(terms) -> list:
+    return [(m, c, type(c)) for m, c in terms]
+
+
+def _scrambled(terms, rng: random.Random) -> list:
+    """The terms with scaled copies of some, shuffled: a copy as a Fraction
+    that merges, a negated one that cancels the term, or both."""
+    items = []
+    for m, c in terms:
+        items.append((m, c))
+        kind = rng.randrange(4)
+        if kind & 1:
+            items.append((m, Fraction(c) / 2))
+        if kind & 2:
+            items.append((m, -c - Fraction(c) / 2 if kind & 1 else -c))
+    rng.shuffle(items)
+    return items
+
+
+def test_make_is_the_dict_merge_in_reference_order(path_sums):
+    """On every path sum up to N=8, its terms shuffled with merging and
+    cancelling copies, `ScalarSum.make` gives the dict merge sorted by the
+    written-out monomial key, coefficient types included."""
+    rng = random.Random(35)
+    merged = cancelled = 0
+    for value in path_sums.values():
+        items = _scrambled(value.terms, rng)
+        made = ScalarSum.make(items)
+        assert _typed(made.terms) == _typed(dict_merge(items))
+        assert ScalarSum.make(value.terms) == value
+        merged += len(items) - len(value.terms)
+        cancelled += len(value.terms) - len(made.terms)
+    assert merged and cancelled
+
+
+def test_make_orders_terms_field_by_field():
+    """Terms made from every choice of two or three values per field, so
+    that whole groups tie on quotas and oscillation rows and differ only in
+    wave deltas or occupations, k9 and k10 among them."""
+    k9, k10, k11 = (WaveLabel(f"k{i}") for i in (9, 10, 11))
+    fields = product(
+        [T1 - T2, T1 - T3],
+        [OscExp(TimeComb.of(T1), omega(K1)), OscExp(TimeComb.of(T1), dot_p(K1))],
+        [TimeDelta(T2 - T3), TimeDelta(TimeComb.of(T3))],
+        [EnergyDelta(omega(K2)), EnergyDelta(dot(K1, K2))],
+        [[], [DeltaK(k9, k10)], [DeltaK(k10, k11)]],
+        [MFactor(k9, 0), MFactor(k9, 1), MFactor(k10, 0)],
+    )
+    monomials = [
+        Monomial.build(lam=-2, factors=[osc, td, ed, *dks, mf], quotas=[quota])
+        for quota, osc, td, ed, dks, mf in fields
+    ]
+    rng = random.Random(9)
+    for _ in range(20):
+        items = _scrambled([(m, rng.choice([1, -2, Fraction(3, 4)])) for m in monomials], rng)
+        assert _typed(ScalarSum.make(items).terms) == _typed(dict_merge(items))
+    lone = Fraction(5, 7)
+    made = ScalarSum.make([(monomials[1], 1), (monomials[0], lone), (monomials[1], 2)])
+    assert made.terms[0][1] is lone
+
+
+def test_merging_path_sums_builds_no_energy_key(path_sums, monkeypatch):
+    """Merging the finite, take_limit, limit and free sums of every 8-letter
+    pattern in each state hashes no `EnergyComb` and makes no `EnergyComb`
+    sort key: their quotas or time deltas tell every two terms apart."""
+    names = [
+        name
+        for kind in STATES
+        for name in (f"finite-{kind}", f"take_limit(finite-{kind})", f"limit-{kind}", f"free-{kind}")
+    ]
+    sums = [value for (name, pattern), value in path_sums.items() if len(pattern) == 8 and name in names]
+    # copies carry no sort key yet: each is made again at its first use
+    copies = pickle.loads(pickle.dumps([list(value.terms) for value in sums]))
+    rng = random.Random(8)
+    for terms in copies:
+        rng.shuffle(terms)
+    seen = []
+    getattr_, hash_ = EnergyComb.__getattr__, EnergyComb.__hash__
+
+    def counting_getattr(self, name):
+        seen.append(name)
+        return getattr_(self, name)
+
+    def counting_hash(self):
+        seen.append("__hash__")
+        return hash_(self)
+
+    monkeypatch.setattr(EnergyComb, "__getattr__", counting_getattr)
+    monkeypatch.setattr(EnergyComb, "__hash__", counting_hash)
+    made = [ScalarSum.make(terms) for terms in copies]
+    assert seen == []
+    # the counters do see a merge whose terms tie on the oscillation rows
+    terms = next(terms for terms in copies if terms and terms[0][0].osc)
+    ScalarSum.make(terms + terms)
+    assert "sort_key" in seen
+    monkeypatch.undo()
+    assert made == sums and len(sums) == len(names) * 70

@@ -245,25 +245,19 @@ def test_scalar_times_energy_keeps_the_coefficient_type():
     assert two == 2 and type(two) is int
 
 
-class CountedKey:
-    """A basis with a sort key that counts how often it is hashed."""
-
-    hashes = 0
+class Key:
+    """A basis with a sort key, hashed by identity."""
 
     def __init__(self, n: int) -> None:
         self.sort_key = (n,)
 
-    def __hash__(self) -> int:
-        CountedKey.hashes += 1
-        return hash(self.sort_key)
 
-
-def test_make_hashes_each_new_basis_once():
-    keys = [CountedKey(n) for n in (3, 1, 2)]
-    CountedKey.hashes = 0
-    comb = EnergyComb.make([(k, 1) for k in keys])
-    assert CountedKey.hashes == len(keys)
-    assert comb.terms == tuple((k, 1) for k in sorted(keys, key=lambda k: k.sort_key))
+def test_make_merges_by_basis_and_keeps_lone_coefficients():
+    keys = [Key(n) for n in (3, 1, 2)]
+    half = Fraction(1, 2)
+    comb = EnergyComb.make([(keys[0], half), (keys[1], 1), (keys[2], 1)])
+    assert comb.terms == ((keys[1], 1), (keys[2], 1), (keys[0], half))
+    assert comb.terms[2][1] is half
     # equal small ints are one object, yet a second 1 still merges, and a
     # sum that cancels is dropped
     a, b = keys[:2]
